@@ -42,7 +42,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 mod analyzer;
 mod boundary;

@@ -37,6 +37,39 @@
 //! window never visits. Such configs (rare: `full_grid` uses
 //! `skip ∈ {1, cw/10, cw}`) simply run on the private path.
 //!
+//! # Event-driven member scheduling
+//!
+//! Most member visits cannot change any result: a member that is not
+//! warm reports `T` without reading a window, and a member in
+//! Transition keeps a fixed threshold (its analyzer statistics only
+//! move in a phase). Both shared scans therefore visit only members
+//! that can change state, through one schedule:
+//!
+//! * **Sleeping.** A member sleeps while it is not warm: before the
+//!   FIFO warms up, and during the refill after a phase exit
+//!   (`consumed < warm_from`). Sleepers wait in a wake queue. Every
+//!   sleep is queued at `consumed + refill`, with `refill = cw + tw −
+//!   skip` constant per unit and `consumed` non-decreasing, so the
+//!   queue is FIFO-ordered and waking is a pop from its front. While
+//!   the FIFO is cold every member sleeps and a step only advances the
+//!   FIFO.
+//! * **Awake.** Warm members in Transition sit per model in descending
+//!   threshold order. The members entering a phase on a step are the
+//!   suffix with `sim >= threshold`, so one comparison against the
+//!   lowest threshold settles the usual step where nobody enters.
+//! * **In phase.** Fixed-threshold members sit per model (and per
+//!   phase class) in ascending threshold order: leavers are the suffix
+//!   with `!(sim >= threshold)`, and the statistics they would fold in
+//!   are never read by a fixed threshold. Running-average members fold
+//!   every in-phase value into their threshold, so each is judged every
+//!   step.
+//!
+//! Sorting uses the analyzer's own `sim >= threshold` predicate, so
+//! NaN similarities behave exactly as in [`Analyzer::judge`]. Which
+//! list holds a member, and in what order, never affects a result: each
+//! member's outcome depends only on its own analyzer and the window
+//! state it judges.
+//!
 //! # Adaptive-TW groups: the forking shared scan
 //!
 //! An Adaptive-TW config's windows deviate from the pure FIFO only
@@ -54,19 +87,34 @@
 //! ([`ForkableKernel::fork`]), `anchor_and_resize` is applied to the
 //! snapshot, and the member judges that *phase class* (advanced with
 //! TW growth each step) until its phase ends — at which point the
-//! member records its refill point and rejoins the FIFO pool, exactly
-//! like a Constant-TW flush. Members entering on the same step whose
-//! anchor and resize policies produce the *same resulting window
-//! boundaries* — computed in closed form before forking, since
-//! windows are always contiguous trace slices — share one class: the
-//! four `(anchor, resize)` pairs routinely degenerate to one fork
-//! (both anchors return index 0 when every TW site also occurs in
-//! the CW; Slide equals Move when the anchored TW is at capacity).
-//! A class is freed as soon as its last member leaves. In the worst
-//! case — every member permanently in a phase of its own — this
-//! degrades to one windows-advance per member per step, i.e. parity
-//! with private runs; in practice members cluster into few classes
-//! and the shared FIFO carries all Transition time.
+//! member sleeps until its refill point, exactly like a Constant-TW
+//! flush.
+//!
+//! **Boundary-key coalescing.** Windows are always contiguous trace
+//! slices: a class holds TW = `trace[a..b)` and CW =
+//! `trace[b..consumed)`, so its key `(a, b)` (`offset_of_index(0)` and
+//! that plus `tw_len`) determines its whole state and its future. Two
+//! classes with equal keys on a step are bit-identical from then on.
+//! So a phase entrant computes its post-anchor/resize boundaries in
+//! closed form before forking and joins *any* live class with that
+//! key — a fork made on the same step, or an older class that has
+//! grown into the same boundaries. After each step's class advance,
+//! classes whose keys have converged are merged: the survivor takes
+//! the members and the other slot is freed. Convergence is routine: a
+//! Slide class whose CW has refilled to capacity meets the Move class
+//! of the same anchor. The four `(anchor, resize)` pairs also often
+//! coincide at entry (both anchors return index 0 when every TW site
+//! also occurs in the CW; Slide equals Move when the anchored TW is at
+//! capacity). A class is freed as soon as its last member leaves. In
+//! the worst case — every member permanently in a phase of its own —
+//! this degrades to one windows-advance per member per step, i.e.
+//! parity with private runs; in practice members cluster into few
+//! classes and the shared FIFO carries all Transition time.
+//!
+//! The `*_metered` scans (with the `obs` feature) keep the per-member
+//! reference loop — every member visited every step, same-step forks
+//! only — because the static cost model and `BENCH_obs.json` count
+//! that loop's work; the unit tests check that both loops agree.
 //!
 //! Only `skip > cw` configs keep fully private windows (with scratch
 //! reuse), for the over-full-CW reason above; they run through the
@@ -103,11 +151,11 @@
 //! # Ok::<(), opd_core::ConfigError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use opd_trace::PhaseState;
 
-use crate::analyzer::Analyzer;
+use crate::analyzer::{Analyzer, AnalyzerPolicy};
 use crate::boundary::DetectedPhase;
 use crate::config::{ConfigShape, DetectorConfig};
 use crate::detector::PhaseDetector;
@@ -475,6 +523,13 @@ impl SweepEngine<'_> {
     }
 }
 
+/// The models in [`model_slot`] order.
+const MODELS: [ModelPolicy; 3] = [
+    ModelPolicy::UnweightedSet,
+    ModelPolicy::WeightedSet,
+    ModelPolicy::Pearson,
+];
+
 fn model_slot(model: ModelPolicy) -> usize {
     match model {
         ModelPolicy::UnweightedSet => 0,
@@ -483,24 +538,101 @@ fn model_slot(model: ModelPolicy) -> usize {
     }
 }
 
+fn anchor_slot(policy: AnchorPolicy) -> usize {
+    match policy {
+        AnchorPolicy::RightmostNoisy => 0,
+        AnchorPolicy::LeftmostNonNoisy => 1,
+    }
+}
+
+/// Counts of the event-driven branches the shared scans take, so unit
+/// tests can show that the branch they target actually fired.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct ScanEvents {
+    /// Steps on which the FIFO was not warm, so nothing but the FIFO
+    /// advanced.
+    cold_steps: u64,
+    /// Members moved from the sleep queue into the judged set.
+    wakes: u64,
+    /// Phase entries on the very step a member became warm again.
+    entries_at_warm_from: u64,
+    /// Phase entries that joined a class alive before this step.
+    joins: u64,
+    /// Classes merged into a class with the same boundaries.
+    merges: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static SCAN_EVENTS: std::cell::Cell<ScanEvents> = std::cell::Cell::new(ScanEvents::default());
+}
+
+/// Bumps one [`ScanEvents`] counter; compiles to nothing outside
+/// unit tests.
+macro_rules! note {
+    ($field:ident) => {
+        #[cfg(test)]
+        SCAN_EVENTS.with(|events| {
+            let mut e = events.get();
+            e.$field += 1;
+            events.set(e);
+        });
+    };
+}
+
 /// A member config's cheap residue state within a shared scan.
 struct Member {
     config_index: usize,
     config: DetectorConfig,
     analyzer: Analyzer,
-    state: PhaseState,
     /// Element count from which this member's (virtual) private
-    /// windows are full again after its last flush; warm iff the
-    /// shared windows are warm and `consumed >= warm_from`.
+    /// windows are full again after its last phase-exit flush; warm
+    /// iff the shared FIFO is warm and `consumed >= warm_from`.
     warm_from: u64,
     phases: Vec<DetectedPhase>,
+    /// The metered reference loops visit every member every step and
+    /// keep its state here; the event-driven scans encode it in which
+    /// list holds the member instead.
+    #[cfg(feature = "obs")]
+    state: PhaseState,
+    /// Reference-loop phase class ([`NO_CLASS`] outside a phase).
+    #[cfg(feature = "obs")]
+    class: usize,
+}
+
+impl Member {
+    /// Phase start: resets the analyzer statistics and opens a phase.
+    fn open_phase(&mut self, start: u64, anchored_start: u64) {
+        self.analyzer.reset();
+        self.phases.push(DetectedPhase {
+            start,
+            anchored_start,
+            end: None,
+        });
+    }
+
+    /// Phase end: a private detector would flush its windows here;
+    /// tracking the refill point `warm_from` is equivalent and keeps
+    /// the scan shared.
+    fn close_phase(&mut self, end: u64, warm_from: u64) {
+        self.warm_from = warm_from;
+        if let Some(open) = self.phases.last_mut() {
+            open.end = Some(end);
+        }
+    }
 }
 
 /// Builds the member residue states of a shared group and checks the
-/// shared-path invariants: the planner only groups shareable configs
-/// of identical shape, and sharing is exact only when a flush's kept
-/// elements fit in the CW (`skip <= cw`, module docs).
-fn shared_members(configs: &[DetectorConfig], member_indices: &[usize]) -> Vec<Member> {
+/// shared-path invariants: the planner only groups configs that pass
+/// `shareable` and have identical shape, and sharing is exact only
+/// when a flush's kept elements fit in the CW (`skip <= cw`, module
+/// docs).
+fn group_members(
+    configs: &[DetectorConfig],
+    member_indices: &[usize],
+    shareable: fn(&DetectorConfig) -> bool,
+) -> Vec<Member> {
     let first = &configs[member_indices[0]];
     let (cw, tw, skip) = (
         first.current_window(),
@@ -511,7 +643,7 @@ fn shared_members(configs: &[DetectorConfig], member_indices: &[usize]) -> Vec<M
     debug_assert!(skip <= cw, "shared scan requires skip <= cw");
     debug_assert!(
         member_indices.iter().all(|&i| {
-            configs[i].shares_windows()
+            shareable(&configs[i])
                 && configs[i].current_window() == cw
                 && configs[i].trailing_window() == tw
                 && configs[i].skip_factor() == skip
@@ -524,110 +656,19 @@ fn shared_members(configs: &[DetectorConfig], member_indices: &[usize]) -> Vec<M
             config_index: i,
             config: configs[i],
             analyzer: Analyzer::new(configs[i].analyzer()),
-            state: PhaseState::Transition,
             warm_from: 0,
             phases: Vec::new(),
+            #[cfg(feature = "obs")]
+            state: PhaseState::Transition,
+            #[cfg(feature = "obs")]
+            class: NO_CLASS,
         })
         .collect()
 }
 
-/// One scan of `trace` evaluating every member of a same-shape
-/// Constant-TW group against shared windows, dispatched to the
-/// engine's kernel. See the module docs for the exactness argument.
-fn run_shared_group(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    let members = shared_members(configs, member_indices);
-    let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_group_scan(members, trace, skip, &mut windows)
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_group_scan(members, trace, skip, &mut windows)
-        }
-    }
-}
-
-/// The kernel-generic shared scan loop: one window advance per step,
-/// every member evaluating only its cheap residue against the memoized
-/// per-model similarities.
-fn run_shared_group_scan<K: WindowKernel>(
-    mut members: Vec<Member>,
-    trace: &InternedTrace,
-    skip: usize,
-    windows: &mut K,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &members[0].config;
-    // After a flush keeps `skip` elements, a private window is full
-    // (warm) again `cw + tw - skip` elements later.
-    let refill = (first.current_window() + first.trailing_window() - skip) as u64;
-    let mut consumed = 0u64;
-    // Per-step memo of each distinct model's similarity against the
-    // shared windows: computed once per step, judged by every member.
-    let mut sims = [0.0f64; 3];
-    for chunk in trace.ids().chunks(skip) {
-        windows.advance(chunk, false);
-        let step_start = consumed;
-        consumed += chunk.len() as u64;
-        let shared_warm = windows.is_warm();
-        let mut have = [false; 3];
-        for m in &mut members {
-            let (new_state, sim) = if shared_warm && consumed >= m.warm_from {
-                let slot = model_slot(m.config.model());
-                if !have[slot] {
-                    sims[slot] = windows.similarity(m.config.model());
-                    have[slot] = true;
-                }
-                (m.analyzer.judge(sims[slot]), sims[slot])
-            } else {
-                (PhaseState::Transition, 0.0)
-            };
-            match (m.state, new_state) {
-                (PhaseState::Transition, PhaseState::Phase) => {
-                    // Phase start: anchor against the shared windows
-                    // (Constant TW never resizes) and reset stats.
-                    let anchor_idx = windows.anchor_index(m.config.anchor());
-                    m.analyzer.reset();
-                    m.phases.push(DetectedPhase {
-                        start: step_start,
-                        anchored_start: windows.offset_of_index(anchor_idx),
-                        end: None,
-                    });
-                }
-                (PhaseState::Phase, PhaseState::Transition) => {
-                    // Phase end: a private detector would flush its
-                    // windows here; tracking the refill point is
-                    // equivalent and keeps the scan shared.
-                    m.warm_from = consumed + refill;
-                    if let Some(open) = m.phases.last_mut() {
-                        open.end = Some(step_start);
-                    }
-                }
-                (PhaseState::Phase, PhaseState::Phase) => {
-                    m.analyzer.update(sim);
-                }
-                (PhaseState::Transition, PhaseState::Transition) => {}
-            }
-            m.state = new_state;
-        }
-    }
+/// Closes every phase still open at the end of the trace and returns
+/// each member's phases under its config index.
+fn finish(members: Vec<Member>, consumed: u64) -> Vec<(usize, Vec<DetectedPhase>)> {
     members
         .into_iter()
         .map(|mut m| {
@@ -641,77 +682,341 @@ fn run_shared_group_scan<K: WindowKernel>(
         .collect()
 }
 
-/// A member's slot when it currently judges the shared FIFO (not a
-/// phase class).
-const NO_CLASS: usize = usize::MAX;
-
-/// A member config's residue state within a forking adaptive scan.
-struct AdaptiveMember {
-    config_index: usize,
-    config: DetectorConfig,
-    analyzer: Analyzer,
-    state: PhaseState,
-    /// Index into the scan's class table while in Phase; [`NO_CLASS`]
-    /// while in Transition (judging the shared FIFO).
-    class: usize,
-    /// As in [`Member`]: element count from which this member's
-    /// (virtual) private windows are full again after its last
-    /// phase-exit flush.
-    warm_from: u64,
-    phases: Vec<DetectedPhase>,
+/// Builds a group's shared FIFO on the engine's kernel and runs
+/// `scan(fifo, skip, args...)` over it. The scalar FIFO tracks the
+/// weighted min-sum iff some member uses the weighted model (module
+/// docs).
+macro_rules! with_shared_fifo {
+    ($configs:expr, $member_indices:expr, $trace:expr, $scratch:expr, $kernel:expr,
+     $scan:ident($($arg:expr),*)) => {{
+        let first = &$configs[$member_indices[0]];
+        let (cw, tw, skip) = (
+            first.current_window(),
+            first.trailing_window(),
+            first.skip_factor(),
+        );
+        let sites = ($trace.distinct_count() as usize).max($scratch.site_capacity);
+        match $kernel {
+            KernelKind::Scalar => {
+                let track = $member_indices
+                    .iter()
+                    .any(|&i| $configs[i].model() == ModelPolicy::WeightedSet);
+                let fifo = &mut Windows::with_site_capacity(cw, tw, track, sites);
+                $scan(fifo, skip, $($arg),*)
+            }
+            KernelKind::Swar => {
+                $scratch.shared_swar.ensure_sites(sites);
+                let fifo = &mut SwarWindows::begin(&mut $scratch.shared_swar, $trace, skip, cw, tw);
+                $scan(fifo, skip, $($arg),*)
+            }
+        }
+    }};
 }
 
-/// One forked window state shared by every member that entered a
-/// phase on the same step and whose anchor/resize policies produced
-/// the same post-fork window boundaries.
-struct PhaseClass<F> {
-    windows: F,
-    members: usize,
-    /// Per-model similarity memo against `windows`, reset each step.
-    sims: [f64; 3],
-    have: [bool; 3],
+/// The member schedule both event-driven scans drive (module docs).
+/// A member that is not warm cannot change state — it reports `T`
+/// without reading any window — so it sleeps outside the per-step
+/// loop until its refill point.
+struct Schedule {
+    /// Warm members in Transition, per model slot, as `(threshold,
+    /// member)` in descending threshold order. A member's threshold
+    /// is fixed while it is in Transition (statistics only change in
+    /// a phase), so the members entering on a step are exactly a
+    /// suffix of the list.
+    awake: [Vec<(f64, usize)>; 3],
+    /// Sleeping members in wake order. A member falls asleep at
+    /// `consumed + refill`, with `refill` constant per unit and
+    /// `consumed` non-decreasing, so appending keeps the queue sorted
+    /// by `warm_from`.
+    asleep: VecDeque<usize>,
+    /// Scratch: the awake members that entered a phase this step.
+    entered: Vec<usize>,
 }
 
-fn anchor_slot(policy: AnchorPolicy) -> usize {
-    match policy {
-        AnchorPolicy::RightmostNoisy => 0,
-        AnchorPolicy::LeftmostNonNoisy => 1,
+impl Schedule {
+    /// Every member asleep: none is warm before the FIFO is.
+    fn new(members: usize) -> Self {
+        Schedule {
+            awake: Default::default(),
+            asleep: (0..members).collect(),
+            entered: Vec::new(),
+        }
+    }
+
+    /// Closes `members[i]`'s phase at `end` and puts it to sleep until
+    /// it is warm again at `warm_from`.
+    fn exit_phase(&mut self, members: &mut [Member], i: usize, end: u64, warm_from: u64) {
+        debug_assert!(
+            self.asleep
+                .back()
+                .map_or(true, |&j| members[j].warm_from <= warm_from),
+            "sleep queue must stay in wake order"
+        );
+        members[i].close_phase(end, warm_from);
+        self.asleep.push_back(i);
+    }
+
+    /// Wakes every sleeping member that is warm again by `consumed`.
+    /// Only called once the FIFO is warm; the FIFO is never flushed,
+    /// so it stays warm.
+    fn wake(&mut self, members: &[Member], consumed: u64) {
+        while let Some(&i) = self.asleep.front() {
+            if members[i].warm_from > consumed {
+                break;
+            }
+            self.asleep.pop_front();
+            let threshold = members[i].analyzer.effective_threshold();
+            insert_sorted(
+                &mut self.awake[model_slot(members[i].config.model())],
+                (threshold, i),
+                std::cmp::Ordering::is_gt,
+            );
+            note!(wakes);
+        }
+    }
+
+    /// Whether some awake member judges the FIFO under model `slot`.
+    fn needs(&self, slot: usize) -> bool {
+        !self.awake[slot].is_empty()
+    }
+
+    /// Moves every awake member that enters a phase on this step's
+    /// FIFO similarities from `awake` to `entered`. A member enters
+    /// iff `sim >= threshold` — the analyzer's own predicate, so a NaN
+    /// similarity enters nobody — which in descending threshold order
+    /// holds on a suffix; one check of the lowest threshold settles
+    /// the usual step where nobody enters.
+    fn judge_awake(&mut self, sims: &[f64; 3]) {
+        self.entered.clear();
+        for (awake, &sim) in self.awake.iter_mut().zip(sims) {
+            if awake.last().is_some_and(|&(lowest, _)| meets(sim, lowest)) {
+                let stay = awake.partition_point(|&(t, _)| !meets(sim, t));
+                self.entered.extend(awake[stay..].iter().map(|&(_, i)| i));
+                awake.truncate(stay);
+            }
+        }
     }
 }
 
-/// Builds the member residue states of an adaptive shape group,
-/// checking the forking-scan invariants (adaptively shareable,
-/// identical shape).
-fn adaptive_members(configs: &[DetectorConfig], member_indices: &[usize]) -> Vec<AdaptiveMember> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    debug_assert!(skip >= 1 && cw >= 1 && tw >= 1, "windows have capacity");
-    debug_assert!(skip <= cw, "shared scan requires skip <= cw");
-    debug_assert!(
-        member_indices.iter().all(|&i| {
-            configs[i].shares_windows_adaptively()
-                && configs[i].current_window() == cw
-                && configs[i].trailing_window() == tw
-                && configs[i].skip_factor() == skip
-        }),
-        "adaptive group members must be adaptively shareable and same-shape"
-    );
-    member_indices
-        .iter()
-        .map(|&i| AdaptiveMember {
-            config_index: i,
-            config: configs[i],
-            analyzer: Analyzer::new(configs[i].analyzer()),
-            state: PhaseState::Transition,
-            class: NO_CLASS,
-            warm_from: 0,
-            phases: Vec::new(),
-        })
-        .collect()
+/// [`Analyzer::judge`]'s predicate: `sim` is in phase against threshold
+/// `t` iff `sim >= t`, so a NaN similarity never is. Sorted judging
+/// must use exactly this form to stay bit-identical.
+fn meets(sim: f64, t: f64) -> bool {
+    sim >= t
+}
+
+/// Inserts `entry` into the sorted `list` right after the leading run
+/// of elements whose threshold `t` has `before(t.total_cmp(&entry.0))`
+/// (`is_gt` for a descending list, `is_le` for an ascending one).
+fn insert_sorted(
+    list: &mut Vec<(f64, usize)>,
+    entry: (f64, usize),
+    before: fn(std::cmp::Ordering) -> bool,
+) {
+    let pos = list.partition_point(|&(t, _)| before(t.total_cmp(&entry.0)));
+    list.insert(pos, entry);
+}
+
+/// The in-phase members judging one window state under one model.
+#[derive(Default)]
+struct PhaseJudges {
+    /// Fixed-threshold members as `(threshold, member)`, ascending. A
+    /// member stays iff `sim >= threshold`, so the leavers are a
+    /// suffix, and the statistics it would fold in are never read by
+    /// a fixed threshold: a step where nobody leaves costs one check.
+    fixed: Vec<(f64, usize)>,
+    /// Running-average members: each folds every in-phase value into
+    /// its threshold, so each is judged every step.
+    average: Vec<usize>,
+}
+
+impl PhaseJudges {
+    fn is_empty(&self) -> bool {
+        self.fixed.is_empty() && self.average.is_empty()
+    }
+
+    /// Adds `members[i]`, which has just entered a phase.
+    fn push(&mut self, members: &[Member], i: usize) {
+        match members[i].analyzer.policy() {
+            AnalyzerPolicy::Threshold(t) => {
+                insert_sorted(&mut self.fixed, (t, i), std::cmp::Ordering::is_le);
+            }
+            AnalyzerPolicy::Average { .. } => self.average.push(i),
+        }
+    }
+
+    /// Moves every member of `other` here, leaving it empty.
+    fn absorb(&mut self, other: &mut PhaseJudges) {
+        self.fixed.append(&mut other.fixed);
+        self.fixed.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        self.average.append(&mut other.average);
+    }
+
+    /// Judges every member against `sim`: members that stay fold the
+    /// value into their statistics, members that leave go to sleep
+    /// until `warm_from`.
+    fn judge(
+        &mut self,
+        members: &mut [Member],
+        sched: &mut Schedule,
+        sim: f64,
+        step_start: u64,
+        warm_from: u64,
+    ) {
+        if self
+            .fixed
+            .last()
+            .is_some_and(|&(highest, _)| !meets(sim, highest))
+        {
+            let stay = self.fixed.partition_point(|&(t, _)| meets(sim, t));
+            for &(_, i) in &self.fixed[stay..] {
+                sched.exit_phase(members, i, step_start, warm_from);
+            }
+            self.fixed.truncate(stay);
+        }
+        self.average.retain(|&i| {
+            let m = &mut members[i];
+            if m.analyzer.judge(sim) == PhaseState::Phase {
+                m.analyzer.update(sim);
+                true
+            } else {
+                sched.exit_phase(members, i, step_start, warm_from);
+                false
+            }
+        });
+    }
+}
+
+/// One scan of `trace` evaluating every member of a same-shape
+/// Constant-TW group against shared windows, dispatched to the
+/// engine's kernel. See the module docs for the exactness argument.
+fn run_shared_group(
+    configs: &[DetectorConfig],
+    member_indices: &[usize],
+    trace: &InternedTrace,
+    scratch: &mut SweepScratch,
+    kernel: KernelKind,
+) -> Vec<(usize, Vec<DetectedPhase>)> {
+    let members = group_members(configs, member_indices, DetectorConfig::shares_windows);
+    with_shared_fifo!(
+        configs,
+        member_indices,
+        trace,
+        scratch,
+        kernel,
+        run_shared_group_scan(members, trace)
+    )
+}
+
+/// The kernel-generic, event-driven shared scan: one FIFO advance per
+/// step; only warm members are visited, each judging the per-model
+/// similarity computed once per step.
+fn run_shared_group_scan<K: WindowKernel>(
+    windows: &mut K,
+    skip: usize,
+    mut members: Vec<Member>,
+    trace: &InternedTrace,
+) -> Vec<(usize, Vec<DetectedPhase>)> {
+    let first = &members[0].config;
+    // After a flush keeps `skip` elements, a private window is full
+    // (warm) again `cw + tw - skip` elements later.
+    let refill = (first.current_window() + first.trailing_window() - skip) as u64;
+    let mut sched = Schedule::new(members.len());
+    // Members in a phase, per model slot. With a Constant TW their
+    // windows are the shared FIFO too.
+    let mut in_phase: [PhaseJudges; 3] = Default::default();
+    let mut consumed = 0u64;
+    for chunk in trace.ids().chunks(skip) {
+        windows.advance(chunk, false);
+        let step_start = consumed;
+        consumed += chunk.len() as u64;
+        if !windows.is_warm() {
+            // Every member sleeps: only the FIFO advances.
+            note!(cold_steps);
+            continue;
+        }
+        sched.wake(&members, consumed);
+        let mut sims = [0.0f64; 3];
+        for (slot, sim) in sims.iter_mut().enumerate() {
+            if sched.needs(slot) || !in_phase[slot].is_empty() {
+                *sim = windows.similarity(MODELS[slot]);
+            }
+        }
+        for (judges, &sim) in in_phase.iter_mut().zip(&sims) {
+            judges.judge(&mut members, &mut sched, sim, step_start, consumed + refill);
+        }
+        sched.judge_awake(&sims);
+        // Phase starts anchor against the shared windows (a Constant
+        // TW never resizes), once per anchor policy per step.
+        let mut anchor_memo: [Option<usize>; 2] = [None; 2];
+        for &i in &sched.entered {
+            let m = &mut members[i];
+            if m.warm_from == consumed {
+                note!(entries_at_warm_from);
+            }
+            let anchor = m.config.anchor();
+            let anchor_idx = *anchor_memo[anchor_slot(anchor)]
+                .get_or_insert_with(|| windows.anchor_index(anchor));
+            m.open_phase(step_start, windows.offset_of_index(anchor_idx));
+            in_phase[model_slot(m.config.model())].push(&members, i);
+        }
+    }
+    finish(members, consumed)
+}
+
+/// A member's slot when it currently judges the shared FIFO (not a
+/// phase class).
+#[cfg(feature = "obs")]
+const NO_CLASS: usize = usize::MAX;
+
+/// One forked window state shared by every in-phase member whose
+/// windows have the same boundaries. Windows are contiguous trace
+/// slices — TW = `trace[a..b)`, CW = `trace[b..consumed)` — so the
+/// key `(a, b)` determines the whole state and its future.
+struct PhaseClass<F> {
+    windows: F,
+    /// `(a, b)` as of the current step.
+    key: (u64, u64),
+    /// The class's members, per model slot.
+    members: [PhaseJudges; 3],
+}
+
+/// The boundary key of a window state.
+fn boundary_key<K: WindowKernel>(windows: &K) -> (u64, u64) {
+    let a = windows.offset_of_index(0);
+    (a, a + windows.tw_len() as u64)
+}
+
+/// Merges classes whose boundaries converged this step (for example
+/// a Slide class whose CW has refilled to capacity, meeting the Move
+/// class of the same anchor): the survivor takes the members, the
+/// other slot is freed. Equal keys mean bit-identical window states.
+fn coalesce_classes<F>(
+    classes: &mut [PhaseClass<F>],
+    live: &mut Vec<usize>,
+    free: &mut Vec<usize>,
+) {
+    live.sort_unstable_by_key(|&c| classes[c].key);
+    let mut kept = 0;
+    for r in 0..live.len() {
+        let c = live[r];
+        if kept > 0 && classes[live[kept - 1]].key == classes[c].key {
+            let into = live[kept - 1];
+            for slot in 0..MODELS.len() {
+                let mut moved = std::mem::take(&mut classes[c].members[slot]);
+                classes[into].members[slot].absorb(&mut moved);
+                // Hand the emptied lists back so the slot keeps their
+                // allocations for reuse.
+                classes[c].members[slot] = moved;
+            }
+            free.push(c);
+            note!(merges);
+        } else {
+            live[kept] = c;
+            kept += 1;
+        }
+    }
+    live.truncate(kept);
 }
 
 /// One scan of `trace` evaluating every member of a same-shape
@@ -725,204 +1030,165 @@ fn run_shared_adaptive_group(
     scratch: &mut SweepScratch,
     kernel: KernelKind,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
+    let members = group_members(
+        configs,
+        member_indices,
+        DetectorConfig::shares_windows_adaptively,
     );
-    let members = adaptive_members(configs, member_indices);
-    let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_adaptive_scan(members, trace, skip, &mut windows)
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_adaptive_scan(members, trace, skip, &mut windows)
-        }
-    }
+    with_shared_fifo!(
+        configs,
+        member_indices,
+        trace,
+        scratch,
+        kernel,
+        run_shared_adaptive_scan(members, trace)
+    )
 }
 
-/// The kernel-generic forking scan loop: one FIFO advance plus one
-/// advance per live phase class per step, every member judging either
-/// the memoized FIFO similarities (in Transition) or its class's (in
-/// Phase).
+/// The kernel-generic, event-driven forking scan: one FIFO advance
+/// plus one advance per live phase class per step. Awake members
+/// judge the FIFO, in-phase members their class; sleeping members
+/// are not visited.
 fn run_shared_adaptive_scan<K: ForkableKernel>(
-    mut members: Vec<AdaptiveMember>,
-    trace: &InternedTrace,
-    skip: usize,
     fifo: &mut K,
+    skip: usize,
+    mut members: Vec<Member>,
+    trace: &InternedTrace,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
     let tw_cap = first.trailing_window() as u64;
-    let mut consumed = 0u64;
+    let mut sched = Schedule::new(members.len());
     // Phase classes, with freed slots recycled so the table stays at
     // the peak number of *live* classes.
     let mut classes: Vec<PhaseClass<K::Forked>> = Vec::new();
+    let mut live: Vec<usize> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    let mut fifo_sims = [0.0f64; 3];
+    let mut consumed = 0u64;
     for chunk in trace.ids().chunks(skip) {
         // Members still in a phase pushed this step's elements with
-        // TW growth (they were in Phase when the step began); the
-        // class advance must precede the member loop for the same
-        // reason the FIFO advance does.
+        // TW growth (they were in Phase when the step began), so the
+        // class advance precedes judging, as the FIFO advance does.
         fifo.advance(chunk, false);
-        for class in &mut classes {
-            if class.members > 0 {
-                class.windows.advance(chunk, true);
-                class.have = [false; 3];
-            }
+        for &c in &live {
+            let class = &mut classes[c];
+            class.windows.advance(chunk, true);
+            class.key = boundary_key(&class.windows);
         }
         let step_start = consumed;
         consumed += chunk.len() as u64;
-        let fifo_warm = fifo.is_warm();
-        let mut fifo_have = [false; 3];
-        // Per-step memos: the FIFO anchor index per anchor policy,
-        // and the forked class (with its anchored start offset) per
-        // *resulting window boundary*. Distinct (anchor, resize)
-        // pairs routinely coincide — both anchors return index 0 when
-        // every TW site also appears in the CW, and Slide equals Move
-        // when the anchored TW is already at capacity — and since
-        // windows are contiguous trace slices, same-step forks with
-        // equal boundaries are bit-identical forever, so those
-        // members share one class.
-        let mut anchor_memo: [Option<usize>; 2] = [None; 2];
-        let mut forks: [Option<((u64, u64), usize)>; 4] = [None; 4];
-        for m in &mut members {
-            if m.state == PhaseState::Phase {
-                // In Phase the member's windows are its class's fork.
-                let class = &mut classes[m.class];
-                let slot = model_slot(m.config.model());
-                if !class.have[slot] {
-                    class.sims[slot] = class.windows.similarity(m.config.model());
-                    class.have[slot] = true;
+        if !fifo.is_warm() {
+            // Every member sleeps and no class is live: only the FIFO
+            // advances.
+            note!(cold_steps);
+            continue;
+        }
+        if live.len() > 1 {
+            coalesce_classes(&mut classes, &mut live, &mut free);
+        }
+        sched.wake(&members, consumed);
+        for &c in &live {
+            let class = &mut classes[c];
+            for (slot, judges) in class.members.iter_mut().enumerate() {
+                if !judges.is_empty() {
+                    let sim = class.windows.similarity(MODELS[slot]);
+                    judges.judge(&mut members, &mut sched, sim, step_start, consumed + refill);
                 }
-                let sim = class.sims[slot];
-                let new_state = m.analyzer.judge(sim);
-                if new_state == PhaseState::Phase {
-                    m.analyzer.update(sim);
-                } else {
-                    // Phase end: a private detector would flush its
-                    // windows here; the member leaves its class and
-                    // tracks the refill point instead.
-                    class.members -= 1;
-                    if class.members == 0 {
-                        free.push(m.class);
-                    }
-                    m.class = NO_CLASS;
-                    m.warm_from = consumed + refill;
-                    if let Some(open) = m.phases.last_mut() {
-                        open.end = Some(step_start);
-                    }
-                }
-                m.state = new_state;
-            } else {
-                // In Transition the member's (virtual) private
-                // windows coincide with the shared FIFO once
-                // refilled, exactly as in the Constant-TW scan.
-                let new_state = if fifo_warm && consumed >= m.warm_from {
-                    let slot = model_slot(m.config.model());
-                    if !fifo_have[slot] {
-                        fifo_sims[slot] = fifo.similarity(m.config.model());
-                        fifo_have[slot] = true;
-                    }
-                    m.analyzer.judge(fifo_sims[slot])
-                } else {
-                    PhaseState::Transition
-                };
-                if new_state == PhaseState::Phase {
-                    // Phase start: fork the FIFO and anchor/resize
-                    // the fork — unless a same-step entrant already
-                    // built a fork with the same resulting boundaries,
-                    // computed here in closed form. Both kernels pop
-                    // `anchor_idx` elements from the TW front; Slide
-                    // then tops the TW back up from the CW, whose last
-                    // element (offset `consumed - 1`) never moves.
-                    let a_slot = anchor_slot(m.config.anchor());
-                    let anchor_idx = *anchor_memo[a_slot]
-                        .get_or_insert_with(|| fifo.anchor_index(m.config.anchor()));
-                    let a0 = fifo.offset_of_index(0);
-                    let b0 = a0 + fifo.tw_len() as u64;
-                    let a2 = a0 + anchor_idx as u64;
-                    let b2 = if m.config.resize() == ResizePolicy::Slide {
-                        b0.max((a2 + tw_cap).min(consumed - 1))
-                    } else {
-                        b0
-                    };
-                    let class_idx = match forks.iter().flatten().find(|(key, _)| *key == (a2, b2)) {
-                        Some(&(_, idx)) => idx,
-                        None => {
-                            let mut windows = fifo.fork();
-                            let anchored_start =
-                                windows.anchor_and_resize(anchor_idx, m.config.resize());
-                            debug_assert_eq!(anchored_start, a2);
-                            debug_assert_eq!(windows.offset_of_index(0), a2);
-                            debug_assert_eq!(windows.tw_len() as u64, b2 - a2);
-                            let fresh = PhaseClass {
-                                windows,
-                                members: 0,
-                                sims: [0.0; 3],
-                                have: [false; 3],
-                            };
-                            let class_idx = match free.pop() {
-                                Some(idx) => {
-                                    classes[idx] = fresh;
-                                    idx
-                                }
-                                None => {
-                                    classes.push(fresh);
-                                    classes.len() - 1
-                                }
-                            };
-                            let slot = forks
-                                .iter_mut()
-                                .find(|s| s.is_none())
-                                .expect("at most four (anchor, resize) pairs per step");
-                            *slot = Some(((a2, b2), class_idx));
-                            class_idx
-                        }
-                    };
-                    classes[class_idx].members += 1;
-                    m.class = class_idx;
-                    m.analyzer.reset();
-                    m.phases.push(DetectedPhase {
-                        start: step_start,
-                        anchored_start: a2,
-                        end: None,
-                    });
-                }
-                m.state = new_state;
             }
         }
-    }
-    members
-        .into_iter()
-        .map(|mut m| {
-            if let Some(open) = m.phases.last_mut() {
-                if open.end.is_none() {
-                    open.end = Some(consumed);
-                }
+        let mut sims = [0.0f64; 3];
+        for (slot, sim) in sims.iter_mut().enumerate() {
+            if sched.needs(slot) {
+                *sim = fifo.similarity(MODELS[slot]);
             }
-            (m.config_index, m.phases)
-        })
-        .collect()
+        }
+        sched.judge_awake(&sims);
+        // Phase start: fork the FIFO and anchor/resize the fork —
+        // unless a live class already has the resulting boundaries,
+        // computed here in closed form. Both kernels pop `anchor_idx`
+        // elements from the TW front; Slide then tops the TW back up
+        // from the CW, whose last element (offset `consumed - 1`)
+        // never moves. The four `(anchor, resize)` pairs routinely
+        // coincide: both anchors return index 0 when every TW site
+        // also occurs in the CW, and Slide equals Move when the
+        // anchored TW is already at capacity.
+        let mut anchor_memo: [Option<usize>; 2] = [None; 2];
+        let live_before = live.len();
+        for &i in &sched.entered {
+            let m = &mut members[i];
+            if m.warm_from == consumed {
+                note!(entries_at_warm_from);
+            }
+            let anchor = m.config.anchor();
+            let anchor_idx =
+                *anchor_memo[anchor_slot(anchor)].get_or_insert_with(|| fifo.anchor_index(anchor));
+            let (a0, b0) = boundary_key(fifo);
+            let a2 = a0 + anchor_idx as u64;
+            let b2 = if m.config.resize() == ResizePolicy::Slide {
+                b0.max((a2 + tw_cap).min(consumed - 1))
+            } else {
+                b0
+            };
+            let class_idx = match live.iter().position(|&c| classes[c].key == (a2, b2)) {
+                Some(pos) => {
+                    if pos < live_before {
+                        note!(joins);
+                    }
+                    live[pos]
+                }
+                None => {
+                    let mut windows = fifo.fork();
+                    let anchored_start = windows.anchor_and_resize(anchor_idx, m.config.resize());
+                    debug_assert_eq!(anchored_start, a2);
+                    debug_assert_eq!(boundary_key(&windows), (a2, b2));
+                    let fresh = PhaseClass {
+                        windows,
+                        key: (a2, b2),
+                        members: Default::default(),
+                    };
+                    let class_idx = match free.pop() {
+                        Some(idx) => {
+                            let mut old = std::mem::replace(&mut classes[idx], fresh);
+                            // Keep the freed slot's member-list allocations.
+                            std::mem::swap(&mut classes[idx].members, &mut old.members);
+                            idx
+                        }
+                        None => {
+                            classes.push(fresh);
+                            classes.len() - 1
+                        }
+                    };
+                    live.push(class_idx);
+                    class_idx
+                }
+            };
+            m.open_phase(step_start, a2);
+            let slot = model_slot(m.config.model());
+            classes[class_idx].members[slot].push(&members, i);
+        }
+        // A class is freed as soon as its last member leaves.
+        live.retain(|&c| {
+            let empty = classes[c].members.iter().all(PhaseJudges::is_empty);
+            if empty {
+                free.push(c);
+            }
+            !empty
+        });
+    }
+    finish(members, consumed)
 }
 
-/// [`run_shared_group`] plus accounting — the scan loop is a
-/// line-for-line mirror of [`run_shared_group_scan`] (the
-/// observer-equivalence suite asserts matching results; keep any
-/// change to the scan loop mirrored here). A fresh model-slot
-/// computation charges the kernel's full runtime comparison cost;
-/// every further member judging the memoized similarity charges only
-/// the fixed judge overhead — so shared-scan comparison ops are always
-/// at or below the static per-member bound.
+/// [`run_shared_group`] plus accounting. The scan loop is the
+/// per-member *reference* loop: it visits every member on every step,
+/// as the pre-event-driven scan did, because the static cost model
+/// and `BENCH_obs.json` count that loop's work (judged steps and
+/// comparison ops per member). `metered_units_match_unmetered_results`
+/// checks that it returns exactly what the event-driven
+/// [`run_shared_group_scan`] returns. A fresh model-slot computation
+/// charges the kernel's full runtime comparison cost; every further
+/// member judging the memoized similarity charges only the fixed judge
+/// overhead — so shared-scan comparison ops are always at or below the
+/// static per-member bound.
 #[cfg(feature = "obs")]
 fn run_shared_group_metered(
     configs: &[DetectorConfig],
@@ -932,37 +1198,24 @@ fn run_shared_group_metered(
     kernel: KernelKind,
     metrics: &mut opd_obs::UnitMetrics,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    let members = shared_members(configs, member_indices);
-    let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_group_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_group_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-    }
+    let members = group_members(configs, member_indices, DetectorConfig::shares_windows);
+    with_shared_fifo!(
+        configs,
+        member_indices,
+        trace,
+        scratch,
+        kernel,
+        run_shared_group_scan_metered(members, trace, metrics)
+    )
 }
 
-/// The metered twin of [`run_shared_group_scan`].
+/// The metered reference loop for [`run_shared_group_scan`].
 #[cfg(feature = "obs")]
 fn run_shared_group_scan_metered<K: WindowKernel>(
+    windows: &mut K,
+    skip: usize,
     mut members: Vec<Member>,
     trace: &InternedTrace,
-    skip: usize,
-    windows: &mut K,
     metrics: &mut opd_obs::UnitMetrics,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
@@ -998,18 +1251,10 @@ fn run_shared_group_scan_metered<K: WindowKernel>(
             match (m.state, new_state) {
                 (PhaseState::Transition, PhaseState::Phase) => {
                     let anchor_idx = windows.anchor_index(m.config.anchor());
-                    m.analyzer.reset();
-                    m.phases.push(DetectedPhase {
-                        start: step_start,
-                        anchored_start: windows.offset_of_index(anchor_idx),
-                        end: None,
-                    });
+                    m.open_phase(step_start, windows.offset_of_index(anchor_idx));
                 }
                 (PhaseState::Phase, PhaseState::Transition) => {
-                    m.warm_from = consumed + refill;
-                    if let Some(open) = m.phases.last_mut() {
-                        open.end = Some(step_start);
-                    }
+                    m.close_phase(step_start, consumed + refill);
                 }
                 (PhaseState::Phase, PhaseState::Phase) => {
                     m.analyzer.update(sim);
@@ -1019,22 +1264,22 @@ fn run_shared_group_scan_metered<K: WindowKernel>(
             m.state = new_state;
         }
     }
-    members
-        .into_iter()
-        .map(|mut m| {
-            if let Some(open) = m.phases.last_mut() {
-                if open.end.is_none() {
-                    open.end = Some(consumed);
-                }
-            }
-            (m.config_index, m.phases)
-        })
-        .collect()
+    finish(members, consumed)
 }
 
-/// [`run_shared_adaptive_group`] plus accounting — mirrors
-/// [`run_shared_adaptive_scan`] the way the constant twin above
-/// mirrors its plain scan; keep changes mirrored.
+/// The reference loop's phase class: one fork per same-step
+/// `(anchor, resize)` boundary outcome, with a member count.
+#[cfg(feature = "obs")]
+struct RefClass<F> {
+    windows: F,
+    members: usize,
+    /// Per-model similarity memo against `windows`, reset each step.
+    sims: [f64; 3],
+    have: [bool; 3],
+}
+
+/// [`run_shared_adaptive_group`] plus accounting, over the per-member
+/// reference loop (see [`run_shared_group_metered`]).
 #[cfg(feature = "obs")]
 fn run_shared_adaptive_group_metered(
     configs: &[DetectorConfig],
@@ -1044,44 +1289,36 @@ fn run_shared_adaptive_group_metered(
     kernel: KernelKind,
     metrics: &mut opd_obs::UnitMetrics,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
+    let members = group_members(
+        configs,
+        member_indices,
+        DetectorConfig::shares_windows_adaptively,
     );
-    let members = adaptive_members(configs, member_indices);
-    let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_adaptive_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_adaptive_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-    }
+    with_shared_fifo!(
+        configs,
+        member_indices,
+        trace,
+        scratch,
+        kernel,
+        run_shared_adaptive_scan_metered(members, trace, metrics)
+    )
 }
 
-/// The metered twin of [`run_shared_adaptive_scan`]. A fresh
-/// class-or-FIFO model-slot computation charges the kernel's full
-/// runtime comparison cost; every further member judging a memoized
-/// similarity charges only the fixed judge overhead. Each fresh
-/// computation is attributable to the distinct member that triggered
-/// it (a member judges exactly one window state per step), so
-/// shared-scan comparison ops stay at or below the static per-member
-/// bound.
+/// The metered reference loop for [`run_shared_adaptive_scan`]: every
+/// member is visited every step, and only members entering on the
+/// same step share a fork. A fresh class-or-FIFO model-slot
+/// computation charges the kernel's full runtime comparison cost;
+/// every further member judging a memoized similarity charges only
+/// the fixed judge overhead. Each fresh computation is attributable
+/// to the distinct member that triggered it (a member judges exactly
+/// one window state per step), so shared-scan comparison ops stay at
+/// or below the static per-member bound.
 #[cfg(feature = "obs")]
 fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
-    mut members: Vec<AdaptiveMember>,
-    trace: &InternedTrace,
-    skip: usize,
     fifo: &mut K,
+    skip: usize,
+    mut members: Vec<Member>,
+    trace: &InternedTrace,
     metrics: &mut opd_obs::UnitMetrics,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
@@ -1090,7 +1327,7 @@ fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
     metrics.scans += 1;
     metrics.elements += trace.len() as u64;
     let mut consumed = 0u64;
-    let mut classes: Vec<PhaseClass<K::Forked>> = Vec::new();
+    let mut classes: Vec<RefClass<K::Forked>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut fifo_sims = [0.0f64; 3];
     for chunk in trace.ids().chunks(skip) {
@@ -1130,10 +1367,7 @@ fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
                         free.push(m.class);
                     }
                     m.class = NO_CLASS;
-                    m.warm_from = consumed + refill;
-                    if let Some(open) = m.phases.last_mut() {
-                        open.end = Some(step_start);
-                    }
+                    m.close_phase(step_start, consumed + refill);
                 }
                 m.state = new_state;
             } else {
@@ -1155,8 +1389,7 @@ fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
                     let a_slot = anchor_slot(m.config.anchor());
                     let anchor_idx = *anchor_memo[a_slot]
                         .get_or_insert_with(|| fifo.anchor_index(m.config.anchor()));
-                    let a0 = fifo.offset_of_index(0);
-                    let b0 = a0 + fifo.tw_len() as u64;
+                    let (a0, b0) = boundary_key(fifo);
                     let a2 = a0 + anchor_idx as u64;
                     let b2 = if m.config.resize() == ResizePolicy::Slide {
                         b0.max((a2 + tw_cap).min(consumed - 1))
@@ -1170,7 +1403,7 @@ fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
                             let anchored_start =
                                 windows.anchor_and_resize(anchor_idx, m.config.resize());
                             debug_assert_eq!(anchored_start, a2);
-                            let fresh = PhaseClass {
+                            let fresh = RefClass {
                                 windows,
                                 members: 0,
                                 sims: [0.0; 3],
@@ -1196,28 +1429,13 @@ fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
                     };
                     classes[class_idx].members += 1;
                     m.class = class_idx;
-                    m.analyzer.reset();
-                    m.phases.push(DetectedPhase {
-                        start: step_start,
-                        anchored_start: a2,
-                        end: None,
-                    });
+                    m.open_phase(step_start, a2);
                 }
                 m.state = new_state;
             }
         }
     }
-    members
-        .into_iter()
-        .map(|mut m| {
-            if let Some(open) = m.phases.last_mut() {
-                if open.end.is_none() {
-                    open.end = Some(consumed);
-                }
-            }
-            (m.config_index, m.phases)
-        })
-        .collect()
+    finish(members, consumed)
 }
 
 #[cfg(test)]
@@ -1469,5 +1687,125 @@ mod tests {
         let swar = SweepEngine::with_kernel(&configs, KernelKind::Swar).run_all(&trace);
         let scalar = SweepEngine::with_kernel(&configs, KernelKind::Scalar).run_all(&trace);
         assert_eq!(swar, scalar);
+    }
+
+    fn trace_of(sites: &[u32]) -> InternedTrace {
+        InternedTrace::from_elements(
+            sites
+                .iter()
+                .map(|&s| ProfileElement::new(MethodId::new(0), s, true)),
+        )
+    }
+
+    /// Runs `configs` over `trace` on both kernels, checks every result
+    /// against a sequential detector, and returns the scan events the
+    /// two runs took.
+    fn events_matching_reference(configs: &[DetectorConfig], trace: &InternedTrace) -> ScanEvents {
+        SCAN_EVENTS.with(|e| e.set(ScanEvents::default()));
+        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
+            let all = SweepEngine::with_kernel(configs, kernel).run_all(trace);
+            for (i, config) in configs.iter().enumerate() {
+                assert_eq!(all[i], reference(*config, trace), "{kernel}: {config:?}");
+            }
+        }
+        SCAN_EVENTS.with(std::cell::Cell::get)
+    }
+
+    fn adaptive(cw: usize, tw: usize, resize: ResizePolicy, threshold: f64) -> DetectorConfig {
+        DetectorConfig::builder()
+            .current_window(cw)
+            .trailing_window(tw)
+            .tw_policy(TwPolicy::Adaptive)
+            .anchor(AnchorPolicy::RightmostNoisy)
+            .resize(resize)
+            .analyzer(AnalyzerPolicy::Threshold(threshold))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn members_sleep_through_a_trace_shorter_than_the_windows() {
+        let constant = DetectorConfig::builder()
+            .current_window(8)
+            .trailing_window(8)
+            .analyzer(AnalyzerPolicy::Threshold(0.1))
+            .build()
+            .unwrap();
+        let configs = [constant, adaptive(8, 8, ResizePolicy::Slide, 0.1)];
+        // 15 elements < cw + tw = 16: the FIFO never warms, so every
+        // step of both scans on both kernels is cold.
+        let short = block_trace(1, 15, 2);
+        let events = events_matching_reference(&configs, &short);
+        assert_eq!(events.wakes, 0);
+        assert_eq!(events.cold_steps, 2 * 2 * 15);
+        // One more element warms the FIFO and wakes both members.
+        let events = events_matching_reference(&configs, &block_trace(1, 16, 2));
+        assert_eq!(events.wakes, 2 * 2);
+        assert_eq!(events.cold_steps, 2 * 2 * 15);
+    }
+
+    #[test]
+    fn a_member_re_enters_on_the_step_it_is_warm_again() {
+        // One stray site `9` inside a two-site loop: it enters the CW
+        // and drops the unweighted similarity to 2/3 < 0.9, ending the
+        // phase. Once refilled (`cw + tw - skip` = 7 elements later)
+        // the stray sits in the TW, the CW is all loop sites, and the
+        // similarity is 1 again — so each member re-enters on the very
+        // step its `warm_from` is reached.
+        let mut sites: Vec<u32> = (0..40).map(|i| i % 2).collect();
+        sites.push(9);
+        sites.extend((0..40).map(|i| i % 2));
+        let trace = trace_of(&sites);
+        let constant = DetectorConfig::builder()
+            .current_window(4)
+            .trailing_window(4)
+            .analyzer(AnalyzerPolicy::Threshold(0.9))
+            .build()
+            .unwrap();
+        let configs = [constant, adaptive(4, 4, ResizePolicy::Move, 0.9)];
+        let events = events_matching_reference(&configs, &trace);
+        assert_eq!(events.entries_at_warm_from, 2 * 2);
+        for config in configs {
+            let phases = reference(config, &trace);
+            assert_eq!(phases.len(), 2, "{config:?}");
+            assert_eq!(phases[1].start, phases[0].end.unwrap() + 7, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn slide_and_move_classes_merge_once_their_boundaries_converge() {
+        // Three noise sites, then a four-site loop. At the first warm
+        // step the TW is `[n n n B B B B B]` and the CW all `B`, so
+        // both members enter with the rightmost-noisy anchor at index
+        // 3. Move keeps TW `[3, 8)`; Slide tops it up to `[3, 11)`,
+        // leaving a 5-element CW. Three steps later Slide's CW is
+        // full again, both classes are `(3, 11)`, and they merge.
+        let mut sites = vec![100, 101, 102];
+        sites.extend((0..80).map(|i| 10 + i % 4));
+        let trace = trace_of(&sites);
+        let configs = [
+            adaptive(8, 8, ResizePolicy::Slide, 0.3),
+            adaptive(8, 8, ResizePolicy::Move, 0.3),
+        ];
+        let events = events_matching_reference(&configs, &trace);
+        assert_eq!(events.merges, 2);
+        let phases = reference(configs[0], &trace);
+        assert_eq!(phases[0].anchored_start, 3);
+        // A weighted member first reaches 0.7 one step later (0.625,
+        // then 0.75): its Move fork would be `(3, 9)`, which the live
+        // Move class has grown into, so it joins that class instead.
+        let late = DetectorConfig::builder()
+            .current_window(8)
+            .trailing_window(8)
+            .tw_policy(TwPolicy::Adaptive)
+            .resize(ResizePolicy::Move)
+            .model(ModelPolicy::WeightedSet)
+            .analyzer(AnalyzerPolicy::Threshold(0.7))
+            .build()
+            .unwrap();
+        let events = events_matching_reference(&[configs[0], configs[1], late], &trace);
+        assert_eq!(events.joins, 2);
+        assert_eq!(events.merges, 2);
+        assert_eq!(reference(late, &trace)[0].start, 16);
     }
 }

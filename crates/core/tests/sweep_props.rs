@@ -5,8 +5,8 @@
 //! the current window (which must route to the private path).
 
 use opd_core::{
-    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector,
-    ResizePolicy, SweepEngine, TwPolicy,
+    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, KernelKind, ModelPolicy,
+    PhaseDetector, ResizePolicy, SweepEngine, TwPolicy,
 };
 use opd_trace::{MethodId, ProfileElement};
 use proptest::prelude::*;
@@ -55,6 +55,55 @@ fn decode(cw: usize, tw: usize, skip: usize, flags: u8, model: u8, x: f64) -> De
         .analyzer(analyzer)
         .build()
         .expect("generated parameters are valid")
+}
+
+/// A trace of blocks, each looping over its own few sites, with block
+/// kinds drawn from a small set so phases recur; `noise` sprinkles
+/// single foreign sites into blocks to cut phases short.
+fn block_trace(blocks: &[(u32, usize, u32)], noise: &[usize]) -> Vec<u32> {
+    let mut sites = Vec::new();
+    for &(kind, len, width) in blocks {
+        sites.extend((0..len).map(|i| kind * 8 + i as u32 % width));
+    }
+    for &at in noise {
+        if at < sites.len() {
+            sites[at] = 1000 + at as u32;
+        }
+    }
+    sites
+}
+
+/// Every (model, analyzer, anchor, resize) combination of one small
+/// adaptive shape: one shared forking scan with many members.
+fn adaptive_grid(
+    cw: usize,
+    tw: usize,
+    skip: usize,
+    analyzers: &[AnalyzerPolicy],
+) -> Vec<DetectorConfig> {
+    let mut configs = Vec::new();
+    for model in ModelPolicy::ALL_EXTENDED {
+        for &analyzer in analyzers {
+            for anchor in [AnchorPolicy::RightmostNoisy, AnchorPolicy::LeftmostNonNoisy] {
+                for resize in [ResizePolicy::Slide, ResizePolicy::Move] {
+                    configs.push(
+                        DetectorConfig::builder()
+                            .current_window(cw)
+                            .trailing_window(tw)
+                            .skip_factor(skip)
+                            .tw_policy(TwPolicy::Adaptive)
+                            .anchor(anchor)
+                            .resize(resize)
+                            .model(model)
+                            .analyzer(analyzer)
+                            .build()
+                            .expect("generated parameters are valid"),
+                    );
+                }
+            }
+        }
+    }
+    configs
 }
 
 proptest! {
@@ -122,6 +171,46 @@ proptest! {
                 let first = configs[unit.config_indices()[0]];
                 prop_assert!(first.skip_factor() > first.current_window());
                 prop_assert_eq!(unit.config_indices().len(), 1);
+            }
+        }
+    }
+
+    /// The event-driven forking scan under load: many members per
+    /// adaptive group, entering, leaving and re-entering recurring
+    /// phases, so members sleep and wake, share classes across steps
+    /// and see classes merge — on both kernels.
+    #[test]
+    fn adaptive_heavy_groups_match_sequential_detectors_on_both_kernels(
+        blocks in prop::collection::vec((0u32..3, 8usize..60, 1u32..5), 1..12),
+        noise in prop::collection::vec(0usize..600, 0..6),
+        (cw, tw, skip) in (2usize..10, 1usize..10, 1usize..4)
+            .prop_map(|(cw, tw, skip)| (cw, tw, skip.min(cw))),
+        // Multiples of 1/20 include exact similarity values (1/2,
+        // 3/4, ...), exercising the inclusive `sim >= threshold` edge.
+        thresholds in prop::collection::vec((4u32..20).prop_map(|k| f64::from(k) / 20.0), 1..5),
+        deltas in prop::collection::vec(0.0f64..0.3, 0..3),
+    ) {
+        let trace = interned(&block_trace(&blocks, &noise));
+        let analyzers: Vec<AnalyzerPolicy> = thresholds
+            .iter()
+            .map(|&t| AnalyzerPolicy::Threshold(t))
+            .chain(deltas.iter().map(|&delta| AnalyzerPolicy::Average { delta }))
+            .collect();
+        let configs = adaptive_grid(cw, tw, skip, &analyzers);
+        let expected: Vec<_> = configs
+            .iter()
+            .map(|&config| {
+                let mut detector = PhaseDetector::new(config);
+                let _ = detector.run_interned(&trace);
+                detector.take_phases()
+            })
+            .collect();
+        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
+            let engine = SweepEngine::with_kernel(&configs, kernel);
+            prop_assert_eq!(engine.units().len(), 1);
+            let all = engine.run_all(&trace);
+            for (i, config) in configs.iter().enumerate() {
+                prop_assert_eq!(&all[i], &expected[i], "{} config {}: {:?}", kernel, i, config);
             }
         }
     }

@@ -155,9 +155,10 @@ impl SweepProfile {
 }
 
 /// [`crate::runner::sweep_many`] with the meter on: identical results
-/// (the engine's metered paths are mirrors of the unmetered ones,
-/// guarded by the observer-equivalence suite), plus a [`SweepProfile`]
-/// of what every bucket did.
+/// (the engine's metered paths run the per-member reference loops the
+/// cost model counts, checked against the event-driven scans by the
+/// engine's unit tests), plus a
+/// [`SweepProfile`] of what every bucket did.
 #[must_use]
 pub fn sweep_many_profiled(
     prepared: &[PreparedWorkload],

@@ -403,25 +403,8 @@ pub fn sweep_many_with_kernel(
     kernel: KernelKind,
 ) -> Vec<Vec<ConfigRun>> {
     let engine = SweepEngine::with_kernel(configs, kernel);
-    // One work item per (workload, unit), priced by the static
-    // window-maintenance and comparison-op bounds of the unit's
-    // members, with the comparison part scaled by a judged-step
-    // density: the certificate midpoints when every member certifies
-    // non-vacuously (the normal case), else the measured probe
-    // density from prepare time.
-    let mut items: Vec<(usize, usize, u64)> =
-        Vec::with_capacity(prepared.len() * engine.units().len());
-    for (wi, p) in prepared.iter().enumerate() {
-        let certs = p.certificates(configs);
-        for (ui, unit) in engine.units().iter().enumerate() {
-            let cost = match &certs {
-                Some(certs) => certified_unit_cost(configs, unit, p, certs),
-                None => calibrated_unit_cost(configs, unit, p),
-            };
-            items.push((wi, ui, cost));
-        }
-    }
-    let threads = threads.max(1).min(items.len().max(1));
+    let n_items = prepared.len() * engine.units().len();
+    let threads = threads.max(1).min(n_items.max(1));
     // Pre-size every worker's detector site tables to the largest
     // static alphabet bound, so no unit run grows them mid-scan.
     let site_capacity = prepared
@@ -435,15 +418,35 @@ pub fn sweep_many_with_kernel(
         .map(|_| configs.iter().map(|_| None).collect())
         .collect();
     if threads <= 1 {
+        // One worker runs every (workload, unit) item in order: there
+        // is no plan to balance, so nothing is priced.
         let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-        for &(wi, ui, _) in &items {
-            let p = &prepared[wi];
+        for (wi, p) in prepared.iter().enumerate() {
             let total = p.interned().len() as u64;
-            for (ci, phases) in engine.run_unit(ui, p.interned(), &mut scratch) {
-                out[wi][ci] = Some(config_run(configs[ci], &phases, total));
+            for ui in 0..engine.units().len() {
+                for (ci, phases) in engine.run_unit(ui, p.interned(), &mut scratch) {
+                    out[wi][ci] = Some(config_run(configs[ci], &phases, total));
+                }
             }
         }
     } else {
+        // One work item per (workload, unit), priced by the static
+        // window-maintenance and comparison-op bounds of the unit's
+        // members, with the comparison part scaled by a judged-step
+        // density: the certificate midpoints when every member
+        // certifies non-vacuously (the normal case), else the
+        // measured probe density from prepare time.
+        let mut items: Vec<(usize, usize, u64)> = Vec::with_capacity(n_items);
+        for (wi, p) in prepared.iter().enumerate() {
+            let certs = p.certificates(configs);
+            for (ui, unit) in engine.units().iter().enumerate() {
+                let cost = match &certs {
+                    Some(certs) => certified_unit_cost(configs, unit, p, certs),
+                    None => calibrated_unit_cost(configs, unit, p),
+                };
+                items.push((wi, ui, cost));
+            }
+        }
         let costs: Vec<u64> = items.iter().map(|&(_, _, c)| c).collect();
         let buckets: Vec<Vec<(usize, usize)>> = lpt_plan(&costs, threads)
             .into_iter()

@@ -10,11 +10,12 @@
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
 # BENCH_cert.json freshness), a release-mode kernel-equivalence
-# smoke, the BENCH_kernel.json acceptance/freshness tests, the
-# feature-gate guards keeping opd-core free of opd-obs when `obs` is
-# off, opd-obs free of opd-sched when `sched` is off, and
-# portable-simd out of default builds, plus an optional
-# ThreadSanitizer pass when a nightly toolchain is available.
+# smoke, the BENCH_kernel.json acceptance/freshness tests, a
+# release-mode grid-sweep smoke checked against the benchmark's
+# reference cells, the feature-gate guards keeping opd-core free of
+# opd-obs when `obs` is off and opd-obs free of opd-sched when `sched`
+# is off, plus an optional ThreadSanitizer pass when a nightly
+# toolchain is available.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +63,17 @@ RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
 # exercises the same differential + proptest suite in debug; release
 # is where the SWAR closed forms actually vectorise).
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
+# Release-mode sweep smoke: one second of the benchmark's grid_sweep
+# workload checks every (workload, config) cell of the full grid
+# against the recorded reference, the top-10 rankings, and 48 cells
+# re-run through a standalone detector; its last line must report
+# `"correct": true`.
+sweep_smoke="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload grid_sweep --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$sweep_smoke"; then
+    echo "check.sh: grid_sweep smoke failed: $sweep_smoke" >&2
+    exit 1
+fi
 # The committed kernel benchmark artifact must be structurally valid,
 # meet the acceptance lines (budget, speedup, identical results), and
 # be fresh for the current grid and workload.
@@ -79,12 +91,6 @@ fi
 # carry plain std atomics and zero model-checking code.
 if (cd crates/obs && cargo tree -e features) | grep -q "opd-sched"; then
     echo "check.sh: opd-obs depends on opd-sched without the sched feature" >&2
-    exit 1
-fi
-# The `portable-simd` feature is nightly-only scaffolding: the default
-# build must never enable it, and stable CI must not try to compile it.
-if (cd crates/core && cargo tree -e features -f '{f}') | tr ',' '\n' | grep -q "portable-simd"; then
-    echo "check.sh: portable-simd must stay off in default builds (nightly-only)" >&2
     exit 1
 fi
 # Optional: cross-check the model-level audit with ThreadSanitizer on

@@ -4,48 +4,19 @@
 //! per-judgement site union — and pre-sizing the site tables from the
 //! static alphabet bound (`reserve_sites`, backed by
 //! `Windows::with_site_capacity`) moves every site-table growth out of
-//! the first run. A counting global allocator wraps the system one;
-//! this file holds only these tests so no concurrent case perturbs
-//! the counter.
+//! the first run. A counting global allocator wraps the system one
+//! and counts per thread, so the tests run in parallel safely.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "common/alloc.rs"]
+mod alloc;
 
 use opd_core::{DetectorConfig, InternedTrace, KernelKind, ModelPolicy, PhaseDetector};
 use opd_microvm::workloads::Workload;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during(mut run: impl FnMut()) -> u64 {
-    let before = ALLOCATIONS.load(Relaxed);
-    run();
-    ALLOCATIONS.load(Relaxed) - before
+/// Allocations the calling thread makes during `run` (the detector
+/// runs on it), so parallel neighbours cannot perturb the count.
+fn allocations_during(run: impl FnOnce()) -> u64 {
+    alloc::thread_allocations_during(run).1
 }
 
 fn workload_branches(fuel: u64) -> opd_trace::BranchTrace {

@@ -1,49 +1,21 @@
 //! The allocation half of the zero-overhead-when-off claim: a
 //! steady-state detector run through the instrumented path with a
 //! `NullObserver` must allocate exactly as much as the uninstrumented
-//! path — nothing. A counting global allocator wraps the system one;
-//! this file holds a single test so no concurrent test case can
-//! perturb the counter.
+//! path — nothing. A counting global allocator wraps the system one
+//! and counts per thread, so no concurrent test can perturb the
+//! count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "common/alloc.rs"]
+mod alloc;
 
 use opd_core::{DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector};
 use opd_microvm::workloads::Workload;
 use opd_obs::NullObserver;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during(mut run: impl FnMut()) -> u64 {
-    let before = ALLOCATIONS.load(Relaxed);
-    run();
-    ALLOCATIONS.load(Relaxed) - before
+/// Allocations the calling thread makes during `run` (the detector
+/// runs on it), so parallel neighbours cannot perturb the count.
+fn allocations_during(run: impl FnOnce()) -> u64 {
+    alloc::thread_allocations_during(run).1
 }
 
 #[test]

@@ -82,7 +82,9 @@ mod checkpoint_format {
     };
 
     /// A minimal valid checkpoint image: header plus one bucket record.
-    fn valid_image() -> Vec<u8> {
+    /// `test` names the calling test, which gets its own temp file, so
+    /// parallel tests never write or delete each other's image.
+    fn valid_image(test: &str) -> Vec<u8> {
         let phases = vec![DetectedPhase {
             start: 10,
             anchored_start: 8,
@@ -92,7 +94,7 @@ mod checkpoint_format {
 
         let dir = std::env::temp_dir().join("opd_serde_roundtrip_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("image.ck");
+        let path = dir.join(format!("{test}-{}.ck", std::process::id()));
         let mut w = opd_experiments::checkpoint::CheckpointWriter::create(&path, 0xFEED).unwrap();
         w.append_bucket(1, 2, &runs).unwrap();
         drop(w);
@@ -103,7 +105,7 @@ mod checkpoint_format {
 
     #[test]
     fn valid_image_parses_completely() {
-        let bytes = valid_image();
+        let bytes = valid_image("valid_image_parses_completely");
         let recovered = parse_checkpoint(&bytes).expect("valid image");
         assert_eq!(recovered.fingerprint, 0xFEED);
         assert_eq!(recovered.damaged_tail_bytes, 0);
@@ -117,7 +119,7 @@ mod checkpoint_format {
 
     #[test]
     fn bad_magic_is_a_typed_error() {
-        let mut bytes = valid_image();
+        let mut bytes = valid_image("bad_magic_is_a_typed_error");
         bytes[0] ^= 0xFF;
         assert!(matches!(
             parse_checkpoint(&bytes),
@@ -132,7 +134,7 @@ mod checkpoint_format {
 
     #[test]
     fn bad_version_tag_is_a_typed_error() {
-        let mut bytes = valid_image();
+        let mut bytes = valid_image("bad_version_tag_is_a_typed_error");
         let bogus = CHECKPOINT_VERSION + 41;
         bytes[4..6].copy_from_slice(&bogus.to_le_bytes());
         match parse_checkpoint(&bytes) {
@@ -143,7 +145,7 @@ mod checkpoint_format {
 
     #[test]
     fn checksum_mismatch_discards_the_record() {
-        let mut bytes = valid_image();
+        let mut bytes = valid_image("checksum_mismatch_discards_the_record");
         // Corrupt one payload byte; the stored FNV-64 no longer
         // matches, so the record is a damaged tail, not data.
         let payload_start = CHECKPOINT_HEADER_LEN + 5;
@@ -156,7 +158,7 @@ mod checkpoint_format {
 
     #[test]
     fn oversized_length_field_is_damage_not_allocation() {
-        let mut bytes = valid_image();
+        let mut bytes = valid_image("oversized_length_field_is_damage_not_allocation");
         // A length field claiming ~4 GiB must not drive a pre-sized
         // allocation; the record reads as a damaged tail.
         bytes[CHECKPOINT_HEADER_LEN + 1..CHECKPOINT_HEADER_LEN + 5]

@@ -3,56 +3,21 @@
 //! `NullSpanRecorder` must allocate exactly as often as the plain
 //! engine — the `R::ACTIVE` guards compile every span construction,
 //! flight-ring push, and post-mortem dump out of the disabled path.
-//! A counting global allocator wraps the system one; this file holds
-//! a single test so no concurrent test case can perturb the counter
-//! (same pattern as `tests/obs_alloc.rs`).
+//! A counting global allocator wraps the system one. `run_service`
+//! starts worker threads even at `threads: 1`, so the count is
+//! process-wide, and the test holds the allocator's serialization lock
+//! so no other counting test of this binary runs meanwhile.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "common/alloc.rs"]
+mod alloc;
 
 use opd_experiments::dash::{dash_config, dash_source};
 use opd_obs::NullSpanRecorder;
-use opd_serve::{
-    run_service, run_service_traced, NullSubscriber, ServiceOptions, ServiceReport, TraceConfig,
-};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during(mut run: impl FnMut() -> ServiceReport) -> (ServiceReport, u64) {
-    let before = ALLOCATIONS.load(Relaxed);
-    let report = run();
-    let count = ALLOCATIONS.load(Relaxed) - before;
-    (report, count)
-}
+use opd_serve::{run_service, run_service_traced, NullSubscriber, ServiceOptions, TraceConfig};
 
 #[test]
 fn null_span_traced_service_allocates_exactly_like_plain() {
+    let serialized = alloc::serialize();
     let source = dash_source(1, 96);
     let config = dash_config();
     let options = ServiceOptions {
@@ -76,16 +41,15 @@ fn null_span_traced_service_allocates_exactly_like_plain() {
     // allocation determinism before comparing against it.
     let _ = run_service(&config, &source, &options).expect("plain soak runs");
     let _ = traced();
-    let (plain_report, plain) =
-        allocations_during(|| run_service(&config, &source, &options).expect("plain soak runs"));
-    let (_, plain_again) =
-        allocations_during(|| run_service(&config, &source, &options).expect("plain soak runs"));
+    let plain_run = || run_service(&config, &source, &options).expect("plain soak runs");
+    let (plain_report, plain) = alloc::process_allocations_during(&serialized, plain_run);
+    let (_, plain_again) = alloc::process_allocations_during(&serialized, plain_run);
     assert_eq!(
         plain, plain_again,
         "the plain engine must allocate deterministically for this gate to mean anything"
     );
 
-    let (traced_report, instrumented) = allocations_during(traced);
+    let (traced_report, instrumented) = alloc::process_allocations_during(&serialized, traced);
     assert_eq!(
         plain_report, traced_report,
         "traced-null and plain runs must be bit-identical"
