@@ -91,7 +91,6 @@ pub(crate) trait WindowKernel {
     fn is_warm(&self) -> bool;
 
     /// Trailing-window length.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     fn tw_len(&self) -> usize;
 
     /// The similarity of the two windows under `model`.
@@ -114,7 +113,6 @@ pub(crate) trait WindowKernel {
     /// Comparison ops one judged step costs at runtime under `model`,
     /// mirroring the static cost model's accounting against the
     /// actual kernel state.
-    #[cfg(feature = "obs")]
     fn judge_ops(&self, model: ModelPolicy) -> u64;
 }
 
@@ -175,7 +173,6 @@ impl WindowKernel for Windows {
         Windows::clear_keep_last(self, keep)
     }
 
-    #[cfg(feature = "obs")]
     fn judge_ops(&self, model: ModelPolicy) -> u64 {
         match model {
             ModelPolicy::UnweightedSet => 2,
@@ -614,7 +611,6 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         self.warm = false;
     }
 
-    #[cfg(feature = "obs")]
     fn judge_ops(&self, model: ModelPolicy) -> u64 {
         let n = self.n_sites as u64;
         if self.index.is_some() {

@@ -111,10 +111,13 @@
 //! parity with private runs; in practice members cluster into few
 //! classes and the shared FIFO carries all Transition time.
 //!
-//! The `*_metered` scans (with the `obs` feature) keep the per-member
-//! reference loop — every member visited every step, same-step forks
-//! only — because the static cost model and `BENCH_obs.json` count
-//! that loop's work; the unit tests check that both loops agree.
+//! [`SweepEngine::run_unit_metered`] runs these same scans with a
+//! meter. After each step's wakes it counts, per window state (the FIFO
+//! or a live class) and model, the `n` members judging it: `n` judged
+//! steps and one similarity at the kernel's runtime cost plus the
+//! judge overhead of the other `n − 1`. On Constant-TW units this
+//! equals what `n` private detectors judge; on adaptive units
+//! coalesced classes make it lower.
 //!
 //! Only `skip > cw` configs keep fully private windows (with scratch
 //! reuse), for the over-full-CW reason above; they run through the
@@ -153,6 +156,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use opd_obs::{MeterObserver, UnitMetrics};
 use opd_trace::PhaseState;
 
 use crate::analyzer::{Analyzer, AnalyzerPolicy};
@@ -287,6 +291,37 @@ impl SweepScratch {
     }
 }
 
+/// Builds a group's shared FIFO on the engine's kernel and runs
+/// `scan(fifo, skip, members, args...)` over it. The scalar FIFO
+/// tracks the weighted min-sum iff some member uses the weighted model
+/// (module docs).
+macro_rules! with_shared_fifo {
+    ($members:expr, $trace:expr, $scratch:expr, $kernel:expr, $scan:ident($($arg:expr),*)) => {{
+        let members: Vec<Member> = $members;
+        let first = &members[0].config;
+        let (cw, tw, skip) = (
+            first.current_window(),
+            first.trailing_window(),
+            first.skip_factor(),
+        );
+        let sites = ($trace.distinct_count() as usize).max($scratch.site_capacity);
+        match $kernel {
+            KernelKind::Scalar => {
+                let track = members
+                    .iter()
+                    .any(|m| m.config.model() == ModelPolicy::WeightedSet);
+                let fifo = &mut Windows::with_site_capacity(cw, tw, track, sites);
+                $scan(fifo, skip, members, $($arg),*)
+            }
+            KernelKind::Swar => {
+                $scratch.shared_swar.ensure_sites(sites);
+                let fifo = &mut SwarWindows::begin(&mut $scratch.shared_swar, $trace, skip, cw, tw);
+                $scan(fifo, skip, members, $($arg),*)
+            }
+        }
+    }};
+}
+
 /// A planned sweep of one config grid: shape groups for Constant-TW
 /// configs, private units for the rest (see module docs).
 ///
@@ -394,10 +429,8 @@ impl<'a> SweepEngine<'a> {
         trace: &InternedTrace,
         scratch: &mut SweepScratch,
     ) -> Vec<(usize, Vec<DetectedPhase>)> {
-        match self.try_run_unit(unit_index, trace, scratch) {
-            Ok(results) => results,
-            Err(e) => panic!("{e}"),
-        }
+        self.try_run_unit(unit_index, trace, scratch)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs one planned unit over `trace`, returning
@@ -416,6 +449,41 @@ impl<'a> SweepEngine<'a> {
         trace: &InternedTrace,
         scratch: &mut SweepScratch,
     ) -> Result<Vec<(usize, Vec<DetectedPhase>)>, SweepError> {
+        self.run_unit_with(unit_index, trace, scratch, &mut ())
+    }
+
+    /// [`run_unit`](Self::run_unit) plus accounting: accumulates what
+    /// the unit actually did (scans, steps, judged steps, comparison
+    /// ops, elements) into `metrics`, for cross-checking against the
+    /// static cost model's bounds. Results are identical to
+    /// `run_unit`'s: both are instances of one scan body.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`SweepError::UnitOutOfRange`]'s message if
+    /// `unit_index` is out of range.
+    #[must_use]
+    pub fn run_unit_metered(
+        &self,
+        unit_index: usize,
+        trace: &InternedTrace,
+        scratch: &mut SweepScratch,
+        metrics: &mut UnitMetrics,
+    ) -> Vec<(usize, Vec<DetectedPhase>)> {
+        self.run_unit_with(unit_index, trace, scratch, metrics)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one unit body: [`try_run_unit`](Self::try_run_unit) is its
+    /// `()` instance, [`run_unit_metered`](Self::run_unit_metered) its
+    /// [`UnitMetrics`] instance.
+    fn run_unit_with<M: Meter>(
+        &self,
+        unit_index: usize,
+        trace: &InternedTrace,
+        scratch: &mut SweepScratch,
+        meter: &mut M,
+    ) -> Result<Vec<(usize, Vec<DetectedPhase>)>, SweepError> {
         let unit = self
             .units
             .get(unit_index)
@@ -423,27 +491,42 @@ impl<'a> SweepEngine<'a> {
                 unit_index,
                 units: self.units.len(),
             })?;
+        let indices = &unit.config_indices;
         Ok(match unit.kind {
-            UnitKind::SharedConstant => run_shared_group(
-                self.configs,
-                &unit.config_indices,
+            UnitKind::SharedConstant => with_shared_fifo!(
+                group_members(self.configs, indices, DetectorConfig::shares_windows),
                 trace,
                 scratch,
                 self.kernel,
+                run_shared_group_scan(trace, meter)
             ),
-            UnitKind::SharedAdaptive => run_shared_adaptive_group(
-                self.configs,
-                &unit.config_indices,
+            UnitKind::SharedAdaptive => with_shared_fifo!(
+                group_members(
+                    self.configs,
+                    indices,
+                    DetectorConfig::shares_windows_adaptively
+                ),
                 trace,
                 scratch,
                 self.kernel,
+                run_shared_adaptive_scan(trace, meter)
             ),
             UnitKind::Private => unit
                 .config_indices
                 .iter()
                 .map(|&i| {
                     let detector = scratch.detector_for(self.configs[i], self.kernel);
-                    let _ = detector.run_interned_phases_only(trace);
+                    if M::ACTIVE {
+                        let mut observer = MeterObserver::new();
+                        let _ = detector.run_interned_phases_observed(trace, &mut observer);
+                        meter.add(&UnitMetrics {
+                            scans: 1,
+                            elements: trace.len() as u64,
+                            ..observer.metrics
+                        });
+                    } else {
+                        let _ = detector.run_interned_phases_only(trace);
+                    }
                     (i, detector.take_phases())
                 })
                 .collect(),
@@ -465,61 +548,52 @@ impl<'a> SweepEngine<'a> {
     }
 }
 
-/// The instrumented sweep entry point, available with the `obs`
-/// feature. Metering duplicates the unmetered scan loops (guarded by
-/// the observer-equivalence suite) so [`SweepEngine::run_unit`] stays
-/// untouched and overhead-free.
-#[cfg(feature = "obs")]
-impl SweepEngine<'_> {
-    /// [`run_unit`](Self::run_unit) plus accounting: accumulates what
-    /// the unit actually did (scans, steps, judged steps, comparison
-    /// ops, elements) into `metrics`, for cross-checking against the
-    /// static cost model's bounds. Results are identical to
-    /// `run_unit`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unit_index` is out of range.
-    #[must_use]
-    pub fn run_unit_metered(
-        &self,
-        unit_index: usize,
-        trace: &InternedTrace,
-        scratch: &mut SweepScratch,
-        metrics: &mut opd_obs::UnitMetrics,
-    ) -> Vec<(usize, Vec<DetectedPhase>)> {
-        let unit = &self.units[unit_index];
-        match unit.kind {
-            UnitKind::SharedConstant => run_shared_group_metered(
-                self.configs,
-                &unit.config_indices,
-                trace,
-                scratch,
-                self.kernel,
-                metrics,
-            ),
-            UnitKind::SharedAdaptive => run_shared_adaptive_group_metered(
-                self.configs,
-                &unit.config_indices,
-                trace,
-                scratch,
-                self.kernel,
-                metrics,
-            ),
-            UnitKind::Private => unit
-                .config_indices
-                .iter()
-                .map(|&i| {
-                    let detector = scratch.detector_for(self.configs[i], self.kernel);
-                    let mut meter = opd_obs::MeterObserver::new();
-                    let _ = detector.run_interned_phases_observed(trace, &mut meter);
-                    metrics.scans += 1;
-                    metrics.elements += trace.len() as u64;
-                    metrics.merge(&meter.metrics);
-                    (i, detector.take_phases())
-                })
-                .collect(),
-        }
+/// Where a unit run accounts its work: `()` for the plain run, whose
+/// `ACTIVE = false` compiles every count away, and [`UnitMetrics`] for
+/// the metered one.
+trait Meter {
+    /// Whether the scans count anything at all.
+    const ACTIVE: bool;
+
+    /// Adds one scan's (or one private run's) totals.
+    fn add(&mut self, work: &UnitMetrics);
+}
+
+impl Meter for () {
+    const ACTIVE: bool = false;
+
+    #[inline(always)]
+    fn add(&mut self, _work: &UnitMetrics) {}
+}
+
+impl Meter for UnitMetrics {
+    const ACTIVE: bool = true;
+
+    fn add(&mut self, work: &UnitMetrics) {
+        self.merge(work);
+    }
+}
+
+/// Counts `n` members judging one similarity of `windows` under model
+/// `slot` on one step: the first judgment pays the kernel's full
+/// runtime comparison cost, every further one only the analyzer's
+/// judge overhead, so a shared scan never exceeds the static
+/// per-member bound.
+fn tally_judges<K: WindowKernel>(tally: &mut UnitMetrics, windows: &K, slot: usize, n: usize) {
+    if n > 0 {
+        tally.judged_steps += n as u64;
+        tally.compare_ops += windows.judge_ops(MODELS[slot]) + 2 * (n as u64 - 1);
+    }
+}
+
+/// The totals of one shared scan over `trace` in steps of `skip`,
+/// before any judgment is counted.
+fn scan_tally(trace: &InternedTrace, skip: usize) -> UnitMetrics {
+    UnitMetrics {
+        scans: 1,
+        steps: trace.len().div_ceil(skip) as u64,
+        elements: trace.len() as u64,
+        ..UnitMetrics::default()
     }
 }
 
@@ -591,14 +665,6 @@ struct Member {
     /// iff the shared FIFO is warm and `consumed >= warm_from`.
     warm_from: u64,
     phases: Vec<DetectedPhase>,
-    /// The metered reference loops visit every member every step and
-    /// keep its state here; the event-driven scans encode it in which
-    /// list holds the member instead.
-    #[cfg(feature = "obs")]
-    state: PhaseState,
-    /// Reference-loop phase class ([`NO_CLASS`] outside a phase).
-    #[cfg(feature = "obs")]
-    class: usize,
 }
 
 impl Member {
@@ -658,10 +724,6 @@ fn group_members(
             analyzer: Analyzer::new(configs[i].analyzer()),
             warm_from: 0,
             phases: Vec::new(),
-            #[cfg(feature = "obs")]
-            state: PhaseState::Transition,
-            #[cfg(feature = "obs")]
-            class: NO_CLASS,
         })
         .collect()
 }
@@ -680,37 +742,6 @@ fn finish(members: Vec<Member>, consumed: u64) -> Vec<(usize, Vec<DetectedPhase>
             (m.config_index, m.phases)
         })
         .collect()
-}
-
-/// Builds a group's shared FIFO on the engine's kernel and runs
-/// `scan(fifo, skip, args...)` over it. The scalar FIFO tracks the
-/// weighted min-sum iff some member uses the weighted model (module
-/// docs).
-macro_rules! with_shared_fifo {
-    ($configs:expr, $member_indices:expr, $trace:expr, $scratch:expr, $kernel:expr,
-     $scan:ident($($arg:expr),*)) => {{
-        let first = &$configs[$member_indices[0]];
-        let (cw, tw, skip) = (
-            first.current_window(),
-            first.trailing_window(),
-            first.skip_factor(),
-        );
-        let sites = ($trace.distinct_count() as usize).max($scratch.site_capacity);
-        match $kernel {
-            KernelKind::Scalar => {
-                let track = $member_indices
-                    .iter()
-                    .any(|&i| $configs[i].model() == ModelPolicy::WeightedSet);
-                let fifo = &mut Windows::with_site_capacity(cw, tw, track, sites);
-                $scan(fifo, skip, $($arg),*)
-            }
-            KernelKind::Swar => {
-                $scratch.shared_swar.ensure_sites(sites);
-                let fifo = &mut SwarWindows::begin(&mut $scratch.shared_swar, $trace, skip, cw, tw);
-                $scan(fifo, skip, $($arg),*)
-            }
-        }
-    }};
 }
 
 /// The member schedule both event-driven scans drive (module docs).
@@ -835,6 +866,10 @@ impl PhaseJudges {
         self.fixed.is_empty() && self.average.is_empty()
     }
 
+    fn len(&self) -> usize {
+        self.fixed.len() + self.average.len()
+    }
+
     /// Adds `members[i]`, which has just entered a phase.
     fn push(&mut self, members: &[Member], i: usize) {
         match members[i].analyzer.policy() {
@@ -888,34 +923,16 @@ impl PhaseJudges {
 }
 
 /// One scan of `trace` evaluating every member of a same-shape
-/// Constant-TW group against shared windows, dispatched to the
-/// engine's kernel. See the module docs for the exactness argument.
-fn run_shared_group(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let members = group_members(configs, member_indices, DetectorConfig::shares_windows);
-    with_shared_fifo!(
-        configs,
-        member_indices,
-        trace,
-        scratch,
-        kernel,
-        run_shared_group_scan(members, trace)
-    )
-}
-
-/// The kernel-generic, event-driven shared scan: one FIFO advance per
-/// step; only warm members are visited, each judging the per-model
-/// similarity computed once per step.
-fn run_shared_group_scan<K: WindowKernel>(
+/// Constant-TW group against the shared FIFO (see the module docs for
+/// the exactness argument), event-driven: only warm members are
+/// visited, each judging the per-model similarity computed once per
+/// step. An active `meter` counts every warm member as judging it.
+fn run_shared_group_scan<K: WindowKernel, M: Meter>(
     windows: &mut K,
     skip: usize,
     mut members: Vec<Member>,
     trace: &InternedTrace,
+    meter: &mut M,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
     // After a flush keeps `skip` elements, a private window is full
@@ -925,6 +942,7 @@ fn run_shared_group_scan<K: WindowKernel>(
     // Members in a phase, per model slot. With a Constant TW their
     // windows are the shared FIFO too.
     let mut in_phase: [PhaseJudges; 3] = Default::default();
+    let mut tally = scan_tally(trace, skip);
     let mut consumed = 0u64;
     for chunk in trace.ids().chunks(skip) {
         windows.advance(chunk, false);
@@ -936,6 +954,12 @@ fn run_shared_group_scan<K: WindowKernel>(
             continue;
         }
         sched.wake(&members, consumed);
+        if M::ACTIVE {
+            for (slot, judges) in in_phase.iter().enumerate() {
+                let n = sched.awake[slot].len() + judges.len();
+                tally_judges(&mut tally, windows, slot, n);
+            }
+        }
         let mut sims = [0.0f64; 3];
         for (slot, sim) in sims.iter_mut().enumerate() {
             if sched.needs(slot) || !in_phase[slot].is_empty() {
@@ -961,13 +985,9 @@ fn run_shared_group_scan<K: WindowKernel>(
             in_phase[model_slot(m.config.model())].push(&members, i);
         }
     }
+    meter.add(&tally);
     finish(members, consumed)
 }
-
-/// A member's slot when it currently judges the shared FIFO (not a
-/// phase class).
-#[cfg(feature = "obs")]
-const NO_CLASS: usize = usize::MAX;
 
 /// One forked window state shared by every in-phase member whose
 /// windows have the same boundaries. Windows are contiguous trace
@@ -1021,39 +1041,17 @@ fn coalesce_classes<F>(
 
 /// One scan of `trace` evaluating every member of a same-shape
 /// Adaptive-TW group against a shared FIFO with copy-on-phase-entry
-/// forks, dispatched to the engine's kernel. See the module docs for
-/// the exactness argument.
-fn run_shared_adaptive_group(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let members = group_members(
-        configs,
-        member_indices,
-        DetectorConfig::shares_windows_adaptively,
-    );
-    with_shared_fifo!(
-        configs,
-        member_indices,
-        trace,
-        scratch,
-        kernel,
-        run_shared_adaptive_scan(members, trace)
-    )
-}
-
-/// The kernel-generic, event-driven forking scan: one FIFO advance
-/// plus one advance per live phase class per step. Awake members
+/// forks (see the module docs for the exactness argument): one FIFO
+/// advance plus one advance per live phase class per step. Awake members
 /// judge the FIFO, in-phase members their class; sleeping members
-/// are not visited.
-fn run_shared_adaptive_scan<K: ForkableKernel>(
+/// are not visited. An active `meter` counts one similarity per window
+/// state and model that some member judges.
+fn run_shared_adaptive_scan<K: ForkableKernel, M: Meter>(
     fifo: &mut K,
     skip: usize,
     mut members: Vec<Member>,
     trace: &InternedTrace,
+    meter: &mut M,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
@@ -1064,6 +1062,7 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
     let mut classes: Vec<PhaseClass<K::Forked>> = Vec::new();
     let mut live: Vec<usize> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
+    let mut tally = scan_tally(trace, skip);
     let mut consumed = 0u64;
     for chunk in trace.ids().chunks(skip) {
         // Members still in a phase pushed this step's elements with
@@ -1087,6 +1086,16 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
             coalesce_classes(&mut classes, &mut live, &mut free);
         }
         sched.wake(&members, consumed);
+        if M::ACTIVE {
+            for (slot, awake) in sched.awake.iter().enumerate() {
+                tally_judges(&mut tally, fifo, slot, awake.len());
+            }
+            for &c in &live {
+                for (slot, judges) in classes[c].members.iter().enumerate() {
+                    tally_judges(&mut tally, &classes[c].windows, slot, judges.len());
+                }
+            }
+        }
         for &c in &live {
             let class = &mut classes[c];
             for (slot, judges) in class.members.iter_mut().enumerate() {
@@ -1175,266 +1184,7 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
             !empty
         });
     }
-    finish(members, consumed)
-}
-
-/// [`run_shared_group`] plus accounting. The scan loop is the
-/// per-member *reference* loop: it visits every member on every step,
-/// as the pre-event-driven scan did, because the static cost model
-/// and `BENCH_obs.json` count that loop's work (judged steps and
-/// comparison ops per member). `metered_units_match_unmetered_results`
-/// checks that it returns exactly what the event-driven
-/// [`run_shared_group_scan`] returns. A fresh model-slot computation
-/// charges the kernel's full runtime comparison cost; every further
-/// member judging the memoized similarity charges only the fixed judge
-/// overhead — so shared-scan comparison ops are always at or below the
-/// static per-member bound.
-#[cfg(feature = "obs")]
-fn run_shared_group_metered(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let members = group_members(configs, member_indices, DetectorConfig::shares_windows);
-    with_shared_fifo!(
-        configs,
-        member_indices,
-        trace,
-        scratch,
-        kernel,
-        run_shared_group_scan_metered(members, trace, metrics)
-    )
-}
-
-/// The metered reference loop for [`run_shared_group_scan`].
-#[cfg(feature = "obs")]
-fn run_shared_group_scan_metered<K: WindowKernel>(
-    windows: &mut K,
-    skip: usize,
-    mut members: Vec<Member>,
-    trace: &InternedTrace,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &members[0].config;
-    let refill = (first.current_window() + first.trailing_window() - skip) as u64;
-    metrics.scans += 1;
-    metrics.elements += trace.len() as u64;
-    let mut consumed = 0u64;
-    let mut sims = [0.0f64; 3];
-    for chunk in trace.ids().chunks(skip) {
-        windows.advance(chunk, false);
-        let step_start = consumed;
-        consumed += chunk.len() as u64;
-        metrics.steps += 1;
-        let shared_warm = windows.is_warm();
-        let mut have = [false; 3];
-        for m in &mut members {
-            let (new_state, sim) = if shared_warm && consumed >= m.warm_from {
-                let slot = model_slot(m.config.model());
-                if have[slot] {
-                    // Memoized similarity: this member pays only the
-                    // analyzer's judge overhead.
-                    metrics.compare_ops += 2;
-                } else {
-                    sims[slot] = windows.similarity(m.config.model());
-                    have[slot] = true;
-                    metrics.compare_ops += windows.judge_ops(m.config.model());
-                }
-                metrics.judged_steps += 1;
-                (m.analyzer.judge(sims[slot]), sims[slot])
-            } else {
-                (PhaseState::Transition, 0.0)
-            };
-            match (m.state, new_state) {
-                (PhaseState::Transition, PhaseState::Phase) => {
-                    let anchor_idx = windows.anchor_index(m.config.anchor());
-                    m.open_phase(step_start, windows.offset_of_index(anchor_idx));
-                }
-                (PhaseState::Phase, PhaseState::Transition) => {
-                    m.close_phase(step_start, consumed + refill);
-                }
-                (PhaseState::Phase, PhaseState::Phase) => {
-                    m.analyzer.update(sim);
-                }
-                (PhaseState::Transition, PhaseState::Transition) => {}
-            }
-            m.state = new_state;
-        }
-    }
-    finish(members, consumed)
-}
-
-/// The reference loop's phase class: one fork per same-step
-/// `(anchor, resize)` boundary outcome, with a member count.
-#[cfg(feature = "obs")]
-struct RefClass<F> {
-    windows: F,
-    members: usize,
-    /// Per-model similarity memo against `windows`, reset each step.
-    sims: [f64; 3],
-    have: [bool; 3],
-}
-
-/// [`run_shared_adaptive_group`] plus accounting, over the per-member
-/// reference loop (see [`run_shared_group_metered`]).
-#[cfg(feature = "obs")]
-fn run_shared_adaptive_group_metered(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let members = group_members(
-        configs,
-        member_indices,
-        DetectorConfig::shares_windows_adaptively,
-    );
-    with_shared_fifo!(
-        configs,
-        member_indices,
-        trace,
-        scratch,
-        kernel,
-        run_shared_adaptive_scan_metered(members, trace, metrics)
-    )
-}
-
-/// The metered reference loop for [`run_shared_adaptive_scan`]: every
-/// member is visited every step, and only members entering on the
-/// same step share a fork. A fresh class-or-FIFO model-slot
-/// computation charges the kernel's full runtime comparison cost;
-/// every further member judging a memoized similarity charges only
-/// the fixed judge overhead. Each fresh computation is attributable
-/// to the distinct member that triggered it (a member judges exactly
-/// one window state per step), so shared-scan comparison ops stay at
-/// or below the static per-member bound.
-#[cfg(feature = "obs")]
-fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
-    fifo: &mut K,
-    skip: usize,
-    mut members: Vec<Member>,
-    trace: &InternedTrace,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &members[0].config;
-    let refill = (first.current_window() + first.trailing_window() - skip) as u64;
-    let tw_cap = first.trailing_window() as u64;
-    metrics.scans += 1;
-    metrics.elements += trace.len() as u64;
-    let mut consumed = 0u64;
-    let mut classes: Vec<RefClass<K::Forked>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut fifo_sims = [0.0f64; 3];
-    for chunk in trace.ids().chunks(skip) {
-        fifo.advance(chunk, false);
-        for class in &mut classes {
-            if class.members > 0 {
-                class.windows.advance(chunk, true);
-                class.have = [false; 3];
-            }
-        }
-        let step_start = consumed;
-        consumed += chunk.len() as u64;
-        metrics.steps += 1;
-        let fifo_warm = fifo.is_warm();
-        let mut fifo_have = [false; 3];
-        let mut anchor_memo: [Option<usize>; 2] = [None; 2];
-        let mut forks: [Option<((u64, u64), usize)>; 4] = [None; 4];
-        for m in &mut members {
-            if m.state == PhaseState::Phase {
-                let class = &mut classes[m.class];
-                let slot = model_slot(m.config.model());
-                if class.have[slot] {
-                    metrics.compare_ops += 2;
-                } else {
-                    class.sims[slot] = class.windows.similarity(m.config.model());
-                    class.have[slot] = true;
-                    metrics.compare_ops += class.windows.judge_ops(m.config.model());
-                }
-                metrics.judged_steps += 1;
-                let sim = class.sims[slot];
-                let new_state = m.analyzer.judge(sim);
-                if new_state == PhaseState::Phase {
-                    m.analyzer.update(sim);
-                } else {
-                    class.members -= 1;
-                    if class.members == 0 {
-                        free.push(m.class);
-                    }
-                    m.class = NO_CLASS;
-                    m.close_phase(step_start, consumed + refill);
-                }
-                m.state = new_state;
-            } else {
-                let new_state = if fifo_warm && consumed >= m.warm_from {
-                    let slot = model_slot(m.config.model());
-                    if fifo_have[slot] {
-                        metrics.compare_ops += 2;
-                    } else {
-                        fifo_sims[slot] = fifo.similarity(m.config.model());
-                        fifo_have[slot] = true;
-                        metrics.compare_ops += fifo.judge_ops(m.config.model());
-                    }
-                    metrics.judged_steps += 1;
-                    m.analyzer.judge(fifo_sims[slot])
-                } else {
-                    PhaseState::Transition
-                };
-                if new_state == PhaseState::Phase {
-                    let a_slot = anchor_slot(m.config.anchor());
-                    let anchor_idx = *anchor_memo[a_slot]
-                        .get_or_insert_with(|| fifo.anchor_index(m.config.anchor()));
-                    let (a0, b0) = boundary_key(fifo);
-                    let a2 = a0 + anchor_idx as u64;
-                    let b2 = if m.config.resize() == ResizePolicy::Slide {
-                        b0.max((a2 + tw_cap).min(consumed - 1))
-                    } else {
-                        b0
-                    };
-                    let class_idx = match forks.iter().flatten().find(|(key, _)| *key == (a2, b2)) {
-                        Some(&(_, idx)) => idx,
-                        None => {
-                            let mut windows = fifo.fork();
-                            let anchored_start =
-                                windows.anchor_and_resize(anchor_idx, m.config.resize());
-                            debug_assert_eq!(anchored_start, a2);
-                            let fresh = RefClass {
-                                windows,
-                                members: 0,
-                                sims: [0.0; 3],
-                                have: [false; 3],
-                            };
-                            let class_idx = match free.pop() {
-                                Some(idx) => {
-                                    classes[idx] = fresh;
-                                    idx
-                                }
-                                None => {
-                                    classes.push(fresh);
-                                    classes.len() - 1
-                                }
-                            };
-                            let slot = forks
-                                .iter_mut()
-                                .find(|s| s.is_none())
-                                .expect("at most four (anchor, resize) pairs per step");
-                            *slot = Some(((a2, b2), class_idx));
-                            class_idx
-                        }
-                    };
-                    classes[class_idx].members += 1;
-                    m.class = class_idx;
-                    m.open_phase(step_start, a2);
-                }
-                m.state = new_state;
-            }
-        }
-    }
+    meter.add(&tally);
     finish(members, consumed)
 }
 
@@ -1618,40 +1368,33 @@ mod tests {
         let engine = SweepEngine::new(&configs);
         let trace = block_trace(1, 40, 2);
         let mut scratch = SweepScratch::new();
-        let err = engine.try_run_unit(7, &trace, &mut scratch).unwrap_err();
-        assert_eq!(
-            err,
-            SweepError::UnitOutOfRange {
-                unit_index: 7,
-                units: 1
-            }
-        );
-        assert!(err.to_string().contains("out of range"));
-        // In-range requests still succeed through the fallible path.
+        let mut metrics = UnitMetrics::new();
+        let expected = SweepError::UnitOutOfRange {
+            unit_index: 7,
+            units: 1,
+        };
+        for err in [
+            engine.try_run_unit(7, &trace, &mut scratch).unwrap_err(),
+            engine
+                .run_unit_with(7, &trace, &mut scratch, &mut metrics)
+                .unwrap_err(),
+        ] {
+            assert_eq!(err, expected);
+            assert!(err.to_string().contains("out of range"));
+        }
+        assert_eq!(metrics, UnitMetrics::new(), "nothing ran");
+        // The panicking metered form reports the same typed error.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_unit_metered(7, &trace, &mut SweepScratch::new(), &mut metrics)
+        }))
+        .unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&expected.to_string()));
+        // In-range requests still succeed, metered or not.
         let ok = engine.try_run_unit(0, &trace, &mut scratch).unwrap();
         assert_eq!(ok.len(), 1);
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn metered_units_match_unmetered_results() {
-        let configs = mixed_grid();
-        let engine = SweepEngine::new(&configs);
-        let trace = block_trace(3, 120, 4);
-        let mut scratch = SweepScratch::new();
-        let mut metrics = opd_obs::UnitMetrics::new();
-        for unit_index in 0..engine.units().len() {
-            let plain = engine.run_unit(unit_index, &trace, &mut scratch);
-            let metered = engine.run_unit_metered(unit_index, &trace, &mut scratch, &mut metrics);
-            assert_eq!(plain, metered, "unit {unit_index}");
-        }
-        assert_eq!(metrics.scans as usize, engine.total_scans());
-        assert_eq!(
-            metrics.elements,
-            engine.total_scans() as u64 * trace.len() as u64
-        );
-        assert!(metrics.judged_steps <= metrics.steps * configs.len() as u64);
-        assert!(metrics.compare_ops >= 2 * metrics.judged_steps);
+        let metered = engine.run_unit_metered(0, &trace, &mut scratch, &mut metrics);
+        assert_eq!(metered, ok);
+        assert_eq!(metrics.scans, 1);
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! through the same lint [`Diagnostic`] machinery as every other
 //! analyzer (so `opd top` inherits the 0/1/2 exit contract).
 //!
-//! [`null_span_overhead`] is the measurement behind the
-//! zero-overhead-when-off claim for spans: the traced engine
-//! monomorphized over [`NullSpanRecorder`] against the plain engine,
-//! interleaved samples, median of each — the span-layer counterpart
-//! of `obs.rs`'s NullObserver benchmark.
+//! [`null_span_overhead`] times the traced engine over
+//! [`NullSpanRecorder`] against [`run_service`], interleaved samples,
+//! median of each — the span-layer counterpart of `obs.rs`'s
+//! NullObserver benchmark. Both arms are now the same instance of one
+//! body, so the ratio only measures noise.
 
 use std::time::Instant;
 
@@ -489,12 +489,11 @@ fn median(mut samples: Vec<u64>) -> u64 {
 }
 
 /// Measures the disabled-span arm against the plain engine: the same
-/// soak through [`run_service`] and through the traced engine
-/// monomorphized over [`NullSpanRecorder`], `samples` interleaved
-/// samples per arm, median of each. With the `const ACTIVE` guard
-/// compiled out the ratio is noise around 1.0; the committed
-/// `BENCH_dash.json` records it and the artifact test holds it under
-/// the 2% acceptance line.
+/// soak through [`run_service`] and through the traced engine over
+/// [`NullSpanRecorder`] (one body, so the same instance), `samples`
+/// interleaved samples per arm, median of each. The ratio is noise
+/// around 1.0; the committed `BENCH_dash.json` records it and the
+/// artifact test holds it under the 2% acceptance line.
 #[must_use]
 pub fn null_span_overhead(scale: u32, samples: usize) -> OverheadReport {
     let samples = samples.max(1);

@@ -10,10 +10,11 @@
 //! scans and steps are predicted exactly, comparison ops are bounded
 //! above (see `counter_bounds.rs` in the test suite).
 //!
-//! [`null_observer_overhead`] is the measurement behind the
-//! zero-overhead-when-off claim: the instrumented detector path run
-//! with [`opd_obs::NullObserver`] against the uninstrumented
-//! `run_interned_phases_only`, interleaved samples, median of each.
+//! [`null_observer_overhead`] times the detector's observed path with
+//! [`opd_obs::NullObserver`] against `run_interned_phases_only`,
+//! interleaved samples, median of each. Both are now the same
+//! `NullObserver` instance of one body, so the ratio only measures
+//! noise.
 
 use std::time::Instant;
 
@@ -155,10 +156,9 @@ impl SweepProfile {
 }
 
 /// [`crate::runner::sweep_many`] with the meter on: identical results
-/// (the engine's metered paths run the per-member reference loops the
-/// cost model counts, checked against the event-driven scans by the
-/// engine's unit tests), plus a
-/// [`SweepProfile`] of what every bucket did.
+/// (the metered and plain unit runs are two instances of the engine's
+/// one event-driven scan body), plus a [`SweepProfile`] of what every
+/// bucket did.
 #[must_use]
 pub fn sweep_many_profiled(
     prepared: &[PreparedWorkload],

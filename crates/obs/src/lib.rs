@@ -2,20 +2,13 @@
 //! events, a lock-free metrics registry, and per-unit sweep profiling.
 //!
 //! This crate is a *leaf*: it depends only on `opd-trace`, so
-//! `opd-core` can depend on it **optionally** (behind its `obs`
-//! feature) without a cycle. The contract is zero overhead when off,
-//! twice over:
-//!
-//! * **Compile-time off** — `opd-core` built without `obs` does not
-//!   link this crate at all (`scripts/check.sh` guards the dependency
-//!   edge with `cargo tree`).
-//! * **Runtime off** — the [`DetectorObserver`] trait carries a
-//!   `const ACTIVE: bool`; instrumented code guards every event
-//!   construction with `if O::ACTIVE`, so the [`NullObserver`]
-//!   monomorphizes the instrumented run paths back to the
-//!   uninstrumented machine code (asserted allocation-free and within
-//!   noise of the plain path by the repository's observer suite and
-//!   `BENCH_obs.json`).
+//! `opd-core` depends on it without a cycle. The contract is zero
+//! overhead when off: the [`DetectorObserver`] trait carries a
+//! `const ACTIVE: bool`, and each run path is one generic body that
+//! guards every event construction with `if O::ACTIVE`. The plain run
+//! is that body's [`NullObserver`] instance, so nothing is built and
+//! nothing is called (the repository's observer suite asserts the
+//! null instance allocation-free in its steady state).
 //!
 //! [`DetectorEvent`] is the event vocabulary (window slides/moves,
 //! similarity scores, analyzer decisions, phase transitions);

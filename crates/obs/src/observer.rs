@@ -21,8 +21,8 @@ pub trait DetectorObserver {
     fn on_event(&mut self, event: &DetectorEvent);
 }
 
-/// The do-nothing observer: `ACTIVE = false`, so instrumented run
-/// paths compile to the same code as their uninstrumented twins (the
+/// The do-nothing observer: `ACTIVE = false`, so a run path's
+/// instance over it builds no event at all — it is the plain run (the
 /// repository's observer-equivalence suite asserts bit-identical
 /// results and an allocation-free steady state).
 #[derive(Debug, Default, Clone, Copy)]

@@ -217,8 +217,7 @@ impl fmt::Display for Span {
 /// The `const ACTIVE` contract mirrors
 /// [`DetectorObserver`](crate::DetectorObserver): traced code guards
 /// every span construction with `if R::ACTIVE { ... }`, so a recorder
-/// with `ACTIVE = false` monomorphizes the traced path back to the
-/// plain machine code.
+/// with `ACTIVE = false` builds no span at all.
 pub trait SpanRecorder {
     /// `false` compiles span construction out entirely.
     const ACTIVE: bool = true;
@@ -233,8 +232,8 @@ pub trait SpanRecorder {
     }
 }
 
-/// The do-nothing recorder: `ACTIVE = false`, so traced code
-/// monomorphizes to the plain path.
+/// The do-nothing recorder: `ACTIVE = false`, so traced code builds
+/// no span; its instance of a traced path is the untraced run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSpanRecorder;
 

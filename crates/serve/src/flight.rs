@@ -1,6 +1,6 @@
 //! Per-session flight recorders: the span tracer threaded through the
-//! traced session paths, and the post-mortem documents it dumps when
-//! a session is quarantined, deadline-killed, or killed by a hazard.
+//! session paths, and the post-mortem documents it dumps when a
+//! session is quarantined, deadline-killed, or killed by a hazard.
 //!
 //! A [`SessionTracer`] owns three things: the session's monotonic
 //! span-id sequence (so `(client, id)` is deterministic and globally
@@ -8,7 +8,7 @@
 //! generic [`SpanRecorder`] the service run collects full logs
 //! through. Everything is guarded by `R::ACTIVE` at the call sites in
 //! `session.rs`, so a [`NullSpanRecorder`](opd_obs::NullSpanRecorder)
-//! tracer compiles the traced paths back to the plain machine code.
+//! tracer records nothing: that instance is the untraced service.
 //!
 //! A [`Postmortem`] is self-contained: session identity, the reason
 //! and virtual tick of death, the exact counters at that instant, and
@@ -261,9 +261,10 @@ impl Default for TraceConfig {
     }
 }
 
-/// The per-session span tracer threaded through the `*_traced`
-/// session paths. All methods are cheap bookkeeping; the traced call
-/// sites guard every use with `R::ACTIVE`.
+/// The per-session span tracer every session path takes. All methods
+/// are cheap bookkeeping, and the call sites guard every use with
+/// `R::ACTIVE`: a [`NullSpanRecorder`](opd_obs::NullSpanRecorder)
+/// tracer is the untraced run.
 #[derive(Debug)]
 pub struct SessionTracer<R> {
     client: u32,
@@ -290,9 +291,8 @@ impl<R: SpanRecorder> SessionTracer<R> {
             vshard,
             next_id: 0,
             // With tracing compiled out the ring is never pushed to;
-            // skipping its pre-allocation keeps the disabled path
-            // allocation-identical to the plain engine (pinned by
-            // tests/span_alloc.rs).
+            // skipping its pre-allocation keeps the untraced run free
+            // of span allocations (pinned by tests/span_alloc.rs).
             ring: if R::ACTIVE {
                 FlightRing::new(trace.flight_capacity)
             } else {

@@ -22,7 +22,8 @@ use std::time::Instant;
 use opd_analyze::ResourceCertificate;
 use opd_core::DetectorConfig;
 use opd_obs::{
-    render_span_log, CounterId, DetectorEvent, HistogramId, MetricsRegistry, Span, SpanRecorder,
+    render_span_log, CounterId, DetectorEvent, HistogramId, MetricsRegistry, NullSpanRecorder,
+    Span, SpanRecorder,
 };
 use opd_trace::{encode_trace, ExecutionTrace, MethodId, ProfileElement, TraceSink};
 
@@ -417,195 +418,28 @@ pub fn run_service_with(
     subscriber: &dyn Subscriber,
     metrics: Option<(&MetricsRegistry, &ServiceMetrics)>,
 ) -> Result<ServiceReport, ServeError> {
-    if config.vshards == 0 {
-        return Err(ServeError::Config("vshards must be at least 1".into()));
-    }
-    if config.ingest.queue_capacity == 0 {
-        return Err(ServeError::Config(
-            "queue capacity must be at least 1".into(),
-        ));
-    }
-    if config.ingest.arrivals_per_tick == 0 {
-        return Err(ServeError::Config(
-            "arrivals per tick must be at least 1".into(),
-        ));
-    }
-    if config.supervision.retry_budget == 0 {
-        return Err(ServeError::Config("retry budget must be at least 1".into()));
-    }
-
-    let fingerprint = config.fingerprint(source);
-    let mut restored: BTreeMap<u32, Vec<SessionReport>> = BTreeMap::new();
-    let writer = match &options.checkpoint {
-        Some(path) if options.resume && path.exists() => {
-            let (w, map) = ServeCheckpointWriter::resume(path, fingerprint)?;
-            restored = map;
-            Some(Mutex::new(w))
-        }
-        Some(path) => Some(Mutex::new(ServeCheckpointWriter::create(
-            path,
-            fingerprint,
-        )?)),
-        None => None,
-    };
-    let restored_vshards = restored.len() as u32;
-
-    let pending: Vec<u32> = (0..config.vshards)
-        .filter(|v| !restored.contains_key(v))
-        .collect();
-    let threads = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        options.threads
-    }
-    .min(pending.len().max(1));
-
-    let done: Mutex<BTreeMap<u32, Vec<SessionReport>>> = Mutex::new(restored);
-    let next = AtomicUsize::new(0);
-    let failure: Mutex<Option<ServeError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if failure.lock().expect("no panics in workers").is_some() {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&vshard) = pending.get(i) else { break };
-                match run_vshard(vshard, config, source, subscriber, metrics) {
-                    Ok(reports) => {
-                        if let Some(w) = &writer {
-                            let mut w = w.lock().expect("no panics in workers");
-                            if let Err(e) = w.append(vshard, &reports) {
-                                *failure.lock().expect("no panics in workers") =
-                                    Some(ServeError::Checkpoint(CheckpointError::Io(e)));
-                                break;
-                            }
-                        }
-                        done.lock()
-                            .expect("no panics in workers")
-                            .insert(vshard, reports);
-                    }
-                    Err(e) => {
-                        *failure.lock().expect("no panics in workers") = Some(e);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().expect("no panics in workers") {
-        return Err(e);
-    }
-    let map = done.into_inner().expect("no panics in workers");
-    let mut sessions: Vec<SessionReport> = map.into_values().flatten().collect();
-    sessions.sort_by_key(|r| r.client);
-    Ok(ServiceReport {
-        vshards: config.vshards,
-        fingerprint,
-        restored_vshards,
-        sessions,
-    })
+    run_service_traced::<NullSpanRecorder>(
+        config,
+        source,
+        options,
+        subscriber,
+        metrics,
+        &TraceConfig::default(),
+    )
+    .map(|(report, _)| report)
 }
 
 /// A generous upper bound on the virtual ticks a vshard can need:
 /// exceeded only by a livelocked state machine, never by a legal run.
-fn tick_budget_for(max_frames: u64, config: &ServeConfig) -> u64 {
-    let worst_frame = u64::from(config.supervision.retry_budget)
-        * (config.supervision.deadline_ticks + config.supervision.backoff_cap_ticks + 4);
-    1_000 + 4 * (max_frames + 1) * (worst_frame + 2)
-}
-
 fn tick_budget(sessions: &[Session], config: &ServeConfig) -> u64 {
     let max_frames = sessions
         .iter()
         .map(|s| s.stats().frames_total)
         .max()
         .unwrap_or(0);
-    tick_budget_for(max_frames, config)
-}
-
-fn run_vshard(
-    vshard: u32,
-    config: &ServeConfig,
-    source: &dyn FrameSource,
-    subscriber: &dyn Subscriber,
-    metrics: Option<(&MetricsRegistry, &ServiceMetrics)>,
-) -> Result<Vec<SessionReport>, ServeError> {
-    let mut reports = Vec::new();
-    let mut sessions = Vec::new();
-    let mut client = vshard;
-    while client < source.clients() {
-        let frames = source.frames(client);
-        let admitted = match (config.admission_budget_bytes, source.certificate(client)) {
-            (Some(budget), Some(cert)) => cert.admits(budget),
-            _ => true,
-        };
-        if admitted {
-            sessions.push(Session::new(
-                client,
-                source.detector_config(client),
-                frames,
-                config.ingest,
-                config.supervision,
-                config.verify,
-            ));
-        } else {
-            reports.push(SessionReport::rejected(client, frames));
-        }
-        match client.checked_add(config.vshards) {
-            Some(next_client) => client = next_client,
-            None => break,
-        }
-    }
-
-    let budget = tick_budget(&sessions, config);
-    let mut live = sessions.len();
-    let mut tick = 0u64;
-    while live > 0 {
-        tick += 1;
-        if tick > budget {
-            return Err(ServeError::Stalled {
-                vshard,
-                ticks: tick,
-            });
-        }
-        for s in &mut sessions {
-            if !s.is_live() {
-                continue;
-            }
-            s.deliver(source, tick);
-            let before = s.stats().frames_processed;
-            let t0 = metrics.map(|_| Instant::now());
-            s.step(tick, &config.hazards, subscriber);
-            if let (Some((registry, m)), Some(t0)) = (metrics, t0) {
-                if s.stats().frames_processed > before {
-                    registry.record_tagged(
-                        m.step_ns,
-                        u64::from(vshard),
-                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                }
-                if let Some(latency) = s.take_last_latency() {
-                    registry.record_tagged(m.frame_latency, u64::from(vshard), latency);
-                }
-            }
-            if !s.is_live() {
-                live -= 1;
-            }
-        }
-    }
-
-    for s in sessions {
-        let report = s.into_report();
-        if let Some((registry, m)) = metrics {
-            m.observe_session(registry, vshard, &report);
-        }
-        reports.push(report);
-    }
-    reports.sort_by_key(|r| r.client);
-    Ok(reports)
+    let worst_frame = u64::from(config.supervision.retry_budget)
+        * (config.supervision.deadline_ticks + config.supervision.backoff_cap_ticks + 4);
+    1_000 + 4 * (max_frames + 1) * (worst_frame + 2)
 }
 
 /// Everything a traced run observed beyond the report: the full span
@@ -639,18 +473,19 @@ impl ServiceTrace {
 }
 
 /// [`run_service_with`], with causal-span tracing: every session runs
-/// the `*_traced` twin paths under a [`SessionTracer`] whose recorder
-/// type `R` decides the cost — [`opd_obs::SpanLog`] collects the full
-/// trace, [`opd_obs::NullSpanRecorder`] monomorphizes the traced
-/// paths back to the plain machine code (the overhead-gate arm).
+/// under a [`SessionTracer`] whose recorder type `R` decides the cost —
+/// [`opd_obs::SpanLog`] collects the full trace, and
+/// [`opd_obs::NullSpanRecorder`] records nothing: that instance is
+/// [`run_service_with`] itself.
 ///
-/// Checkpointing is not supported under tracing (a resumed run would
-/// have no spans for restored vshards).
+/// A recording run refuses checkpoints (a resumed run would have no
+/// spans for restored vshards).
 ///
 /// # Errors
 ///
 /// Returns [`ServeError`] on an unusable configuration, a checkpoint
-/// option, or a stalled shard.
+/// that cannot be read or written (or any checkpoint, when `R`
+/// records), or a stalled shard.
 pub fn run_service_traced<R: SpanRecorder + Default>(
     config: &ServeConfig,
     source: &dyn FrameSource,
@@ -675,14 +510,34 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
     if config.supervision.retry_budget == 0 {
         return Err(ServeError::Config("retry budget must be at least 1".into()));
     }
-    if options.checkpoint.is_some() {
+    if R::ACTIVE && options.checkpoint.is_some() {
         return Err(ServeError::Config(
             "tracing does not support checkpoints".into(),
         ));
     }
 
     let fingerprint = config.fingerprint(source);
-    let pending: Vec<u32> = (0..config.vshards).collect();
+    let mut restored: BTreeMap<u32, VshardTrace> = BTreeMap::new();
+    let writer = match &options.checkpoint {
+        Some(path) if options.resume && path.exists() => {
+            let (w, map) = ServeCheckpointWriter::resume(path, fingerprint)?;
+            restored = map
+                .into_iter()
+                .map(|(vshard, reports)| (vshard, (reports, Vec::new(), Vec::new())))
+                .collect();
+            Some(Mutex::new(w))
+        }
+        Some(path) => Some(Mutex::new(ServeCheckpointWriter::create(
+            path,
+            fingerprint,
+        )?)),
+        None => None,
+    };
+    let restored_vshards = restored.len() as u32;
+
+    let pending: Vec<u32> = (0..config.vshards)
+        .filter(|v| !restored.contains_key(v))
+        .collect();
     let threads = if options.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -690,7 +545,7 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
     }
     .min(pending.len().max(1));
 
-    let done: Mutex<BTreeMap<u32, VshardTrace>> = Mutex::new(BTreeMap::new());
+    let done: Mutex<BTreeMap<u32, VshardTrace>> = Mutex::new(restored);
     let next = AtomicUsize::new(0);
     let failure: Mutex<Option<ServeError>> = Mutex::new(None);
 
@@ -702,8 +557,16 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
                 }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&vshard) = pending.get(i) else { break };
-                match run_vshard_traced::<R>(vshard, config, source, subscriber, metrics, trace) {
+                match run_vshard::<R>(vshard, config, source, subscriber, metrics, trace) {
                     Ok(result) => {
+                        if let Some(w) = &writer {
+                            let mut w = w.lock().expect("no panics in workers");
+                            if let Err(e) = w.append(vshard, &result.0) {
+                                *failure.lock().expect("no panics in workers") =
+                                    Some(ServeError::Checkpoint(CheckpointError::Io(e)));
+                                break;
+                            }
+                        }
                         done.lock()
                             .expect("no panics in workers")
                             .insert(vshard, result);
@@ -737,7 +600,7 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         ServiceReport {
             vshards: config.vshards,
             fingerprint,
-            restored_vshards: 0,
+            restored_vshards,
             sessions,
         },
         ServiceTrace { spans, postmortems },
@@ -748,9 +611,9 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
 /// logs, and post-mortems.
 type VshardTrace = (Vec<SessionReport>, Vec<(u32, Vec<Span>)>, Vec<Postmortem>);
 
-/// [`run_vshard`], traced: a line-for-line mirror driving the
-/// `*_traced` session paths with one [`SessionTracer`] per session.
-fn run_vshard_traced<R: SpanRecorder + Default>(
+/// Runs one vshard's sessions to completion, each under its own
+/// [`SessionTracer`] when `R` records.
+fn run_vshard<R: SpanRecorder + Default>(
     vshard: u32,
     config: &ServeConfig,
     source: &dyn FrameSource,
@@ -759,11 +622,10 @@ fn run_vshard_traced<R: SpanRecorder + Default>(
     trace: &TraceConfig,
 ) -> Result<VshardTrace, ServeError> {
     let mut reports = Vec::new();
-    // Sessions and their tracers live in parallel vectors: with
-    // tracing compiled out the tracer vector stays empty and a single
-    // inert tracer serves every session, so the disabled path's
-    // allocations match the plain engine's element-for-element
-    // (pinned by tests/span_alloc.rs).
+    // Sessions and their tracers live in parallel vectors: when `R`
+    // records nothing the tracer vector stays empty and a single inert
+    // tracer serves every session, so an untraced run allocates
+    // nothing for tracing (pinned by tests/span_alloc.rs).
     let mut sessions: Vec<Session> = Vec::new();
     let mut tracers: Vec<SessionTracer<R>> = Vec::new();
     let mut inert_tracer = SessionTracer::new(0, vshard, trace, R::default());
@@ -818,7 +680,7 @@ fn run_vshard_traced<R: SpanRecorder + Default>(
             s.deliver(source, tick);
             let before = s.stats().frames_processed;
             let t0 = metrics.map(|_| Instant::now());
-            s.step_traced(tick, &config.hazards, subscriber, tracer);
+            s.step(tick, &config.hazards, subscriber, tracer);
             if let (Some((registry, m)), Some(t0)) = (metrics, t0) {
                 if s.stats().frames_processed > before {
                     registry.record_tagged(
@@ -1103,9 +965,9 @@ mod tests {
     #[test]
     fn traced_runs_match_plain_runs_bit_for_bit() {
         use opd_obs::{NullSpanRecorder, SpanLog};
-        // The traced-twins equivalence gate: the same faulted soak
-        // through the plain path, the disabled-tracer path, and the
-        // recording path must produce identical reports.
+        // The tracing equivalence gate: the same faulted soak through
+        // the plain entry point, the disabled-tracer instance, and the
+        // recording instance must produce identical reports.
         let source = MemorySource::synthetic(24, 8, 32);
         let config = ServeConfig {
             vshards: 6,

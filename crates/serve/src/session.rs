@@ -438,56 +438,11 @@ impl Session {
     }
 
     /// The consumer side of one tick: advance the state machine.
-    pub fn step(&mut self, tick: u64, hazards: &dyn HazardPolicy, subscriber: &dyn Subscriber) {
-        match self.lifecycle {
-            Lifecycle::BackingOff { until, attempt } => {
-                if tick >= until {
-                    self.stats.restarts += 1;
-                    self.replay();
-                    self.lifecycle = Lifecycle::Running { attempt };
-                }
-            }
-            Lifecycle::Wedged { until, attempt } => {
-                if tick >= until {
-                    self.stats.timeouts += 1;
-                    self.fail(tick, attempt + 1);
-                }
-            }
-            Lifecycle::Running { attempt } => {
-                if self.inflight.is_none() {
-                    self.inflight = self.queue.pop_front();
-                }
-                if let Some(&(frame, _, _)) = self.inflight.as_ref() {
-                    if hazards.poison(self.client, frame)
-                        || hazards.crash(self.client, frame, attempt)
-                    {
-                        self.stats.crashes += 1;
-                        self.fail(tick, attempt + 1);
-                    } else if hazards.wedge(self.client, frame, attempt) {
-                        self.lifecycle = Lifecycle::Wedged {
-                            until: tick + self.supervision.deadline_ticks.max(1),
-                            attempt,
-                        };
-                    } else if let Some((_, enqueued, bytes)) = self.inflight.take() {
-                        self.ingest_frame(enqueued, &bytes, tick, subscriber);
-                        self.lifecycle = Lifecycle::Running { attempt: 0 };
-                    }
-                } else if self.next_frame >= self.frames_total {
-                    self.finish(tick, subscriber);
-                }
-            }
-            Lifecycle::Completed | Lifecycle::Quarantined => {}
-        }
-    }
-
-    /// [`step`](Session::step) with causal-span tracing: a
-    /// line-for-line mirror of the plain path (the repository's
-    /// traced-twins idiom) whose every span construction is guarded by
-    /// `R::ACTIVE`, so a `NullSpanRecorder` tracer monomorphizes this
-    /// back to the plain machine code. Equivalence is pinned by the
-    /// serve test suite: traced and plain runs produce bit-identical
-    /// reports.
-    pub fn step_traced<R: SpanRecorder>(
+    ///
+    /// Spans go to `tracer`; every span construction is guarded by
+    /// `R::ACTIVE`, so with a `NullSpanRecorder` tracer this is the
+    /// untraced step.
+    pub fn step<R: SpanRecorder>(
         &mut self,
         tick: u64,
         hazards: &dyn HazardPolicy,
@@ -539,7 +494,7 @@ impl Session {
                             self.poison_frames,
                         );
                     }
-                    self.fail_traced(tick, attempt + 1, tracer);
+                    self.fail(tick, attempt + 1, tracer);
                 }
             }
             Lifecycle::Running { attempt } => {
@@ -562,7 +517,7 @@ impl Session {
                                 self.poison_frames,
                             );
                         }
-                        self.fail_traced(tick, attempt + 1, tracer);
+                        self.fail(tick, attempt + 1, tracer);
                     } else if hazards.wedge(self.client, frame, attempt) {
                         if R::ACTIVE {
                             tracer.wedge_since = tick;
@@ -572,11 +527,11 @@ impl Session {
                             attempt,
                         };
                     } else if let Some((frame, enqueued, bytes)) = self.inflight.take() {
-                        self.ingest_frame_traced(frame, enqueued, &bytes, tick, subscriber, tracer);
+                        self.ingest_frame(frame, enqueued, &bytes, tick, subscriber, tracer);
                         self.lifecycle = Lifecycle::Running { attempt: 0 };
                     }
                 } else if self.next_frame >= self.frames_total {
-                    self.finish_traced(tick, subscriber, tracer);
+                    self.finish(tick, subscriber, tracer);
                 }
             }
             Lifecycle::Completed | Lifecycle::Quarantined => {}
@@ -600,39 +555,12 @@ impl Session {
     }
 
     /// Decodes one frame through the resync path and feeds every full
-    /// `skip_factor` step to the detector.
-    fn ingest_frame(
-        &mut self,
-        enqueued: u64,
-        bytes: &[u8],
-        tick: u64,
-        subscriber: &dyn Subscriber,
-    ) {
-        let (trace, report) = decode_trace_resync(bytes);
-        if !report.is_clean() {
-            self.stats.corrupt_frames += 1;
-            self.stats.corrupt_records_lost += report.records_lost();
-        }
-        self.accepted.extend_from_slice(trace.branches().as_slice());
-        self.stats.elements_accepted = self.accepted.len() as u64;
-        let skip = self.config.skip_factor();
-        while self.accepted.len() - self.processed_upto >= skip {
-            let chunk = &self.accepted[self.processed_upto..self.processed_upto + skip];
-            self.detector.process(chunk);
-            self.stats.steps += 1;
-            self.processed_upto += skip;
-        }
-        self.stats.frames_processed += 1;
-        self.last_latency = Some(tick.saturating_sub(enqueued));
-        self.notify(subscriber);
-    }
-
-    /// [`ingest_frame`](Session::ingest_frame), traced: emits the
-    /// causal chain `frame_ingest → decode → detect → phase_event`.
+    /// `skip_factor` step to the detector, tracing the causal chain
+    /// `frame_ingest → decode → detect → phase_event`.
     /// The ingest span's id is allocated up front so its children can
     /// name it as parent; the span itself is recorded last, once its
     /// end tick is known.
-    fn ingest_frame_traced<R: SpanRecorder>(
+    fn ingest_frame<R: SpanRecorder>(
         &mut self,
         frame: u32,
         enqueued: u64,
@@ -679,7 +607,7 @@ impl Session {
         };
         self.stats.frames_processed += 1;
         self.last_latency = Some(tick.saturating_sub(enqueued));
-        self.notify_traced(subscriber, detect_id, tick, tracer);
+        self.notify(subscriber, detect_id, tick, tracer);
         if R::ACTIVE {
             tracer.emit_with_id(
                 ingest_id,
@@ -694,91 +622,41 @@ impl Session {
 
     /// Crash handling: back off for a bounded exponential delay, or —
     /// once the retry budget is spent — quarantine the poison frame
-    /// (and, past the poison allowance, the session).
-    fn fail(&mut self, tick: u64, next_attempt: u32) {
-        let backoff = self.supervision.backoff_ticks(next_attempt);
-        if next_attempt >= self.supervision.retry_budget {
-            if self.inflight.take().is_some() {
-                self.stats.shed.quarantined_frames += 1;
-                self.poison_frames += 1;
-            }
-            if self.poison_frames > self.supervision.max_poison_frames {
-                self.quarantine(tick);
-                return;
-            }
-            // The poison pill is gone; restart fresh on the next frame.
-            self.lifecycle = Lifecycle::BackingOff {
-                until: tick + backoff,
-                attempt: 0,
-            };
-        } else {
-            self.lifecycle = Lifecycle::BackingOff {
-                until: tick + backoff,
-                attempt: next_attempt,
-            };
-        }
-    }
-
-    /// [`fail`](Session::fail), traced: the mirror additionally marks
-    /// the backoff's start tick (the later restart closes the span).
-    fn fail_traced<R: SpanRecorder>(
+    /// (and, past the poison allowance, the session). Marks the
+    /// backoff's start tick; the later restart closes its span.
+    fn fail<R: SpanRecorder>(
         &mut self,
         tick: u64,
         next_attempt: u32,
         tracer: &mut SessionTracer<R>,
     ) {
         let backoff = self.supervision.backoff_ticks(next_attempt);
+        let mut attempt = next_attempt;
         if next_attempt >= self.supervision.retry_budget {
             if self.inflight.take().is_some() {
                 self.stats.shed.quarantined_frames += 1;
                 self.poison_frames += 1;
             }
             if self.poison_frames > self.supervision.max_poison_frames {
-                self.quarantine_traced(tick, tracer);
+                self.quarantine(tick, tracer);
                 return;
             }
             // The poison pill is gone; restart fresh on the next frame.
-            if R::ACTIVE {
-                tracer.backoff_since = tick;
-            }
-            self.lifecycle = Lifecycle::BackingOff {
-                until: tick + backoff,
-                attempt: 0,
-            };
-        } else {
-            if R::ACTIVE {
-                tracer.backoff_since = tick;
-            }
-            self.lifecycle = Lifecycle::BackingOff {
-                until: tick + backoff,
-                attempt: next_attempt,
-            };
+            attempt = 0;
         }
+        if R::ACTIVE {
+            tracer.backoff_since = tick;
+        }
+        self.lifecycle = Lifecycle::BackingOff {
+            until: tick + backoff,
+            attempt,
+        };
     }
 
     /// Terminal quarantine: the rest of the stream will never be
-    /// delivered.
-    fn quarantine(&mut self, tick: u64) {
-        debug_assert!(
-            self.inflight.is_none(),
-            "quarantine with an in-flight frame"
-        );
-        let upstream = u64::from(self.frames_total - self.next_frame);
-        self.stats.shed.undelivered_frames += self.queue.len() as u64 + upstream;
-        self.queue.clear();
-        // Restore the detector to the accepted prefix so the terminal
-        // phase stream is well-defined (the crash that led here lost
-        // live state).
-        self.replay();
-        self.seal_phases();
-        self.stats.verified = true;
-        self.lifecycle = Lifecycle::Quarantined;
-        self.stats.ticks = tick;
-    }
-
-    /// [`quarantine`](Session::quarantine), traced: emits the
-    /// terminal `quarantine` span and dumps the session's post-mortem.
-    fn quarantine_traced<R: SpanRecorder>(&mut self, tick: u64, tracer: &mut SessionTracer<R>) {
+    /// delivered. Emits the terminal `quarantine` span and dumps the
+    /// session's post-mortem.
+    fn quarantine<R: SpanRecorder>(&mut self, tick: u64, tracer: &mut SessionTracer<R>) {
         debug_assert!(
             self.inflight.is_none(),
             "quarantine with an in-flight frame"
@@ -814,26 +692,10 @@ impl Session {
     }
 
     /// Clean completion: judge the residual partial step, close the
-    /// open phase, and (optionally) verify against an offline run.
-    fn finish(&mut self, tick: u64, subscriber: &dyn Subscriber) {
-        if self.processed_upto < self.accepted.len() {
-            let chunk = &self.accepted[self.processed_upto..];
-            self.detector.process(chunk);
-            self.stats.steps += 1;
-            self.processed_upto = self.accepted.len();
-        }
-        self.detector.close_open_phase();
-        self.notify(subscriber);
-        self.stats.verified = !self.verify || self.offline_matches();
-        self.seal_phases();
-        self.lifecycle = Lifecycle::Completed;
-        self.stats.ticks = tick;
-    }
-
-    /// [`finish`](Session::finish), traced: the residual partial step
-    /// gets its own `detect` span, and the closing phase boundaries
-    /// are emitted under it.
-    fn finish_traced<R: SpanRecorder>(
+    /// open phase, and (optionally) verify against an offline run. The
+    /// residual step gets its own `detect` span, and the closing phase
+    /// boundaries are emitted under it.
+    fn finish<R: SpanRecorder>(
         &mut self,
         tick: u64,
         subscriber: &dyn Subscriber,
@@ -853,7 +715,7 @@ impl Session {
         } else {
             0
         };
-        self.notify_traced(subscriber, detect_id, tick, tracer);
+        self.notify(subscriber, detect_id, tick, tracer);
         self.stats.verified = !self.verify || self.offline_matches();
         self.seal_phases();
         self.lifecycle = Lifecycle::Completed;
@@ -872,39 +734,11 @@ impl Session {
     }
 
     /// Pushes phase-boundary notifications past the high-water marks —
-    /// after a replay the marks make redelivery exactly-once.
-    fn notify(&mut self, subscriber: &dyn Subscriber) {
-        let phases = self.detector.detected_phases();
-        let step = self.stats.steps;
-        for p in &phases[self.notified_starts..] {
-            subscriber.on_event(
-                self.client,
-                DetectorEvent::PhaseStart {
-                    step,
-                    start: p.start,
-                    anchored_start: p.anchored_start,
-                },
-            );
-        }
-        let closed = phases.iter().take_while(|p| p.end.is_some()).count();
-        for p in &phases[self.notified_ends..closed] {
-            subscriber.on_event(
-                self.client,
-                DetectorEvent::PhaseEnd {
-                    step,
-                    end: p.end.unwrap_or(0),
-                },
-            );
-        }
-        self.notified_starts = phases.len();
-        self.notified_ends = closed;
-    }
-
-    /// [`notify`](Session::notify), traced: every boundary pushed to
-    /// the subscriber also emits a `phase_event` span under `parent`
-    /// (the frame's `detect` span), `detail` packing
-    /// `(ordinal << 1) | is_end`.
-    fn notify_traced<R: SpanRecorder>(
+    /// after a replay the marks make redelivery exactly-once. Every
+    /// boundary also emits a `phase_event` span under `parent` (the
+    /// frame's `detect` span), `detail` packing `(ordinal << 1) |
+    /// is_end`.
+    fn notify<R: SpanRecorder>(
         &mut self,
         subscriber: &dyn Subscriber,
         parent: u64,
@@ -978,16 +812,19 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::TraceConfig;
     use crate::service::{MemorySource, NullSubscriber};
     use crate::supervisor::NoHazards;
+    use opd_obs::NullSpanRecorder;
 
     fn drive(session: &mut Session, source: &MemorySource, hazards: &dyn HazardPolicy) -> u64 {
+        let mut tracer = SessionTracer::new(0, 0, &TraceConfig::default(), NullSpanRecorder);
         let mut tick = 0;
         while session.is_live() {
             tick += 1;
             assert!(tick < 1_000_000, "session stalled");
             session.deliver(source, tick);
-            session.step(tick, hazards, &NullSubscriber);
+            session.step(tick, hazards, &NullSubscriber, &mut tracer);
         }
         tick
     }

@@ -11,11 +11,10 @@
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
 # BENCH_cert.json freshness), a release-mode kernel-equivalence
 # smoke, the BENCH_kernel.json acceptance/freshness tests, a
-# release-mode grid-sweep smoke checked against the benchmark's
-# reference cells, the feature-gate guards keeping opd-core free of
-# opd-obs when `obs` is off and opd-obs free of opd-sched when `sched`
-# is off, plus an optional ThreadSanitizer pass when a nightly
-# toolchain is available.
+# release-mode smoke of all three benchmark workloads checked against
+# their reference outputs, the feature-gate guard keeping opd-obs free
+# of opd-sched when `sched` is off, plus an optional ThreadSanitizer
+# pass when a nightly toolchain is available.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,32 +62,28 @@ RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
 # exercises the same differential + proptest suite in debug; release
 # is where the SWAR closed forms actually vectorise).
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
-# Release-mode sweep smoke: one second of the benchmark's grid_sweep
-# workload checks every (workload, config) cell of the full grid
-# against the recorded reference, the top-10 rankings, and 48 cells
-# re-run through a standalone detector; its last line must report
-# `"correct": true`.
-sweep_smoke="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload grid_sweep --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-if ! grep -q '"correct": true' <<<"$sweep_smoke"; then
-    echo "check.sh: grid_sweep smoke failed: $sweep_smoke" >&2
-    exit 1
-fi
+# Release-mode benchmark smoke: one second of each benchmark workload,
+# checked against its recorded reference outputs. grid_sweep checks
+# every (workload, config) cell of the full grid, the top-10 rankings,
+# and 48 cells re-run through a standalone detector; paper_tables
+# checks a digest of every experiment's tables; serve_soak checks the
+# soak's frames processed and aggregate digest. Each last line must
+# report `"correct": true`.
+for workload in grid_sweep paper_tables serve_soak; do
+    smoke="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if ! grep -q '"correct": true' <<<"$smoke"; then
+        echo "check.sh: $workload smoke failed: $smoke" >&2
+        exit 1
+    fi
+done
 # The committed kernel benchmark artifact must be structurally valid,
 # meet the acceptance lines (budget, speedup, identical results), and
 # be fresh for the current grid and workload.
 RUST_BACKTRACE=1 cargo test -q -p opd --test kernel_artifact
-# Zero-overhead-when-off also means zero-dependency-when-off: opd-core
-# without its `obs` feature must not pull in opd-obs at all. (The
-# BENCH_obs.json freshness/overhead acceptance tests run in the
-# workspace test suite above.)
-if (cd crates/core && cargo tree -e features) | grep -q "opd-obs"; then
-    echo "check.sh: opd-core depends on opd-obs without the obs feature" >&2
-    exit 1
-fi
-# Same discipline for the sched instrumentation: opd-obs without its
-# `sched` feature must not pull in opd-sched, so release binaries
-# carry plain std atomics and zero model-checking code.
+# opd-obs without its `sched` feature must not pull in opd-sched, so
+# release binaries carry plain std atomics and zero model-checking
+# code.
 if (cd crates/obs && cargo tree -e features) | grep -q "opd-sched"; then
     echo "check.sh: opd-obs depends on opd-sched without the sched feature" >&2
     exit 1

@@ -8,12 +8,12 @@
 //! detector only judges warm ones.
 
 use opd_analyze::{predicted_scans, ConfigCost};
-use opd_core::{SweepEngine, SweepScratch, UnitKind};
+use opd_core::{PhaseDetector, SweepEngine, SweepScratch, UnitKind};
 use opd_experiments::grid::{default_plan_grid, policy_grid, TwKind};
 use opd_experiments::obs::sweep_many_profiled;
 use opd_experiments::runner::{prepare_all, PreparedWorkload};
 use opd_microvm::workloads::Workload;
-use opd_obs::UnitMetrics;
+use opd_obs::{MeterObserver, UnitMetrics};
 
 const FUEL: u64 = 12_000;
 
@@ -125,6 +125,48 @@ fn metered_counters_are_exact_on_a_shared_adaptive_unit() {
         total.merge(&metrics);
     }
     assert_eq!(total.scans, predicted_scans(&configs) as u64);
+}
+
+#[test]
+fn metered_judged_steps_match_private_detectors_on_every_shared_unit() {
+    // The meter counts inside the event-driven scan, which visits only
+    // members that can change state. Judged steps are a per-config
+    // quantity all the same: on every shared unit they must equal the
+    // sum of what a private, observed detector judges per member.
+    let prepared = prepared_workloads();
+    for configs in [default_plan_grid(), policy_grid(TwKind::Adaptive, 400)] {
+        let engine = SweepEngine::new(&configs);
+        for p in &prepared {
+            let mut scratch = SweepScratch::with_site_capacity(p.site_capacity());
+            for (ui, unit) in engine.units().iter().enumerate() {
+                assert!(unit.is_shared(), "unit {ui} of these grids is shared");
+                let mut metrics = UnitMetrics::new();
+                let _ = engine.run_unit_metered(ui, p.interned(), &mut scratch, &mut metrics);
+                let members = unit.config_indices();
+                let private_judged: u64 = members
+                    .iter()
+                    .map(|&ci| {
+                        let mut meter = MeterObserver::new();
+                        let _ = PhaseDetector::new(configs[ci])
+                            .run_interned_phases_observed(p.interned(), &mut meter);
+                        meter.metrics.judged_steps
+                    })
+                    .sum();
+                assert_eq!(
+                    metrics.judged_steps,
+                    private_judged,
+                    "workload {:?} unit {ui}",
+                    p.workload()
+                );
+                let cost = ConfigCost::of(
+                    &configs[members[0]],
+                    p.total_elements(),
+                    p.site_capacity() as u64,
+                );
+                assert_eq!(metrics.steps, cost.steps(), "workload {:?}", p.workload());
+            }
+        }
+    }
 }
 
 #[test]
