@@ -8,8 +8,8 @@ use opd_trace::{BranchTrace, PhaseState, ProfileElement, StateSeq};
 use crate::analyzer::Analyzer;
 use crate::boundary::DetectedPhase;
 use crate::config::DetectorConfig;
-use crate::intern::InternedTrace;
-use crate::kernel::{KernelKind, SwarKernelState, SwarWindows, WindowKernel};
+use crate::intern::{intern_into, IdLog, InternedTrace};
+use crate::kernel::{KernelKind, SwarCursor, SwarKernelState, SwarWindows, WindowKernel};
 use crate::window::{ResizePolicy, TwPolicy, Windows};
 
 /// Error returned by the fallible detector entry points.
@@ -258,11 +258,14 @@ fn drive<K, S, O>(
 /// [`KernelKind`] and the `kernel` module docs): the scalar deque
 /// reference and the default SoA/bitset (SWAR) kernel. The kernel
 /// choice affects only the interned-trace run paths
-/// ([`run_interned`](PhaseDetector::run_interned) and friends) —
-/// streaming input via [`process`](PhaseDetector::process)/
-/// [`run`](PhaseDetector::run) always uses the scalar kernel, which is
-/// the only one that works without the whole trace up front. Both
-/// kernels produce bit-identical similarity and state streams.
+/// ([`run_interned`](PhaseDetector::run_interned) and friends). The
+/// two streaming paths are fixed:
+/// [`process_log`](PhaseDetector::process_log) streams the SWAR kernel
+/// over an append-only [`IdLog`], while
+/// [`process`](PhaseDetector::process)/[`run`](PhaseDetector::run)
+/// take bare element slices, keep no log, and so use the scalar
+/// kernel. Both kernels produce bit-identical similarity and state
+/// streams.
 ///
 /// # Examples
 ///
@@ -285,6 +288,8 @@ pub struct PhaseDetector {
     interner: HashMap<u64, u32>,
     kernel: KernelKind,
     swar: SwarKernelState,
+    /// Where `process_log`'s SWAR run stands between steps.
+    stream: SwarCursor,
 }
 
 impl PhaseDetector {
@@ -308,6 +313,7 @@ impl PhaseDetector {
             interner: HashMap::new(),
             kernel,
             swar: SwarKernelState::default(),
+            stream: SwarCursor::default(),
             core: DetectorCore::new(config),
         }
     }
@@ -325,8 +331,8 @@ impl PhaseDetector {
     }
 
     /// Returns the scalar-kernel window state (for inspection and
-    /// tests of the streaming paths; interned runs on the default SWAR
-    /// kernel do not populate it).
+    /// tests of [`process`](PhaseDetector::process); `process_log` and
+    /// interned runs on the default SWAR kernel do not populate it).
     #[must_use]
     pub fn windows(&self) -> &Windows {
         &self.windows
@@ -403,13 +409,56 @@ impl PhaseDetector {
     pub fn process(&mut self, elements: &[ProfileElement]) -> PhaseState {
         assert!(!elements.is_empty(), "a step needs at least one element");
         let tw_grows = self.core.tw_grows();
-        for e in elements {
-            let next = self.interner.len() as u32;
-            let id = *self.interner.entry(e.raw()).or_insert(next);
-            self.windows.push(id, tw_grows);
-        }
+        let windows = &mut self.windows;
+        intern_into(&mut self.interner, elements.iter().copied(), |id| {
+            windows.push(id, tw_grows);
+        });
         self.core
             .finish_step(&mut self.windows, elements.len(), 0, &mut NullObserver)
+    }
+
+    /// `processProfile` over an append-only [`IdLog`]: consumes the
+    /// next `step_len` ids of the log — those right after the first
+    /// [`elements_consumed`](PhaseDetector::elements_consumed) — and
+    /// returns the state attributed to all of them.
+    ///
+    /// This is the streaming path on the SWAR kernel (dense mode): the
+    /// detector keeps the kernel's run indices between calls and grows
+    /// its per-site columns with the log's distinct count, so each
+    /// step costs the same as a step of a batch run. Steps of
+    /// `skip_factor` ids, then one shorter residual step, reproduce a
+    /// [`run_interned`](PhaseDetector::run_interned) of the whole log
+    /// bit for bit. Replaying a prefix of the log into a fresh (or
+    /// [`reconfigure`](PhaseDetector::reconfigure)d) detector restores
+    /// the state the detector had after that prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step_len` is zero, if the log holds fewer than
+    /// `elements_consumed() + step_len` ids, or if the detector has
+    /// consumed elements through another run path since it was
+    /// created or last reconfigured.
+    pub fn process_log(&mut self, log: &IdLog, step_len: usize) -> PhaseState {
+        assert!(step_len > 0, "a step needs at least one element");
+        let start = self.stream.consumed();
+        assert_eq!(
+            start as u64, self.core.consumed,
+            "process_log must not be mixed with other run paths"
+        );
+        let ids = &log.ids()[..start + step_len];
+        let (cw, tw) = (
+            self.core.config.current_window(),
+            self.core.config.trailing_window(),
+        );
+        let tw_grows = self.core.tw_grows();
+        let n_sites = log.distinct_count() as usize;
+        let mut windows = SwarWindows::resume(&mut self.swar, ids, n_sites, cw, tw, self.stream);
+        windows.advance(&ids[start..], tw_grows);
+        let state = self
+            .core
+            .finish_step(&mut windows, step_len, 0, &mut NullObserver);
+        self.stream = windows.cursor();
+        state
     }
 
     /// Like [`process`](PhaseDetector::process), but rejects an empty
@@ -516,7 +565,9 @@ impl PhaseDetector {
     /// distinct lists) sized by previous runs and keeping the kernel
     /// choice. Equivalent to `*self = PhaseDetector::new(config)` but
     /// without reallocating — the sweep engine's per-thread scratch
-    /// path.
+    /// path. The SWAR columns are zeroed and the
+    /// [`process_log`](PhaseDetector::process_log) cursor rewound, so
+    /// a stream may start over.
     pub fn reconfigure(&mut self, config: DetectorConfig) {
         self.windows.reset_shape(
             config.current_window(),
@@ -526,6 +577,8 @@ impl PhaseDetector {
         self.core.analyzer = Analyzer::new(config.analyzer());
         self.core.state = PhaseState::Transition;
         self.interner.clear();
+        self.swar.clear();
+        self.stream = SwarCursor::default();
         self.core.consumed = 0;
         self.core.last_similarity = None;
         self.core.phases.clear();

@@ -1,5 +1,6 @@
 //! Dense interning of profile elements, so sweeps can replay one trace
-//! through thousands of detector configurations without re-hashing.
+//! through thousands of detector configurations without re-hashing,
+//! and streaming sessions can log ids instead of elements.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -66,18 +67,9 @@ impl InternedTrace {
         I: IntoIterator<Item = ProfileElement>,
     {
         let iter = elements.into_iter();
-        let mut map: HashMap<u64, u32> = HashMap::with_capacity(distinct_hint);
-        let mut ids = Vec::with_capacity(iter.size_hint().0);
-        for e in iter {
-            let next = map.len() as u32;
-            let id = *map.entry(e.raw()).or_insert(next);
-            ids.push(id);
-        }
-        InternedTrace {
-            ids,
-            distinct: map.len() as u32,
-            site_index: OnceLock::new(),
-        }
+        let mut log = IdLog::with_capacity(iter.size_hint().0, distinct_hint);
+        log.extend(iter);
+        log.trace
     }
 
     /// Number of elements in the trace.
@@ -113,6 +105,127 @@ impl InternedTrace {
             return None;
         }
         Some(self.site_index.get_or_init(|| SiteIndex::build(self)))
+    }
+}
+
+/// The one interning loop: maps each element to its dense id in
+/// `map` — ids are assigned in first-seen order — and hands the ids to
+/// `emit` in input order. Every interner in the crate (batch traces,
+/// [`IdLog`], and the private table of
+/// [`PhaseDetector::process`](crate::PhaseDetector::process)) runs
+/// this body, so all of them assign identical ids to identical inputs.
+pub(crate) fn intern_into<I, F>(map: &mut HashMap<u64, u32>, elements: I, mut emit: F)
+where
+    I: IntoIterator<Item = ProfileElement>,
+    F: FnMut(u32),
+{
+    for e in elements {
+        let next = map.len() as u32;
+        emit(*map.entry(e.raw()).or_insert(next));
+    }
+}
+
+/// An append-only, growable interned trace: the log a streaming
+/// session keeps of every element it accepted, stored as dense `u32`
+/// ids (4 bytes per element) next to the intern table that assigns
+/// them.
+///
+/// [`PhaseDetector::process_log`](crate::PhaseDetector::process_log)
+/// streams the SWAR kernel over the log step by step, and
+/// [`as_interned`](IdLog::as_interned) is a zero-copy batch view of
+/// everything logged so far, so a whole-log reference run needs
+/// neither a copy nor a second interning pass. The intern table keeps
+/// std's keyed (randomly seeded) hasher: sessions ingest untrusted
+/// frames, and an unkeyed hash would let a client pick colliding
+/// elements.
+///
+/// # Examples
+///
+/// ```
+/// use opd_core::IdLog;
+/// use opd_trace::{MethodId, ProfileElement};
+///
+/// let a = ProfileElement::new(MethodId::new(0), 0, true);
+/// let b = ProfileElement::new(MethodId::new(0), 0, false);
+/// let mut log = IdLog::new();
+/// log.extend([a, b]);
+/// assert_eq!(log.push(a), 0);
+/// assert_eq!(log.ids(), &[0, 1, 0]);
+/// assert_eq!(log.distinct_count(), 2);
+/// assert_eq!(log.as_interned().len(), 3);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct IdLog {
+    trace: InternedTrace,
+    map: HashMap<u64, u32>,
+}
+
+impl IdLog {
+    /// An empty log.
+    #[must_use]
+    pub fn new() -> Self {
+        IdLog::default()
+    }
+
+    /// An empty log with room for `elements` ids and `distinct`
+    /// distinct elements, so logging within both never reallocates.
+    #[must_use]
+    pub fn with_capacity(elements: usize, distinct: usize) -> Self {
+        IdLog {
+            trace: InternedTrace {
+                ids: Vec::with_capacity(elements),
+                ..InternedTrace::default()
+            },
+            map: HashMap::with_capacity(distinct),
+        }
+    }
+
+    /// Interns and appends one element, returning its id.
+    pub fn push(&mut self, element: ProfileElement) -> u32 {
+        self.extend([element]);
+        self.trace.ids[self.trace.ids.len() - 1]
+    }
+
+    /// Number of elements logged.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.trace.len()
+    }
+
+    /// `true` if nothing has been logged.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.trace.is_empty()
+    }
+
+    /// Number of distinct elements logged.
+    #[must_use]
+    pub fn distinct_count(&self) -> u32 {
+        self.trace.distinct_count()
+    }
+
+    /// The logged ids, in arrival order.
+    #[must_use]
+    pub fn ids(&self) -> &[u32] {
+        self.trace.ids()
+    }
+
+    /// Everything logged so far as an [`InternedTrace`], without
+    /// copying.
+    #[must_use]
+    pub fn as_interned(&self) -> &InternedTrace {
+        &self.trace
+    }
+}
+
+impl Extend<ProfileElement> for IdLog {
+    fn extend<I: IntoIterator<Item = ProfileElement>>(&mut self, elements: I) {
+        // A rank index cached through the batch view covers only the
+        // old prefix.
+        self.trace.site_index.take();
+        let ids = &mut self.trace.ids;
+        intern_into(&mut self.map, elements, |id| ids.push(id));
+        self.trace.distinct = self.map.len() as u32;
     }
 }
 
@@ -255,6 +368,24 @@ mod tests {
                 plain
             );
         }
+    }
+
+    #[test]
+    fn id_log_matches_batch_interning_and_drops_a_stale_site_index() {
+        let e = |o| ProfileElement::new(MethodId::new(1), o, false);
+        let elements: Vec<_> = (0..200u32).map(|i| e(i % 7 + i / 50)).collect();
+        let mut log = IdLog::with_capacity(4, 2);
+        log.extend(elements[..100].iter().copied());
+        assert!(log.as_interned().try_site_index().is_some());
+        for &x in &elements[100..] {
+            log.push(x);
+        }
+        let batch = InternedTrace::from_elements(elements);
+        assert_eq!(log.as_interned(), &batch);
+        let index = log.as_interned().try_site_index().expect("eligible");
+        let fresh = batch.try_site_index().expect("eligible");
+        assert_eq!(index.words, fresh.words);
+        assert_eq!(index.ranks, fresh.ranks);
     }
 
     #[test]

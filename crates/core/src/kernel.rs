@@ -5,11 +5,14 @@
 //! implementations exist:
 //!
 //! * the scalar [`Windows`] deque — the reference kernel, retained
-//!   verbatim as the differential-testing baseline and as the only
-//!   kernel for streaming input ([`PhaseDetector::process`]
-//!   (crate::PhaseDetector::process) cannot know the trace up front);
+//!   verbatim as the differential-testing baseline, as the kernel a
+//!   serve session's verification run uses, and as the kernel of
+//!   [`PhaseDetector::process`](crate::PhaseDetector::process), which
+//!   sees each step's elements once and keeps no log of them;
 //! * [`SwarWindows`] — the default kernel for runs over a pre-interned
-//!   trace. It never materializes a window buffer at all: because
+//!   trace and the streaming kernel of
+//!   [`PhaseDetector::process_log`](crate::PhaseDetector::process_log).
+//!   It never materializes a window buffer at all: because
 //!   every window operation (push, phase-end flush with CW re-seeding,
 //!   anchor-and-resize) preserves the invariant that *the buffered
 //!   elements are one contiguous run of the trace*, the whole window
@@ -32,6 +35,14 @@
 //! at the three run endpoints and an advance costs nothing at all —
 //! the kernel pays O(sites) per *judge* instead of O(step) per
 //! *advance*.
+//!
+//! Streaming needs no second kernel. An append-only
+//! [`IdLog`](crate::IdLog) is a trace that only grows at its end, so
+//! the three indices stay valid as it grows: `process_log` keeps them
+//! between steps as a [`SwarCursor`] and resumes the kernel in dense
+//! mode, growing the per-site columns as new sites arrive. (Rank mode
+//! needs a site index over the whole trace, which a growing log does
+//! not have.)
 //!
 //! Every kernel reduces its state to the same exact integer
 //! quantities and shares the floating-point tail in
@@ -218,6 +229,22 @@ impl SwarKernelState {
         }
     }
 
+    /// Zeroes the CW/TW count columns and bit lanes of sites
+    /// `0..n_sites` (the anchor column is rebuilt before every read).
+    pub(crate) fn zero_sites(&mut self, n_sites: usize) {
+        let lanes = n_sites.div_ceil(64);
+        self.cw_counts[..n_sites].fill(0);
+        self.tw_counts[..n_sites].fill(0);
+        self.cw_bits[..lanes].fill(0);
+        self.tw_bits[..lanes].fill(0);
+    }
+
+    /// Zeroes every column, whatever sites earlier runs grew them to —
+    /// the clean slate a streaming run resumes from at its first step.
+    pub(crate) fn clear(&mut self) {
+        self.zero_sites(self.cw_counts.len());
+    }
+
     /// Bytes of per-site storage currently held (the high-water mark:
     /// `ensure_sites` never shrinks).
     pub(crate) fn footprint_bytes(&self) -> u64 {
@@ -242,6 +269,25 @@ pub fn swar_footprint_bytes(n_sites: u64) -> u64 {
     let lanes = n_sites.div_ceil(64);
     3 * core::mem::size_of::<u32>() as u64 * n_sites
         + 2 * core::mem::size_of::<u64>() as u64 * lanes
+}
+
+/// Where a streaming SWAR run stands between steps: the three run
+/// indices and the warm flag. With the per-site columns left in the
+/// detector's [`SwarKernelState`], this is all
+/// [`SwarWindows::resume`] needs to continue over a grown log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SwarCursor {
+    a: usize,
+    b: usize,
+    c: usize,
+    warm: bool,
+}
+
+impl SwarCursor {
+    /// Log elements the run has consumed.
+    pub(crate) fn consumed(self) -> usize {
+        self.c
+    }
 }
 
 /// One SWAR-kernel run over a pre-interned trace: the three run
@@ -283,31 +329,57 @@ impl<'a> SwarWindows<'a> {
         tw_cap: usize,
     ) -> SwarWindows<'a> {
         let n_sites = trace.distinct_count() as usize;
-        let lanes = n_sites.div_ceil(64);
-        let index = if skip >= RANK_MODE_MIN_SKIP {
+        let start = SwarCursor::default();
+        let mut windows = SwarWindows::resume(st, trace.ids(), n_sites, cw_cap, tw_cap, start);
+        windows.index = if skip >= RANK_MODE_MIN_SKIP {
             trace.try_site_index()
         } else {
             None
         };
-        st.ensure_sites(n_sites);
-        if index.is_none() {
-            st.cw_counts[..n_sites].fill(0);
-            st.tw_counts[..n_sites].fill(0);
-            st.cw_bits[..lanes].fill(0);
-            st.tw_bits[..lanes].fill(0);
+        if windows.index.is_none() {
+            windows.st.zero_sites(n_sites);
         }
+        windows
+    }
+
+    /// Resumes a dense-mode run over `ids` — the current contents of
+    /// an append-only log whose ids are all below `n_sites` — from
+    /// `cursor`. The columns must hold exactly the counts of the run
+    /// `ids[cursor.a..cursor.c)`, all other sites zero: what the
+    /// previous resumed step left, or cleared columns for a fresh
+    /// cursor. Growing `n_sites` between steps only appends zero
+    /// columns, and zero sites add nothing to any similarity.
+    pub(crate) fn resume(
+        st: &'a mut SwarKernelState,
+        ids: &'a [u32],
+        n_sites: usize,
+        cw_cap: usize,
+        tw_cap: usize,
+        cursor: SwarCursor,
+    ) -> SwarWindows<'a> {
+        st.ensure_sites(n_sites);
         SwarWindows {
-            ids: trace.ids(),
-            index,
+            ids,
+            index: None,
             st,
             n_sites,
-            lanes,
+            lanes: n_sites.div_ceil(64),
             cw_cap,
             tw_cap,
-            a: 0,
-            b: 0,
-            c: 0,
-            warm: false,
+            a: cursor.a,
+            b: cursor.b,
+            c: cursor.c,
+            warm: cursor.warm,
+        }
+    }
+
+    /// Where this run stands, for a later [`resume`](SwarWindows::resume).
+    pub(crate) fn cursor(&self) -> SwarCursor {
+        SwarCursor {
+            a: self.a,
+            b: self.b,
+            c: self.c,
+            warm: self.warm,
         }
     }
 }
@@ -601,11 +673,7 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         if self.index.is_none() {
             // O(sites) reset plus O(kept) re-seed beats walking the
             // whole (possibly phase-length) buffered run backward.
-            let st = self.st.borrow_mut();
-            st.cw_counts[..self.n_sites].fill(0);
-            st.tw_counts[..self.n_sites].fill(0);
-            st.cw_bits[..self.lanes].fill(0);
-            st.tw_bits[..self.lanes].fill(0);
+            self.st.borrow_mut().zero_sites(self.n_sites);
             self.dense_add_cw(front, self.c);
         }
         self.warm = false;

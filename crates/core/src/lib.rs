@@ -60,7 +60,7 @@ pub use analyzer::{Analyzer, AnalyzerPolicy};
 pub use boundary::{anchored_intervals, detected_intervals, DetectedPhase};
 pub use config::{ConfigError, ConfigShape, DetectorConfig, DetectorConfigBuilder};
 pub use detector::{DetectorError, NullSink, PhaseDetector, StateSink};
-pub use intern::InternedTrace;
+pub use intern::{IdLog, InternedTrace};
 pub use kernel::{swar_footprint_bytes, KernelKind, RANK_MODE_MIN_SKIP};
 pub use model::ModelPolicy;
 pub use predict::{PhasePredictor, Prediction};

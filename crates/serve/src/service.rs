@@ -356,8 +356,9 @@ impl ServiceReport {
         self.sessions.iter().map(|r| r.stats.phase_count).sum()
     }
 
-    /// Completed sessions whose phase stream did **not** match the
-    /// offline detector — the acceptance gate requires zero.
+    /// Completed sessions whose phase stream did **not** match a
+    /// scalar-kernel offline run over the session log — the
+    /// acceptance gate requires zero.
     #[must_use]
     pub fn verify_failures(&self) -> u64 {
         self.sessions

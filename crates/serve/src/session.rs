@@ -2,15 +2,17 @@
 //! detector, and the state machine the supervisor drives it through.
 //!
 //! A session consumes *frames* — encoded trace slices — through the
-//! panic-free resync decoder, feeds the decoded elements to a
-//! [`PhaseDetector`] in exact `skip_factor` steps, and keeps an
-//! append-only log of every element it accepted. That log is the
-//! crash-recovery story: a restarted session replays it into a fresh
-//! detector, which restores *exactly* the state an uninterrupted
-//! session would have — incremental steps over the log equal one
-//! offline run over its concatenation, so the phase stream is
-//! bit-identical by construction (and re-checked per session when
-//! verification is on).
+//! panic-free resync decoder, interns the decoded elements into an
+//! append-only [`IdLog`] (one `u32` id per accepted element), and
+//! streams a [`PhaseDetector`] over that log in exact `skip_factor`
+//! steps on the SWAR kernel ([`PhaseDetector::process_log`]). The log
+//! is the crash-recovery story: a restarted session replays it into a
+//! fresh detector, which restores *exactly* the state an
+//! uninterrupted session would have — incremental steps over the log
+//! equal one offline run over it, so the phase stream is bit-identical
+//! by construction. With verification on, that is re-checked per
+//! session against an independent kernel: a scalar-kernel batch run
+//! over the log's interned view.
 //!
 //! The lifecycle:
 //!
@@ -28,9 +30,9 @@
 
 use std::collections::VecDeque;
 
-use opd_core::{DetectedPhase, DetectorConfig, PhaseDetector};
+use opd_core::{DetectedPhase, DetectorConfig, IdLog, KernelKind, PhaseDetector};
 use opd_obs::{DetectorEvent, SpanKind, SpanRecorder};
-use opd_trace::{decode_trace_resync, BranchTrace, ProfileElement};
+use opd_trace::decode_trace_resync;
 
 use crate::flight::{PostmortemReason, SessionTracer};
 use crate::ledger::ShedLedger;
@@ -216,9 +218,9 @@ pub struct SessionStats {
     pub phase_count: u64,
     /// Digest of the final phase stream (see [`phase_digest`]).
     pub phase_digest: u64,
-    /// `true` if the final phase stream matched a fresh offline run
-    /// over the session log (always `true` when verification is off
-    /// or the session never completed).
+    /// `true` if the final phase stream matched a fresh scalar-kernel
+    /// run over the session log (always `true` when verification is
+    /// off or the session never completed).
     pub verified: bool,
     /// Virtual tick at which the session reached a terminal state.
     pub ticks: u64,
@@ -302,11 +304,12 @@ pub struct Session {
     /// The frame currently being processed (held by the "worker", not
     /// the queue — eviction never touches it, retries re-use it).
     inflight: Option<(u32, u64, Vec<u8>)>,
-    /// Append-only log of every accepted element: the recovery source.
-    accepted: Vec<ProfileElement>,
-    /// Elements already fed to the detector (a multiple of
-    /// `skip_factor` until the stream drains).
-    processed_upto: usize,
+    /// Append-only interned log of every accepted element: what the
+    /// detector streams over, the recovery source, and the
+    /// verification input. The detector's `elements_consumed()` is
+    /// its processed prefix: a multiple of `skip_factor` until the
+    /// stream drains.
+    log: IdLog,
     /// Next frame index the producer will offer.
     next_frame: u32,
     frames_total: u32,
@@ -341,8 +344,7 @@ impl Session {
             detector: PhaseDetector::new(config),
             queue: VecDeque::with_capacity(ingest.queue_capacity),
             inflight: None,
-            accepted: Vec::new(),
-            processed_upto: 0,
+            log: IdLog::new(),
             next_frame: 0,
             frames_total,
             lifecycle: Lifecycle::Running { attempt: 0 },
@@ -584,15 +586,13 @@ impl Session {
                 report.records_lost(),
             );
         }
-        self.accepted.extend_from_slice(trace.branches().as_slice());
-        self.stats.elements_accepted = self.accepted.len() as u64;
+        self.log.extend(trace.branches().iter().copied());
+        self.stats.elements_accepted = self.log.len() as u64;
         let steps_before = self.stats.steps;
         let skip = self.config.skip_factor();
-        while self.accepted.len() - self.processed_upto >= skip {
-            let chunk = &self.accepted[self.processed_upto..self.processed_upto + skip];
-            self.detector.process(chunk);
+        while self.unprocessed() >= skip {
+            self.detector.process_log(&self.log, skip);
             self.stats.steps += 1;
-            self.processed_upto += skip;
         }
         let detect_id = if R::ACTIVE {
             tracer.emit(
@@ -692,9 +692,9 @@ impl Session {
     }
 
     /// Clean completion: judge the residual partial step, close the
-    /// open phase, and (optionally) verify against an offline run. The
-    /// residual step gets its own `detect` span, and the closing phase
-    /// boundaries are emitted under it.
+    /// open phase, and (optionally) verify against a scalar-kernel run
+    /// over the log. The residual step gets its own `detect` span, and
+    /// the closing phase boundaries are emitted under it.
     fn finish<R: SpanRecorder>(
         &mut self,
         tick: u64,
@@ -702,11 +702,10 @@ impl Session {
         tracer: &mut SessionTracer<R>,
     ) {
         let mut residual_steps = 0u64;
-        if self.processed_upto < self.accepted.len() {
-            let chunk = &self.accepted[self.processed_upto..];
-            self.detector.process(chunk);
+        let residual = self.unprocessed();
+        if residual > 0 {
+            self.detector.process_log(&self.log, residual);
             self.stats.steps += 1;
-            self.processed_upto = self.accepted.len();
             residual_steps = 1;
         }
         self.detector.close_open_phase();
@@ -722,15 +721,23 @@ impl Session {
         self.stats.ticks = tick;
     }
 
+    /// Logged elements the detector has not consumed yet.
+    fn unprocessed(&self) -> usize {
+        self.log.len() - self.detector.elements_consumed() as usize
+    }
+
     /// Event-sourced recovery: rebuild a fresh detector by replaying
-    /// the accepted-element log in the same full-step chunks.
+    /// the log's full-step prefix — everything a live session has
+    /// processed, since ingest consumes every full step at once — in
+    /// the same steps.
     fn replay(&mut self) {
         self.detector = PhaseDetector::new(self.config);
         let skip = self.config.skip_factor();
-        for chunk in self.accepted[..self.processed_upto].chunks(skip) {
-            self.detector.process(chunk);
+        let steps = self.log.len() / skip;
+        for _ in 0..steps {
+            self.detector.process_log(&self.log, skip);
         }
-        self.stats.replayed_elements += self.processed_upto as u64;
+        self.stats.replayed_elements += (steps * skip) as u64;
     }
 
     /// Pushes phase-boundary notifications past the high-water marks —
@@ -795,17 +802,14 @@ impl Session {
         self.stats.phase_digest = phase_digest(phases);
     }
 
-    /// Bit-identity check: a fresh offline detector over the session
-    /// log must produce the same phase stream the incremental path
-    /// did.
+    /// Bit-identity check: a batch run of the scalar reference kernel
+    /// over the session log must produce the same phase stream the
+    /// incremental SWAR path did. The log's interned view feeds it
+    /// directly — no copy, no second interning pass.
     fn offline_matches(&self) -> bool {
-        let mut offline = BranchTrace::with_capacity(self.accepted.len());
-        for &e in &self.accepted {
-            offline.push(e);
-        }
-        let mut reference = PhaseDetector::new(self.config);
-        let _ = reference.run(&offline);
-        reference.detected_phases() == self.detector.detected_phases()
+        let mut reference = PhaseDetector::with_kernel(self.config, KernelKind::Scalar);
+        reference.run_interned_phases_only(self.log.as_interned())
+            == self.detector.detected_phases()
     }
 }
 
@@ -853,6 +857,44 @@ mod tests {
         assert_eq!(r.stats.restarts, 0);
         assert!(r.stats.elements_accepted > 0);
         assert_ne!(r.stats.phase_digest, 0);
+    }
+
+    #[test]
+    fn verification_fails_when_the_streamed_detector_diverges() {
+        let source = small_source(1);
+        let mut s = Session::new(
+            0,
+            source.config_of(0),
+            source.frames(0),
+            IngestPolicy::default(),
+            SupervisionPolicy::default(),
+            true,
+        );
+        drive(&mut s, &source, &NoHazards);
+        assert!(s.stats().verified);
+        assert!(s.stats().phase_count > 0);
+        // Re-stream the log with one mid-stream step skipped, as a
+        // detector that lost a step would have seen it.
+        let skip = s.config.skip_factor();
+        let ids = s.log.ids();
+        let mut skipped = IdLog::new();
+        skipped.extend(
+            ids[..10 * skip]
+                .iter()
+                .chain(&ids[11 * skip..])
+                .map(|&id| opd_trace::ProfileElement::new(opd_trace::MethodId::new(0), id, true)),
+        );
+        let mut detector = PhaseDetector::new(s.config);
+        while detector.elements_consumed() < skipped.len() as u64 {
+            let left = skipped.len() - detector.elements_consumed() as usize;
+            detector.process_log(&skipped, left.min(skip));
+        }
+        detector.close_open_phase();
+        s.detector = detector;
+        assert!(
+            !s.offline_matches(),
+            "verification must compare against an independent run of the log"
+        );
     }
 
     #[test]

@@ -32,8 +32,9 @@ cargo run --release -q --bin opd -- trace lexgen --limit 5 --fuel 20000 > /dev/n
 # Serve smoke: the multi-tenant streaming layer under aggressive
 # hazards — restarts, timeouts, poison quarantine, and shedding all
 # fire, frames are conserved, and every completed session's phase
-# stream is bit-identical to the offline detector. (The
-# BENCH_serve.json freshness test runs in the workspace suite above.)
+# stream is bit-identical to a scalar-kernel run over the session log.
+# (The BENCH_serve.json freshness test runs in the workspace suite
+# above.)
 cargo run --release -q --bin opd -- serve --smoke > /dev/null
 # Observability smoke: the dashboard renders one service view with
 # every SLO met (exit 0), the Prometheus exposition emits, and a

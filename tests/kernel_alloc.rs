@@ -4,13 +4,16 @@
 //! per-judgement site union — and pre-sizing the site tables from the
 //! static alphabet bound (`reserve_sites`, backed by
 //! `Windows::with_site_capacity`) moves every site-table growth out of
-//! the first run. A counting global allocator wraps the system one
-//! and counts per thread, so the tests run in parallel safely.
+//! the first run. The same holds for a serve session's streaming
+//! path: with the sites and the id log reserved up front, interning
+//! frames into an `IdLog` and stepping `process_log` allocates
+//! nothing. A counting global allocator wraps the system one and
+//! counts per thread, so the tests run in parallel safely.
 
 #[path = "common/alloc.rs"]
 mod alloc;
 
-use opd_core::{DetectorConfig, InternedTrace, KernelKind, ModelPolicy, PhaseDetector};
+use opd_core::{DetectorConfig, IdLog, InternedTrace, KernelKind, ModelPolicy, PhaseDetector};
 use opd_microvm::workloads::Workload;
 
 /// Allocations the calling thread makes during `run` (the detector
@@ -79,8 +82,41 @@ fn scalar_steady_state_allocates_nothing_for_set_models() {
 }
 
 #[test]
+fn streaming_steady_state_allocates_nothing_for_every_model() {
+    let branches = workload_branches(20_000);
+    let distinct = workload_trace(20_000).distinct_count() as usize;
+    for model in ModelPolicy::ALL_EXTENDED {
+        let config = config_for(model);
+        let skip = config.skip_factor();
+        let mut detector = PhaseDetector::new(config);
+        detector.reserve_sites(distinct);
+        // As a session does: log each 96-element frame, then consume
+        // every full step. The cold pass sizes the phase buffer;
+        // `reconfigure` keeps it for the measured pass.
+        let stream = |detector: &mut PhaseDetector| {
+            let mut log = IdLog::with_capacity(branches.len(), distinct);
+            allocations_during(|| {
+                for frame in branches.as_slice().chunks(96) {
+                    log.extend(frame.iter().copied());
+                    while log.len() - detector.elements_consumed() as usize >= skip {
+                        detector.process_log(&log, skip);
+                    }
+                }
+            })
+        };
+        let _ = stream(&mut detector);
+        detector.reconfigure(config);
+        assert_eq!(
+            stream(&mut detector),
+            0,
+            "{model:?}: streaming steady state allocated"
+        );
+    }
+}
+
+#[test]
 fn reserving_sites_up_front_moves_growth_out_of_the_first_streaming_run() {
-    // The streaming path interns sites one at a time, so an
+    // The `process`/`run` path interns sites one at a time, so an
     // unreserved detector grows its site tables incrementally as new
     // sites appear mid-trace. `reserve_sites` (backed by
     // `Windows::with_site_capacity`) pre-sizes them in one shot; both

@@ -7,26 +7,32 @@
 //! of the rank-mode cutoff, so the dense incremental path, the
 //! rank-index path, mid-phase flushes (`clear_keep_last`), and
 //! adaptive TW growth are all exercised against the reference.
+//!
+//! Each case also streams the trace the way a serve session does:
+//! interned into an `IdLog` frame by frame and consumed through
+//! `process_log` (SWAR, always dense), straight through, with a crash
+//! and replay from an arbitrary prefix, and on a detector reused via
+//! `reconfigure` after a dense batch run dirtied its SWAR columns.
 
 use proptest::prelude::*;
 
 use opd_core::{
-    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, KernelKind, ModelPolicy,
+    AnalyzerPolicy, AnchorPolicy, DetectorConfig, IdLog, InternedTrace, KernelKind, ModelPolicy,
     PhaseDetector, ResizePolicy, TwPolicy, RANK_MODE_MIN_SKIP,
 };
 use opd_microvm::workloads::Workload;
-use opd_trace::{BranchTrace, MethodId, ProfileElement};
+use opd_trace::{BranchTrace, MethodId, ProfileElement, StateSeq};
 
 const FUEL: u64 = 12_000;
 
-fn interned(workload: Workload) -> InternedTrace {
+fn branches(workload: Workload) -> BranchTrace {
     let program = workload.program(1);
     let mut execution = opd_trace::ExecutionTrace::new();
     opd_microvm::Interpreter::new(&program, workload.default_seed())
         .with_fuel(FUEL)
         .run(&mut execution)
         .expect("workload executes");
-    InternedTrace::from_elements(execution.branches().iter().copied())
+    execution.into_parts().0
 }
 
 /// Every policy axis crossed, with skip factors below and above the
@@ -58,33 +64,133 @@ fn differential_grid() -> Vec<DetectorConfig> {
     configs
 }
 
-fn assert_kernels_agree(trace: &InternedTrace, config: DetectorConfig, context: &str) {
-    let mut scalar = PhaseDetector::with_kernel(config, KernelKind::Scalar);
-    let scalar_seq = scalar.run_interned(trace);
-    let mut swar = PhaseDetector::with_kernel(config, KernelKind::Swar);
-    let swar_seq = swar.run_interned(trace);
+/// How the streaming arms cut a trace into frames: frame lengths
+/// (cycled; zero-length frames are allowed, as after a resync skip)
+/// and the frame before which the replay arm crashes.
+#[derive(Debug, Clone, Copy)]
+struct Framing<'a> {
+    frames: &'a [usize],
+    crash_at: usize,
+}
 
-    assert_eq!(scalar_seq, swar_seq, "{context}: state sequence");
-    assert_eq!(
-        scalar.detected_phases(),
-        swar.detected_phases(),
-        "{context}: phases"
-    );
-    assert_eq!(
-        scalar.last_similarity(),
-        swar.last_similarity(),
-        "{context}: last similarity"
-    );
-    assert_eq!(scalar.state(), swar.state(), "{context}: final state");
+const FRAMING: Framing<'static> = Framing {
+    frames: &[96, 1, 0, 250, 7, 40],
+    crash_at: 5,
+};
+
+/// Streams `elements` into `detector` as a serve session does: each
+/// frame is interned into the log, every full `skip` step is consumed
+/// as soon as it is logged, and the residual step closes the stream.
+/// With `crash`, the detector is discarded before frame
+/// `framing.crash_at` is logged and a fresh one replays the log's
+/// full-step prefix.
+fn stream_session(
+    mut detector: PhaseDetector,
+    elements: &[ProfileElement],
+    framing: Framing<'_>,
+    crash: bool,
+) -> (PhaseDetector, StateSeq) {
+    let config = *detector.config();
+    let skip = config.skip_factor();
+    let unconsumed = |d: &PhaseDetector, log: &IdLog| log.len() - d.elements_consumed() as usize;
+    let mut log = IdLog::new();
+    let mut states = StateSeq::with_capacity(elements.len());
+    let mut rest = elements;
+    for (frame, &len) in framing.frames.iter().cycle().enumerate() {
+        if rest.is_empty() {
+            break;
+        }
+        if crash && frame == framing.crash_at {
+            detector = PhaseDetector::new(config);
+            for _ in 0..log.len() / skip {
+                detector.process_log(&log, skip);
+            }
+        }
+        let (head, tail) = rest.split_at(len.min(rest.len()));
+        rest = tail;
+        log.extend(head.iter().copied());
+        while unconsumed(&detector, &log) >= skip {
+            states.push_n(detector.process_log(&log, skip), skip);
+        }
+    }
+    let residual = unconsumed(&detector, &log);
+    if residual > 0 {
+        states.push_n(detector.process_log(&log, residual), residual);
+    }
+    detector.close_open_phase();
+    (detector, states)
+}
+
+fn assert_kernels_agree(
+    elements: &[ProfileElement],
+    config: DetectorConfig,
+    framing: Framing<'_>,
+    context: &str,
+) {
+    let trace = InternedTrace::from_elements(elements.iter().copied());
+    let mut scalar = PhaseDetector::with_kernel(config, KernelKind::Scalar);
+    let scalar_seq = scalar.run_interned(&trace);
+    let mut swar = PhaseDetector::with_kernel(config, KernelKind::Swar);
+    let swar_seq = swar.run_interned(&trace);
+
+    // A dense batch run leaves nonzero SWAR columns behind, which
+    // `reconfigure` must clear before the stream starts over.
+    let dirty_config = DetectorConfig::builder()
+        .current_window(9)
+        .trailing_window(5)
+        .build()
+        .expect("valid config");
+    let mut reused = PhaseDetector::with_kernel(dirty_config, KernelKind::Swar);
+    let _ = reused.run_interned(&trace);
+    reused.reconfigure(config);
+
+    let arms = [
+        ("swar batch", (swar, swar_seq)),
+        (
+            "stream",
+            stream_session(PhaseDetector::new(config), elements, framing, false),
+        ),
+        (
+            "stream with replay",
+            stream_session(PhaseDetector::new(config), elements, framing, true),
+        ),
+        (
+            "stream after reconfigure",
+            stream_session(reused, elements, framing, false),
+        ),
+    ];
+    for (arm, (detector, seq)) in arms {
+        assert_eq!(scalar_seq, seq, "{context}: {arm}: state sequence");
+        assert_eq!(
+            scalar.detected_phases(),
+            detector.detected_phases(),
+            "{context}: {arm}: phases"
+        );
+        assert_eq!(
+            scalar.last_similarity(),
+            detector.last_similarity(),
+            "{context}: {arm}: last similarity"
+        );
+        assert_eq!(
+            scalar.state(),
+            detector.state(),
+            "{context}: {arm}: final state"
+        );
+    }
 }
 
 #[test]
 fn kernels_agree_on_every_workload() {
     let configs = differential_grid();
     for &workload in &Workload::ALL {
-        let trace = interned(workload);
+        let trace = branches(workload);
         for &config in &configs {
-            assert_kernels_agree(&trace, config, &format!("{workload:?} {config:?}"));
+            assert_kernels_agree(
+                trace.as_slice(),
+                config,
+                FRAMING,
+                &format!("{workload:?} {config:?}"),
+            );
         }
     }
 }
@@ -100,10 +206,30 @@ fn kernels_agree_on_degenerate_traces() {
         vec![e(0); 1_000],
         (0..700u32).map(|i| e(i % 3)).collect(),
     ] {
-        let trace = InternedTrace::from_elements(elements);
         for &cfg in &[config, differential_grid()[47]] {
-            assert_kernels_agree(&trace, cfg, &format!("degenerate {cfg:?}"));
+            assert_kernels_agree(&elements, cfg, FRAMING, &format!("degenerate {cfg:?}"));
         }
+    }
+}
+
+#[test]
+fn kernels_agree_when_new_sites_arrive_after_warm_up() {
+    // Five sites until the windows have long been warm, then a
+    // working set that keeps sliding onto fresh sites — one every 40
+    // elements, 155 in all — so the streaming log's distinct count
+    // crosses the 64- and 128-site lane boundaries mid-stream.
+    let e = |o| ProfileElement::new(MethodId::new(2), o, true);
+    let elements: Vec<_> = (0..3_000u32)
+        .map(|i| e(i % 5))
+        .chain((0..6_000u32).map(|i| e(5 + i / 40 + i % 6)))
+        .collect();
+    for config in differential_grid() {
+        assert_kernels_agree(
+            &elements,
+            config,
+            FRAMING,
+            &format!("late sites {config:?}"),
+        );
     }
 }
 
@@ -117,6 +243,15 @@ fn arb_element() -> impl Strategy<Value = ProfileElement> {
 
 fn arb_trace(max_len: usize) -> impl Strategy<Value = BranchTrace> {
     prop::collection::vec(arb_element(), 0..max_len).prop_map(BranchTrace::from)
+}
+
+/// Frame length patterns; the first frame is never empty, so the
+/// stream always makes progress.
+fn arb_frames() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..120, 1..6).prop_map(|mut frames| {
+        frames[0] += 1;
+        frames
+    })
 }
 
 fn arb_config() -> impl Strategy<Value = DetectorConfig> {
@@ -161,8 +296,15 @@ proptest! {
     fn kernels_agree_on_arbitrary_traces(
         trace in arb_trace(600),
         config in arb_config(),
+        frames in arb_frames(),
+        crash_at in 0usize..12,
     ) {
-        let interned = InternedTrace::from_elements(trace.iter().copied());
-        assert_kernels_agree(&interned, config, &format!("{config:?}"));
+        let framing = Framing { frames: &frames, crash_at };
+        assert_kernels_agree(
+            trace.as_slice(),
+            config,
+            framing,
+            &format!("{config:?} {framing:?}"),
+        );
     }
 }
