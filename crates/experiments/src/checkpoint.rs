@@ -1,120 +1,49 @@
-//! Crash-safe checkpointing for long sweep runs.
+//! Crash-safe checkpointing for long sweep runs: the sweep's payload
+//! codec on the OPDK record log ([`opd_trace::record`]), version 1.
 //!
 //! A full-grid sweep is hours of work at production scale; a crash at
 //! 95% must not mean starting over. The sweep engine's unit of work —
 //! one `(workload, engine unit)` bucket — is deterministic and
-//! scan-order independent, so completed buckets can be persisted and
-//! replayed: a resumed run recomputes only the missing buckets and is
-//! bit-identical to an uninterrupted one.
+//! scan-order independent, so completed buckets are appended to the
+//! log as they finish, and a resumed run recomputes only the missing
+//! ones: it is bit-identical to an uninterrupted run.
 //!
-//! # File format
+//! # Bucket payload
 //!
 //! ```text
-//! magic  b"OPDK"
-//! version u16 LE           (currently 1)
-//! fingerprint u64 LE       (hash of configs + workloads + scale/fuel)
-//! then, per completed bucket (append-only):
-//!   marker 0xA5
-//!   payload_len u32 LE
-//!   payload                (bucket encoding, see below)
-//!   checksum u64 LE        (FNV-1a 64 of the payload)
+//! workload u32 LE, unit u32 LE, run_count u32 LE
+//! then, per member config:
+//!   config index u32 LE, phase_count u32 LE
+//!   then, per phase:
+//!     start u64 LE, anchored_start u64 LE,
+//!     has_end u8 (0 or 1), end u64 LE (0 when has_end is 0)
 //! ```
 //!
-//! Each bucket payload holds `(workload index, unit index)` plus every
-//! member config's detected phases as exact `u64`s — no floats, so
-//! restoring is bit-identical by construction.
-//!
-//! Appends are one `write_all` of a fully-built record followed by a
-//! flush: a crash mid-write leaves a partial record at the tail. The
-//! reader accepts the longest valid prefix and reports the damaged
-//! tail, which the resuming writer truncates away before appending.
-//! A record whose declared length overruns the file (or a sanity cap)
-//! is treated as tail damage — the length field itself may be the
-//! corrupted byte.
+//! Exact `u64`s only — no floats — so restoring is bit-identical by
+//! construction. Decoding is the exact inverse of encoding: any other
+//! `has_end`, a non-zero `end` without one, or trailing bytes make the
+//! record damage, and the log keeps only the records before it.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io;
 use std::path::Path;
+use std::sync::Mutex;
 
-use opd_core::{DetectedPhase, DetectorConfig, SweepEngine, SweepScratch};
+use opd_core::{DetectedPhase, DetectorConfig, SweepEngine};
 use opd_microvm::workloads::Workload;
+pub use opd_trace::record::CheckpointError;
+use opd_trace::record::{read_log, Cursor, RecordWriter};
 
-use crate::runner::{config_run, lpt_plan, ConfigRun, PreparedWorkload};
+use crate::runner::{
+    config_run, filled, max_site_capacity, run_lpt, unit_prices, ConfigRun, PreparedWorkload,
+};
 
-/// The four magic bytes opening every checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 4] = b"OPDK";
-/// The checkpoint format version this build writes and reads.
+/// The OPDK payload version of sweep checkpoints (serve checkpoints
+/// use version 2).
 pub const CHECKPOINT_VERSION: u16 = 1;
-/// Header length: magic, version, fingerprint.
-pub const CHECKPOINT_HEADER_LEN: usize = 4 + 2 + 8;
-const RECORD_MARKER: u8 = 0xA5;
-/// Sanity cap on a record's declared payload length: anything larger
-/// is a corrupted length field, not a real bucket.
-const MAX_RECORD_LEN: u32 = 64 << 20;
-
-/// Errors reading a checkpoint file.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum CheckpointError {
-    /// The file could not be read or written.
-    Io(io::Error),
-    /// The file does not start with the `OPDK` magic.
-    BadMagic,
-    /// The file's format version is not supported.
-    BadVersion(u16),
-    /// The file was written by a run with different configs,
-    /// workloads, or parameters.
-    FingerprintMismatch {
-        /// Fingerprint of the current run.
-        expected: u64,
-        /// Fingerprint stored in the file.
-        found: u64,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint io: {e}"),
-            CheckpointError::BadMagic => f.write_str("not a checkpoint file (missing OPDK magic)"),
-            CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "checkpoint belongs to a different run (fingerprint {found:#x}, \
-                 this run is {expected:#x})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty for detecting
-/// torn writes (this is crash safety, not adversarial integrity).
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// Encoded bytes of one phase: start, anchored start, has-end, end.
+const PHASE_LEN: usize = 8 + 8 + 1 + 8;
 
 /// Fingerprints a sweep's parameters so a checkpoint is only ever
 /// resumed against the run that produced it.
@@ -133,14 +62,14 @@ pub fn run_fingerprint(
         text.push_str(w.name());
         text.push(';');
     }
-    fnv64(text.as_bytes())
+    opd_trace::fnv64(text.as_bytes())
 }
 
 /// The per-config phase lists of one completed `(workload, unit)`
 /// bucket, exactly as [`SweepEngine::run_unit`] returned them.
 pub type BucketRuns = Vec<(u32, Vec<DetectedPhase>)>;
 
-/// What [`read_checkpoint`] recovered from a (possibly torn) file.
+/// What [`parse_checkpoint`] recovered from a (possibly torn) image.
 #[derive(Debug, Clone)]
 pub struct RecoveredCheckpoint {
     /// The fingerprint stored in the header.
@@ -154,11 +83,9 @@ pub struct RecoveredCheckpoint {
     pub damaged_tail_bytes: u64,
 }
 
-/// An append-only checkpoint file.
+/// An append-only sweep checkpoint file.
 #[derive(Debug)]
-pub struct CheckpointWriter {
-    file: File,
-}
+pub struct CheckpointWriter(RecordWriter<File>);
 
 impl CheckpointWriter {
     /// Creates (or overwrites) a checkpoint file for a new run.
@@ -167,28 +94,7 @@ impl CheckpointWriter {
     ///
     /// Returns any underlying I/O error.
     pub fn create(path: &Path, fingerprint: u64) -> io::Result<Self> {
-        let mut file = File::create(path)?;
-        let mut header = Vec::with_capacity(CHECKPOINT_HEADER_LEN);
-        header.extend_from_slice(CHECKPOINT_MAGIC);
-        header.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        header.extend_from_slice(&fingerprint.to_le_bytes());
-        file.write_all(&header)?;
-        file.flush()?;
-        Ok(CheckpointWriter { file })
-    }
-
-    /// Reopens an existing checkpoint for appending, first truncating
-    /// it to `valid_len` to drop a torn tail record.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn resume(path: &Path, valid_len: u64) -> io::Result<Self> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
-        Ok(CheckpointWriter { file })
+        RecordWriter::create(path, CHECKPOINT_VERSION, fingerprint).map(CheckpointWriter)
     }
 
     /// Appends one completed bucket as a single checksummed record.
@@ -202,104 +108,62 @@ impl CheckpointWriter {
         unit: u32,
         runs: &[(usize, Vec<DetectedPhase>)],
     ) -> io::Result<()> {
-        let payload = encode_bucket(workload, unit, runs);
-        let mut record = Vec::with_capacity(payload.len() + 13);
-        record.push(RECORD_MARKER);
-        #[allow(clippy::cast_possible_truncation)]
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        // One write + flush per bucket: a kill can only tear the final
-        // record, which the reader discards.
-        self.file.write_all(&record)?;
-        self.file.flush()
+        self.0.append(&encode_bucket(workload, unit, runs))
     }
 }
 
-fn encode_bucket(workload: u32, unit: u32, runs: &[(usize, Vec<DetectedPhase>)]) -> Vec<u8> {
+/// Encodes one completed bucket's per-config phases as a record
+/// payload.
+#[must_use]
+#[allow(clippy::cast_possible_truncation)]
+pub fn encode_bucket(workload: u32, unit: u32, runs: &[(usize, Vec<DetectedPhase>)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&workload.to_le_bytes());
     out.extend_from_slice(&unit.to_le_bytes());
-    #[allow(clippy::cast_possible_truncation)]
     out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
     for (ci, phases) in runs {
-        #[allow(clippy::cast_possible_truncation)]
         out.extend_from_slice(&(*ci as u32).to_le_bytes());
-        #[allow(clippy::cast_possible_truncation)]
         out.extend_from_slice(&(phases.len() as u32).to_le_bytes());
         for p in phases {
             out.extend_from_slice(&p.start.to_le_bytes());
             out.extend_from_slice(&p.anchored_start.to_le_bytes());
-            match p.end {
-                Some(end) => {
-                    out.push(1);
-                    out.extend_from_slice(&end.to_le_bytes());
-                }
-                None => {
-                    out.push(0);
-                    out.extend_from_slice(&0u64.to_le_bytes());
-                }
-            }
+            out.push(u8::from(p.end.is_some()));
+            out.extend_from_slice(&p.end.unwrap_or(0).to_le_bytes());
         }
     }
     out
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let out = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(out)
-    }
-
-    fn u32_le(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
-    fn u64_le(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-}
-
-fn decode_bucket(payload: &[u8]) -> Option<((u32, u32), BucketRuns)> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let workload = c.u32_le()?;
-    let unit = c.u32_le()?;
-    let n_runs = c.u32_le()?;
-    let mut runs = Vec::with_capacity(n_runs.min(1 << 20) as usize);
+/// Decodes a payload [`encode_bucket`] wrote, keyed by `(workload,
+/// unit)`; `None` for any other bytes.
+#[must_use]
+pub fn decode_bucket(payload: &[u8]) -> Option<((u32, u32), BucketRuns)> {
+    let mut c = Cursor::new(payload);
+    let workload = c.u32()?;
+    let unit = c.u32()?;
+    let n_runs = c.count(8)?;
+    let mut runs = Vec::with_capacity(n_runs);
     for _ in 0..n_runs {
-        let ci = c.u32_le()?;
-        let n_phases = c.u32_le()?;
-        let mut phases = Vec::with_capacity(n_phases.min(1 << 20) as usize);
+        let ci = c.u32()?;
+        let n_phases = c.count(PHASE_LEN)?;
+        let mut phases = Vec::with_capacity(n_phases);
         for _ in 0..n_phases {
-            let start = c.u64_le()?;
-            let anchored_start = c.u64_le()?;
-            let has_end = c.u8()?;
-            let end = c.u64_le()?;
+            let start = c.u64()?;
+            let anchored_start = c.u64()?;
+            let end = match (c.u8()?, c.u64()?) {
+                (0, 0) => None,
+                (1, end) => Some(end),
+                _ => return None,
+            };
             phases.push(DetectedPhase {
                 start,
                 anchored_start,
-                end: (has_end == 1).then_some(end),
+                end,
             });
         }
         runs.push((ci, phases));
     }
-    // Trailing garbage means the payload is not a bucket we wrote.
-    (c.pos == payload.len()).then_some(((workload, unit), runs))
+    c.is_empty().then_some(((workload, unit), runs))
 }
 
 /// Parses a checkpoint image, accepting the longest valid record
@@ -308,64 +172,17 @@ fn decode_bucket(payload: &[u8]) -> Option<((u32, u32), BucketRuns)> {
 /// # Errors
 ///
 /// Returns [`CheckpointError::BadMagic`] or
-/// [`CheckpointError::BadVersion`] for files this build cannot have
+/// [`CheckpointError::BadVersion`] for images this build cannot have
 /// written; tail damage is *not* an error (that is the crash being
 /// survived).
 pub fn parse_checkpoint(bytes: &[u8]) -> Result<RecoveredCheckpoint, CheckpointError> {
-    if bytes.len() < CHECKPOINT_HEADER_LEN || &bytes[..4] != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    let fingerprint = u64::from_le_bytes(bytes[6..14].try_into().expect("8-byte slice"));
-
-    let mut buckets = BTreeMap::new();
-    let mut pos = CHECKPOINT_HEADER_LEN;
-    while pos < bytes.len() {
-        let record = &bytes[pos..];
-        // Any structural damage from here on is a torn tail: stop at
-        // the last whole record.
-        if record[0] != RECORD_MARKER || record.len() < 5 {
-            break;
-        }
-        let len = u32::from_le_bytes(record[1..5].try_into().expect("4-byte slice"));
-        if len > MAX_RECORD_LEN {
-            break;
-        }
-        let len = len as usize;
-        if record.len() < 5 + len + 8 {
-            break;
-        }
-        let payload = &record[5..5 + len];
-        let checksum = u64::from_le_bytes(record[5 + len..5 + len + 8].try_into().expect("8"));
-        if fnv64(payload) != checksum {
-            break;
-        }
-        let Some((key, runs)) = decode_bucket(payload) else {
-            break;
-        };
-        buckets.insert(key, runs);
-        pos += 5 + len + 8;
-    }
-
+    let log = read_log(bytes, CHECKPOINT_VERSION, decode_bucket)?;
     Ok(RecoveredCheckpoint {
-        fingerprint,
-        buckets,
-        valid_len: pos as u64,
-        damaged_tail_bytes: (bytes.len() - pos) as u64,
+        fingerprint: log.fingerprint,
+        buckets: log.records.into_iter().collect(),
+        valid_len: log.valid_len,
+        damaged_tail_bytes: log.damaged_tail_bytes,
     })
-}
-
-/// Reads and parses a checkpoint file.
-///
-/// # Errors
-///
-/// Propagates I/O failures and the structural errors of
-/// [`parse_checkpoint`].
-pub fn read_checkpoint(path: &Path) -> Result<RecoveredCheckpoint, CheckpointError> {
-    parse_checkpoint(&std::fs::read(path)?)
 }
 
 /// How a checkpointed sweep's work split between restore and compute.
@@ -382,7 +199,8 @@ pub struct ResumeSummary {
 /// Like [`crate::runner::sweep_many`], but checkpointing each
 /// completed `(workload, unit)` bucket to `path` — and, when `resume`
 /// is set and the file exists, restoring completed buckets instead of
-/// recomputing them.
+/// recomputing them. An empty file (a kill before its header was
+/// written) resumes as a fresh start.
 ///
 /// Results are bit-identical to an uninterrupted
 /// [`crate::runner::sweep_many`] run regardless of where (or whether)
@@ -422,6 +240,7 @@ pub fn sweep_many_checkpointed(
 /// # Errors
 ///
 /// Same as [`sweep_many_checkpointed`].
+#[allow(clippy::cast_possible_truncation)]
 pub fn sweep_many_checkpointed_with_progress(
     prepared: &[PreparedWorkload],
     configs: &[DetectorConfig],
@@ -433,150 +252,64 @@ pub fn sweep_many_checkpointed_with_progress(
 ) -> Result<(Vec<Vec<ConfigRun>>, ResumeSummary), CheckpointError> {
     let engine = SweepEngine::new(configs);
 
-    let (mut buckets, writer, damaged_tail_bytes) = if resume && path.exists() {
-        let recovered = read_checkpoint(path)?;
-        if recovered.fingerprint != fingerprint {
-            return Err(CheckpointError::FingerprintMismatch {
-                expected: fingerprint,
-                found: recovered.fingerprint,
-            });
-        }
-        let writer = CheckpointWriter::resume(path, recovered.valid_len)?;
-        (recovered.buckets, writer, recovered.damaged_tail_bytes)
+    let (writer, mut buckets, damaged_tail_bytes) = if resume && path.exists() {
+        let (writer, log) =
+            RecordWriter::resume(path, CHECKPOINT_VERSION, fingerprint, decode_bucket)?;
+        let buckets = log.records.into_iter().collect();
+        (CheckpointWriter(writer), buckets, log.damaged_tail_bytes)
     } else {
         (
-            BTreeMap::new(),
             CheckpointWriter::create(path, fingerprint)?,
+            BTreeMap::new(),
             0,
         )
     };
     let restored_buckets = buckets.len();
 
     // Work items: every (workload, unit) pair not already restored.
-    #[allow(clippy::cast_possible_truncation)]
-    let items: Vec<(u32, u32, u64)> = prepared
-        .iter()
-        .enumerate()
-        .flat_map(|(wi, p)| {
-            engine.units().iter().enumerate().map(move |(ui, unit)| {
-                (
-                    wi as u32,
-                    ui as u32,
-                    opd_analyze::unit_cost(
-                        configs,
-                        unit,
-                        p.total_elements(),
-                        p.site_capacity() as u64,
-                    ),
-                )
-            })
-        })
-        .filter(|&(wi, ui, _)| !buckets.contains_key(&(wi, ui)))
+    let items: Vec<(usize, usize)> = (0..prepared.len())
+        .flat_map(|wi| (0..engine.units().len()).map(move |ui| (wi, ui)))
+        .filter(|&(wi, ui)| !buckets.contains_key(&(wi as u32, ui as u32)))
         .collect();
     let computed_buckets = items.len();
+    let total_buckets = restored_buckets + computed_buckets;
 
-    let site_capacity = prepared
-        .iter()
-        .map(PreparedWorkload::site_capacity)
-        .max()
-        .unwrap_or(0);
-    let threads = threads.max(1).min(items.len().max(1));
-    let total_buckets = restored_buckets + items.len();
-    let completed = std::sync::atomic::AtomicUsize::new(restored_buckets);
-    let completed = &completed;
-
-    if threads <= 1 {
-        let mut writer = writer;
-        let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-        for &(wi, ui, _) in &items {
-            let runs = engine.run_unit(ui as usize, prepared[wi as usize].interned(), &mut scratch);
-            writer.append_bucket(wi, ui, &runs)?;
-            let done = completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            progress(done, total_buckets);
-            #[allow(clippy::cast_possible_truncation)]
-            buckets.insert(
-                (wi, ui),
-                runs.into_iter().map(|(ci, p)| (ci as u32, p)).collect(),
-            );
-        }
-    } else {
-        let costs: Vec<u64> = items.iter().map(|&(_, _, c)| c).collect();
-        let plan: Vec<Vec<(u32, u32)>> = lpt_plan(&costs, threads)
-            .into_iter()
-            .map(|b| b.into_iter().map(|i| (items[i].0, items[i].1)).collect())
-            .collect();
-        let engine = &engine;
-        let shared = std::sync::Mutex::new(writer);
-        let shared = &shared;
-        type WorkerOut = Vec<((u32, u32), BucketRuns)>;
-        let results: Vec<io::Result<WorkerOut>> = std::thread::scope(|s| {
-            let handles: Vec<_> = plan
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move || {
-                        let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-                        let mut local = Vec::new();
-                        for (wi, ui) in bucket {
-                            let runs = engine.run_unit(
-                                ui as usize,
-                                prepared[wi as usize].interned(),
-                                &mut scratch,
-                            );
-                            {
-                                let mut writer = shared.lock().expect("checkpoint writer lock");
-                                writer.append_bucket(wi, ui, &runs)?;
-                                let done = completed
-                                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                                    + 1;
-                                progress(done, total_buckets);
-                            }
-                            #[allow(clippy::cast_possible_truncation)]
-                            local.push((
-                                (wi, ui),
-                                runs.into_iter()
-                                    .map(|(ci, p)| (ci as u32, p))
-                                    .collect::<BucketRuns>(),
-                            ));
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("checkpoint sweep worker panicked"))
-                .collect()
-        });
-        for worker in results {
-            for (key, runs) in worker? {
-                buckets.insert(key, runs);
-            }
-        }
-    }
+    // Appends, and the completed count behind the progress callback,
+    // go under one lock; each worker stops at its first I/O error.
+    let writer = Mutex::new((writer, restored_buckets));
+    run_lpt(
+        &items,
+        threads,
+        max_site_capacity(prepared),
+        |items| unit_prices(prepared, configs, &engine, items),
+        |&(wi, ui), scratch| {
+            let key = (wi as u32, ui as u32);
+            let runs = engine.run_unit(ui, prepared[wi].interned(), scratch);
+            let mut guard = writer.lock().expect("checkpoint writer lock");
+            let (writer, completed) = &mut *guard;
+            writer.append_bucket(key.0, key.1, &runs)?;
+            *completed += 1;
+            progress(*completed, total_buckets);
+            drop(guard);
+            let runs: BucketRuns = runs.into_iter().map(|(ci, p)| (ci as u32, p)).collect();
+            Ok::<_, io::Error>((key, runs))
+        },
+        |_, (key, runs)| {
+            buckets.insert(key, runs);
+        },
+    )?;
 
     // Assemble configs-ordered results per workload from the buckets.
-    let mut out: Vec<Vec<Option<ConfigRun>>> = prepared
-        .iter()
-        .map(|_| configs.iter().map(|_| None).collect())
-        .collect();
-    for ((wi, _), runs) in &buckets {
-        let p = &prepared[*wi as usize];
-        let total = p.interned().len() as u64;
+    let mut cells = vec![vec![None; configs.len()]; prepared.len()];
+    for (&(wi, _), runs) in &buckets {
+        let total = prepared[wi as usize].interned().len() as u64;
         for (ci, phases) in runs {
-            out[*wi as usize][*ci as usize] =
+            cells[wi as usize][*ci as usize] =
                 Some(config_run(configs[*ci as usize], phases, total));
         }
     }
-    let out = out
-        .into_iter()
-        .map(|w| {
-            w.into_iter()
-                .map(|o| o.expect("every (workload, config) cell restored or computed"))
-                .collect()
-        })
-        .collect();
     Ok((
-        out,
+        filled(cells),
         ResumeSummary {
             restored_buckets,
             computed_buckets,
@@ -595,71 +328,6 @@ mod tests {
         let dir = std::env::temp_dir().join("opd_checkpoint_tests");
         std::fs::create_dir_all(&dir).expect("create tmp dir");
         dir.join(name)
-    }
-
-    fn sample_phases() -> Vec<(usize, Vec<DetectedPhase>)> {
-        vec![
-            (
-                0,
-                vec![
-                    DetectedPhase {
-                        start: 10,
-                        anchored_start: 5,
-                        end: Some(40),
-                    },
-                    DetectedPhase {
-                        start: 50,
-                        anchored_start: 48,
-                        end: None,
-                    },
-                ],
-            ),
-            (3, vec![]),
-        ]
-    }
-
-    #[test]
-    fn bucket_roundtrips_through_the_record_format() {
-        let path = tmp("roundtrip.opdk");
-        let mut w = CheckpointWriter::create(&path, 0xDEAD).unwrap();
-        w.append_bucket(1, 2, &sample_phases()).unwrap();
-        w.append_bucket(7, 0, &[]).unwrap();
-        drop(w);
-
-        let recovered = read_checkpoint(&path).unwrap();
-        assert_eq!(recovered.fingerprint, 0xDEAD);
-        assert_eq!(recovered.damaged_tail_bytes, 0);
-        assert_eq!(recovered.buckets.len(), 2);
-        let runs = &recovered.buckets[&(1, 2)];
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].0, 0);
-        assert_eq!(runs[0].1[0].end, Some(40));
-        assert_eq!(runs[0].1[1].end, None);
-        assert!(recovered.buckets[&(7, 0)].is_empty());
-    }
-
-    #[test]
-    fn torn_tail_is_discarded_not_fatal() {
-        let path = tmp("torn.opdk");
-        let mut w = CheckpointWriter::create(&path, 1).unwrap();
-        w.append_bucket(0, 0, &sample_phases()).unwrap();
-        w.append_bucket(0, 1, &sample_phases()).unwrap();
-        drop(w);
-        // Simulate a kill mid-append: chop 5 bytes off the last record.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-
-        let recovered = read_checkpoint(&path).unwrap();
-        assert_eq!(recovered.buckets.len(), 1, "only the whole record");
-        assert!(recovered.buckets.contains_key(&(0, 0)));
-        assert!(recovered.damaged_tail_bytes > 0);
-        // Resuming truncates the tail and can append again.
-        let mut w = CheckpointWriter::resume(&path, recovered.valid_len).unwrap();
-        w.append_bucket(0, 1, &sample_phases()).unwrap();
-        drop(w);
-        let again = read_checkpoint(&path).unwrap();
-        assert_eq!(again.buckets.len(), 2);
-        assert_eq!(again.damaged_tail_bytes, 0);
     }
 
     #[test]
@@ -784,32 +452,6 @@ mod tests {
                 found: 111
             }
         ));
-    }
-
-    #[test]
-    fn structural_damage_is_rejected_with_typed_errors() {
-        assert!(matches!(
-            parse_checkpoint(b"not a checkpoint"),
-            Err(CheckpointError::BadMagic)
-        ));
-        let mut image = Vec::new();
-        image.extend_from_slice(CHECKPOINT_MAGIC);
-        image.extend_from_slice(&99u16.to_le_bytes());
-        image.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            parse_checkpoint(&image),
-            Err(CheckpointError::BadVersion(99))
-        ));
-        for e in [
-            CheckpointError::BadMagic,
-            CheckpointError::BadVersion(9),
-            CheckpointError::FingerprintMismatch {
-                expected: 1,
-                found: 2,
-            },
-        ] {
-            assert!(!e.to_string().is_empty());
-        }
     }
 
     #[test]

@@ -335,12 +335,7 @@ pub fn dash_study_observed(
         }
     }
 
-    let log = trace.span_log();
-    let mut fnv = 0xCBF2_9CE4_8422_2325u64;
-    for &b in log.as_bytes() {
-        fnv ^= u64::from(b);
-        fnv = fnv.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let fnv = opd_trace::fnv64(trace.span_log().as_bytes());
     let span_digest = keyed_hash(&[trace.spans.len() as u64, fnv]);
 
     Ok(DashStudy {

@@ -16,6 +16,7 @@
 //! `NullObserver` instance of one body, so the ratio only measures
 //! noise.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use opd_analyze::ConfigCost;
@@ -23,7 +24,10 @@ use opd_core::{DetectorConfig, KernelKind, PhaseDetector, SweepEngine, SweepScra
 use opd_obs::{MetricsRegistry, MetricsSnapshot, NullObserver, UnitMetrics};
 
 use crate::report::Table;
-use crate::runner::{calibrated_unit_cost, config_run, lpt_plan, ConfigRun, PreparedWorkload};
+use crate::runner::{
+    calibrated_unit_cost, config_run, filled, max_site_capacity, run_lpt, worker_count, ConfigRun,
+    PreparedWorkload,
+};
 
 /// Fuel for the overhead benchmark's workload trace.
 pub const OBS_FUEL: u64 = 60_000;
@@ -191,6 +195,8 @@ pub fn sweep_many_profiled_with_kernel(
     let h_compare = registry.histogram("sweep.bucket_compare_ops");
     let registry = &registry;
 
+    // The profile reports every bucket's calibrated price, so items
+    // are priced even at one thread.
     let mut items: Vec<(usize, usize, u64)> =
         Vec::with_capacity(prepared.len() * engine.units().len());
     for (wi, p) in prepared.iter().enumerate() {
@@ -198,20 +204,11 @@ pub fn sweep_many_profiled_with_kernel(
             items.push((wi, ui, calibrated_unit_cost(configs, unit, p)));
         }
     }
-    let threads = threads.max(1).min(items.len().max(1));
-    let site_capacity = prepared
-        .iter()
-        .map(PreparedWorkload::site_capacity)
-        .max()
-        .unwrap_or(0);
+    let threads = worker_count(threads, items.len());
 
     // One worker's run of one bucket: metered engine call, registry
     // recording, and the per-bucket profile entry.
-    let run_bucket = |wi: usize,
-                      ui: usize,
-                      static_cost: u64,
-                      scratch: &mut SweepScratch|
-     -> (Vec<(usize, usize, ConfigRun)>, BucketProfile) {
+    let run_bucket = |&(wi, ui, static_cost): &(usize, usize, u64), scratch: &mut SweepScratch| {
         let p = &prepared[wi];
         let unit = &engine.units()[ui];
         let total = p.interned().len() as u64;
@@ -246,68 +243,29 @@ pub fn sweep_many_profiled_with_kernel(
         };
         let local = runs
             .into_iter()
-            .map(|(ci, phases)| (wi, ci, config_run(configs[ci], &phases, total)))
-            .collect();
-        (local, profile)
+            .map(|(ci, phases)| (ci, config_run(configs[ci], &phases, total)))
+            .collect::<Vec<_>>();
+        Ok::<_, Infallible>((wi, local, profile))
     };
 
-    let mut out: Vec<Vec<Option<ConfigRun>>> = prepared
-        .iter()
-        .map(|_| configs.iter().map(|_| None).collect())
-        .collect();
+    let mut cells = vec![vec![None; configs.len()]; prepared.len()];
     let mut buckets: Vec<BucketProfile> = Vec::with_capacity(items.len());
     let mut thread_busy_nanos = vec![0u64; threads];
-
-    if threads <= 1 {
-        let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-        for &(wi, ui, cost) in &items {
-            let (local, profile) = run_bucket(wi, ui, cost, &mut scratch);
-            thread_busy_nanos[0] += profile.wall_nanos;
+    run_lpt(
+        &items,
+        threads,
+        max_site_capacity(prepared),
+        |items| items.iter().map(|&(_, _, cost)| cost).collect(),
+        run_bucket,
+        |t, (wi, local, profile)| {
+            thread_busy_nanos[t] += profile.wall_nanos;
             buckets.push(profile);
-            for (wi, ci, run) in local {
-                out[wi][ci] = Some(run);
+            for (ci, run) in local {
+                cells[wi][ci] = Some(run);
             }
-        }
-    } else {
-        let costs: Vec<u64> = items.iter().map(|&(_, _, c)| c).collect();
-        let plan: Vec<Vec<(usize, usize, u64)>> = lpt_plan(&costs, threads)
-            .into_iter()
-            .map(|bucket| bucket.into_iter().map(|i| items[i]).collect())
-            .collect();
-        let run_bucket = &run_bucket;
-        type WorkerOut = (Vec<(usize, usize, ConfigRun)>, Vec<BucketProfile>, u64);
-        let filled: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = plan
-                .into_iter()
-                .map(|assigned| {
-                    s.spawn(move || {
-                        let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-                        let mut local = Vec::new();
-                        let mut profiles = Vec::new();
-                        let mut busy = 0u64;
-                        for (wi, ui, cost) in assigned {
-                            let (runs, profile) = run_bucket(wi, ui, cost, &mut scratch);
-                            busy += profile.wall_nanos;
-                            local.extend(runs);
-                            profiles.push(profile);
-                        }
-                        (local, profiles, busy)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("profiled sweep worker panicked"))
-                .collect()
-        });
-        for (t, (local, profiles, busy)) in filled.into_iter().enumerate() {
-            thread_busy_nanos[t] = busy;
-            buckets.extend(profiles);
-            for (wi, ci, run) in local {
-                out[wi][ci] = Some(run);
-            }
-        }
-    }
+        },
+    )
+    .unwrap_or_else(|never| match never {});
     buckets.sort_by_key(|b| (b.workload_index, b.unit_index));
 
     let profile = SweepProfile {
@@ -318,15 +276,7 @@ pub fn sweep_many_profiled_with_kernel(
         buckets,
         snapshot: registry.snapshot(),
     };
-    let out = out
-        .into_iter()
-        .map(|w| {
-            w.into_iter()
-                .map(|o| o.expect("every (workload, config) cell filled"))
-                .collect()
-        })
-        .collect();
-    (out, profile)
+    (filled(cells), profile)
 }
 
 /// The two arms of the overhead benchmark.

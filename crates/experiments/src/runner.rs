@@ -1,6 +1,7 @@
 //! Workload preparation and the parallel configuration sweep.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 use opd_analyze::{AbsInt, Analysis, ResourceCertificate};
 use opd_baseline::{BaselineSolution, CallLoopForest};
@@ -382,9 +383,10 @@ pub fn sweep_with_kernel(
 /// longest-processing-time-first plan. Returns one `configs`-ordered
 /// vector per workload, in `prepared` order.
 ///
-/// Workers own disjoint result buckets (no locks on the hot path) and
-/// each carries a [`SweepScratch`] so private-path detector
-/// allocations are reused across the units it runs.
+/// At one thread the items run unpriced in `(workload, unit)` order
+/// on the calling thread. Each worker carries a [`SweepScratch`] so
+/// private-path detector allocations are reused across the units it
+/// runs.
 #[must_use]
 pub fn sweep_many(
     prepared: &[PreparedWorkload],
@@ -403,91 +405,134 @@ pub fn sweep_many_with_kernel(
     kernel: KernelKind,
 ) -> Vec<Vec<ConfigRun>> {
     let engine = SweepEngine::with_kernel(configs, kernel);
-    let n_items = prepared.len() * engine.units().len();
-    let threads = threads.max(1).min(n_items.max(1));
-    // Pre-size every worker's detector site tables to the largest
-    // static alphabet bound, so no unit run grows them mid-scan.
-    let site_capacity = prepared
+    let items: Vec<(usize, usize)> = (0..prepared.len())
+        .flat_map(|wi| (0..engine.units().len()).map(move |ui| (wi, ui)))
+        .collect();
+    let mut cells = vec![vec![None; configs.len()]; prepared.len()];
+    run_lpt(
+        &items,
+        threads,
+        max_site_capacity(prepared),
+        |items| unit_prices(prepared, configs, &engine, items),
+        |&(wi, ui), scratch| {
+            let p = &prepared[wi];
+            let total = p.interned().len() as u64;
+            let runs: Vec<(usize, ConfigRun)> = engine
+                .run_unit(ui, p.interned(), scratch)
+                .into_iter()
+                .map(|(ci, phases)| (ci, config_run(configs[ci], &phases, total)))
+                .collect();
+            Ok::<_, Infallible>((wi, runs))
+        },
+        |_, (wi, runs)| {
+            for (ci, run) in runs {
+                cells[wi][ci] = Some(run);
+            }
+        },
+    )
+    .unwrap_or_else(|never| match never {});
+    filled(cells)
+}
+
+/// LPT prices of `(workload, unit)` items: the static
+/// window-maintenance and comparison-op bounds of the unit's members,
+/// with the comparison part scaled by a judged-step density — the
+/// certificate midpoints when every member certifies non-vacuously
+/// (the normal case), else the probe density measured at prepare time.
+pub(crate) fn unit_prices(
+    prepared: &[PreparedWorkload],
+    configs: &[DetectorConfig],
+    engine: &SweepEngine,
+    items: &[(usize, usize)],
+) -> Vec<u64> {
+    let certs: Vec<_> = prepared.iter().map(|p| p.certificates(configs)).collect();
+    items
+        .iter()
+        .map(|&(wi, ui)| {
+            let (p, unit) = (&prepared[wi], &engine.units()[ui]);
+            match &certs[wi] {
+                Some(certs) => certified_unit_cost(configs, unit, p, certs),
+                None => calibrated_unit_cost(configs, unit, p),
+            }
+        })
+        .collect()
+}
+
+/// The largest static alphabet bound among `prepared`: every worker's
+/// detector site tables are pre-sized to it, so no unit run grows them
+/// mid-scan.
+pub(crate) fn max_site_capacity(prepared: &[PreparedWorkload]) -> usize {
+    prepared
         .iter()
         .map(PreparedWorkload::site_capacity)
         .max()
-        .unwrap_or(0);
+        .unwrap_or(0)
+}
 
-    let mut out: Vec<Vec<Option<ConfigRun>>> = prepared
-        .iter()
-        .map(|_| configs.iter().map(|_| None).collect())
-        .collect();
+/// The worker count a sweep of `items` work items runs on.
+pub(crate) fn worker_count(threads: usize, items: usize) -> usize {
+    threads.max(1).min(items.max(1))
+}
+
+/// The one work loop under every sweep. Runs `work` on each item with
+/// a [`SweepScratch`] reused across the items of one worker, and hands
+/// each output, with its worker's index, to `collect` on the calling
+/// thread.
+///
+/// On one worker the items run in order on the calling thread,
+/// unpriced, and each output is collected as it is made. On more,
+/// `price` costs the items once, [`lpt_plan`] spreads them over scoped
+/// workers (no locks on the hot path), and outputs are collected
+/// worker by worker after the join. A worker stops at its first error;
+/// the loop then returns the error of the first worker that failed.
+pub(crate) fn run_lpt<I: Sync, T: Send, E: Send>(
+    items: &[I],
+    threads: usize,
+    site_capacity: usize,
+    price: impl FnOnce(&[I]) -> Vec<u64>,
+    work: impl Fn(&I, &mut SweepScratch) -> Result<T, E> + Sync,
+    mut collect: impl FnMut(usize, T),
+) -> Result<(), E> {
+    let threads = worker_count(threads, items.len());
     if threads <= 1 {
-        // One worker runs every (workload, unit) item in order: there
-        // is no plan to balance, so nothing is priced.
         let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-        for (wi, p) in prepared.iter().enumerate() {
-            let total = p.interned().len() as u64;
-            for ui in 0..engine.units().len() {
-                for (ci, phases) in engine.run_unit(ui, p.interned(), &mut scratch) {
-                    out[wi][ci] = Some(config_run(configs[ci], &phases, total));
-                }
-            }
+        for item in items {
+            collect(0, work(item, &mut scratch)?);
         }
-    } else {
-        // One work item per (workload, unit), priced by the static
-        // window-maintenance and comparison-op bounds of the unit's
-        // members, with the comparison part scaled by a judged-step
-        // density: the certificate midpoints when every member
-        // certifies non-vacuously (the normal case), else the
-        // measured probe density from prepare time.
-        let mut items: Vec<(usize, usize, u64)> = Vec::with_capacity(n_items);
-        for (wi, p) in prepared.iter().enumerate() {
-            let certs = p.certificates(configs);
-            for (ui, unit) in engine.units().iter().enumerate() {
-                let cost = match &certs {
-                    Some(certs) => certified_unit_cost(configs, unit, p, certs),
-                    None => calibrated_unit_cost(configs, unit, p),
-                };
-                items.push((wi, ui, cost));
-            }
-        }
-        let costs: Vec<u64> = items.iter().map(|&(_, _, c)| c).collect();
-        let buckets: Vec<Vec<(usize, usize)>> = lpt_plan(&costs, threads)
+        return Ok(());
+    }
+    let plan = lpt_plan(&price(items), threads);
+    let work = &work;
+    let filled: Vec<Result<Vec<T>, E>> = std::thread::scope(|s| {
+        let handles: Vec<_> = plan
             .into_iter()
             .map(|bucket| {
-                bucket
-                    .into_iter()
-                    .map(|i| (items[i].0, items[i].1))
-                    .collect()
+                s.spawn(move || {
+                    let mut scratch = SweepScratch::with_site_capacity(site_capacity);
+                    bucket
+                        .into_iter()
+                        .map(|i| work(&items[i], &mut scratch))
+                        .collect()
+                })
             })
             .collect();
-        let engine = &engine;
-        let filled: Vec<Vec<(usize, usize, ConfigRun)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move || {
-                        let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-                        let mut local = Vec::new();
-                        for (wi, ui) in bucket {
-                            let p = &prepared[wi];
-                            let total = p.interned().len() as u64;
-                            for (ci, phases) in engine.run_unit(ui, p.interned(), &mut scratch) {
-                                local.push((wi, ci, config_run(configs[ci], &phases, total)));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
-        for bucket in filled {
-            for (wi, ci, run) in bucket {
-                out[wi][ci] = Some(run);
-            }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
+    for (t, outputs) in filled.into_iter().enumerate() {
+        for output in outputs? {
+            collect(t, output);
         }
     }
-    out.into_iter()
+    Ok(())
+}
+
+/// Unwraps a sweep's `(workload, config)` grid once every cell is set.
+pub(crate) fn filled(cells: Vec<Vec<Option<ConfigRun>>>) -> Vec<Vec<ConfigRun>> {
+    cells
+        .into_iter()
         .map(|w| {
             w.into_iter()
                 .map(|o| o.expect("every (workload, config) cell filled"))

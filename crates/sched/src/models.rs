@@ -66,7 +66,8 @@ pub fn runner_disjoint_buckets() {
 }
 
 /// Model of the checkpoint append/flush/longest-valid-prefix protocol
-/// (`crates/experiments/src/checkpoint.rs`): a writer appends record
+/// (the OPDK record log, `crates/trace/src/record.rs`, under both the
+/// sweep and the serve checkpoints): a writer appends record
 /// payloads and then publishes the new valid-prefix length with a
 /// `Release` store; a concurrent reader takes an `Acquire` snapshot of
 /// the length and must see fully written payloads for the whole

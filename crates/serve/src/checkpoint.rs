@@ -1,162 +1,48 @@
-//! Crash-safe service checkpoints: OPDK format, version 2.
+//! Crash-safe service checkpoints: the vshard payload codec on the
+//! OPDK record log ([`opd_trace::record`]), version 2.
 //!
 //! The serve engine's unit of work — one virtual shard — is
 //! deterministic and order-independent, exactly like the sweep
-//! runner's buckets, so the same append-only record discipline from
-//! the sweep checkpoint (format version 1) carries over:
+//! runner's buckets (version 1), so completed vshards are appended to
+//! the same record log as they finish, and a resumed run restores
+//! them instead of recomputing.
+//!
+//! # Vshard payload
 //!
 //! ```text
-//! magic  b"OPDK"
-//! version u16 LE           (2 for service checkpoints)
-//! fingerprint u64 LE       (hash of serve config + frame source)
-//! then, per completed vshard (append-only):
-//!   marker 0xA5
-//!   payload_len u32 LE
-//!   payload                (vshard id + session reports, see below)
-//!   checksum u64 LE        (FNV-1a 64 of the payload)
+//! vshard u32 LE, report_count u32 LE
+//! then, per session report:
+//!   client u32 LE, status u8, verified u8 (0 or 1),
+//!   19 u64 LE counters (frames, elements, steps, faults, phase
+//!   digest, ticks, shed ledger)
 //! ```
 //!
-//! Payloads hold exact integer counters only — no floats — so a
-//! restored vshard is bit-identical to a recomputed one by
-//! construction. Appends are one `write_all` of a fully built record
-//! followed by a flush; a SIGKILL mid-write leaves a partial record
-//! at the tail, which the resuming reader detects (marker, length
-//! bound, checksum, full decode) and truncates away.
+//! Exact integer counters only — no floats — so a restored vshard is
+//! bit-identical to a recomputed one by construction. A record that
+//! does not decode exactly (unknown status, a `verified` byte other
+//! than 0 or 1, trailing bytes) is damage, and the log keeps only the
+//! records before it.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io;
 use std::path::Path;
+
+pub use opd_trace::record::CheckpointError;
+use opd_trace::record::{Cursor, RecordWriter};
 
 use crate::ledger::ShedLedger;
 use crate::session::{SessionReport, SessionStats, SessionStatus};
 
-/// The four magic bytes opening every checkpoint file.
-pub const SERVE_CHECKPOINT_MAGIC: &[u8; 4] = b"OPDK";
-/// The OPDK format version service checkpoints use (the sweep
+/// The OPDK payload version of service checkpoints (the sweep
 /// checkpoint owns version 1).
 pub const SERVE_CHECKPOINT_VERSION: u16 = 2;
-/// Header length: magic, version, fingerprint.
-pub const SERVE_CHECKPOINT_HEADER_LEN: usize = 4 + 2 + 8;
-const RECORD_MARKER: u8 = 0xA5;
-/// Sanity cap on a record's declared payload length: anything larger
-/// is a corrupted length field, not a real vshard.
-const MAX_RECORD_LEN: u32 = 64 << 20;
-
-/// Errors reading or writing a service checkpoint.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum CheckpointError {
-    /// The file could not be read or written.
-    Io(io::Error),
-    /// The file does not start with the `OPDK` magic.
-    BadMagic,
-    /// The file's format version is not a service checkpoint's.
-    BadVersion(u16),
-    /// The file was written by a run with a different configuration
-    /// or frame source.
-    FingerprintMismatch {
-        /// Fingerprint of the current run.
-        expected: u64,
-        /// Fingerprint stored in the file.
-        found: u64,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint io: {e}"),
-            CheckpointError::BadMagic => f.write_str("not a checkpoint file (missing OPDK magic)"),
-            CheckpointError::BadVersion(v) => {
-                write!(f, "not a service checkpoint (format version {v})")
-            }
-            CheckpointError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "checkpoint belongs to a different run (fingerprint {found:#x}, \
-                 this run is {expected:#x})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-/// FNV-1a 64-bit over a payload: torn-write detection, not
-/// adversarial integrity.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A cursor over a payload that refuses to read past the end.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
+/// Encoded bytes of one session report: client, status, verified, and
+/// 19 counters.
+const REPORT_LEN: usize = 4 + 1 + 1 + 19 * 8;
 
 fn encode_report(out: &mut Vec<u8>, r: &SessionReport) {
-    put_u32(out, r.client);
+    out.extend_from_slice(&r.client.to_le_bytes());
     out.push(r.status.code());
     out.push(u8::from(r.stats.verified));
     let s = &r.stats;
@@ -181,11 +67,11 @@ fn encode_report(out: &mut Vec<u8>, r: &SessionReport) {
         s.shed.quarantined_frames,
         s.shed.undelivered_frames,
     ] {
-        put_u64(out, v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
-fn decode_report(r: &mut Reader<'_>) -> Option<SessionReport> {
+fn decode_report(r: &mut Cursor<'_>) -> Option<SessionReport> {
     let client = r.u32()?;
     let status = SessionStatus::from_code(r.u8()?)?;
     let verified = match r.u8()? {
@@ -227,35 +113,36 @@ fn decode_report(r: &mut Reader<'_>) -> Option<SessionReport> {
     })
 }
 
-fn encode_vshard(vshard: u32, reports: &[SessionReport]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8 + reports.len() * (6 + 19 * 8));
-    put_u32(&mut payload, vshard);
-    put_u32(&mut payload, reports.len() as u32);
+/// Encodes one completed vshard's session reports as a record
+/// payload.
+#[must_use]
+pub fn encode_vshard(vshard: u32, reports: &[SessionReport]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(8 + reports.len() * REPORT_LEN);
+    payload.extend_from_slice(&vshard.to_le_bytes());
+    payload.extend_from_slice(&(reports.len() as u32).to_le_bytes());
     for r in reports {
         encode_report(&mut payload, r);
     }
     payload
 }
 
-fn decode_vshard(payload: &[u8]) -> Option<(u32, Vec<SessionReport>)> {
-    let mut r = Reader::new(payload);
+/// Decodes a payload [`encode_vshard`] wrote; `None` for any other
+/// bytes.
+#[must_use]
+pub fn decode_vshard(payload: &[u8]) -> Option<(u32, Vec<SessionReport>)> {
+    let mut r = Cursor::new(payload);
     let vshard = r.u32()?;
-    let n = r.u32()? as usize;
-    if n > payload.len() {
-        return None;
-    }
+    let n = r.count(REPORT_LEN)?;
     let mut reports = Vec::with_capacity(n);
     for _ in 0..n {
         reports.push(decode_report(&mut r)?);
     }
-    r.exhausted().then_some((vshard, reports))
+    r.is_empty().then_some((vshard, reports))
 }
 
 /// Appends completed vshards to a service checkpoint.
 #[derive(Debug)]
-pub struct ServeCheckpointWriter {
-    file: File,
-}
+pub struct ServeCheckpointWriter(RecordWriter<File>);
 
 impl ServeCheckpointWriter {
     /// Creates (or truncates) a checkpoint for a run with the given
@@ -265,24 +152,18 @@ impl ServeCheckpointWriter {
     ///
     /// Returns [`CheckpointError::Io`] if the file cannot be written.
     pub fn create(path: &Path, fingerprint: u64) -> Result<ServeCheckpointWriter, CheckpointError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut header = Vec::with_capacity(SERVE_CHECKPOINT_HEADER_LEN);
-        header.extend_from_slice(SERVE_CHECKPOINT_MAGIC);
-        header.extend_from_slice(&SERVE_CHECKPOINT_VERSION.to_le_bytes());
-        header.extend_from_slice(&fingerprint.to_le_bytes());
-        file.write_all(&header)?;
-        file.flush()?;
-        Ok(ServeCheckpointWriter { file })
+        Ok(ServeCheckpointWriter(RecordWriter::create(
+            path,
+            SERVE_CHECKPOINT_VERSION,
+            fingerprint,
+        )?))
     }
 
     /// Opens an existing checkpoint, validates its header against
     /// this run's fingerprint, returns every intact vshard record,
-    /// and truncates away a torn tail so appends continue cleanly.
+    /// and truncates away a torn tail so appends continue cleanly. An
+    /// empty file (a kill before its header was written) resumes as a
+    /// fresh start.
     ///
     /// # Errors
     ///
@@ -292,75 +173,12 @@ impl ServeCheckpointWriter {
         path: &Path,
         fingerprint: u64,
     ) -> Result<(ServeCheckpointWriter, BTreeMap<u32, Vec<SessionReport>>), CheckpointError> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-
-        if bytes.len() < SERVE_CHECKPOINT_HEADER_LEN || &bytes[..4] != SERVE_CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != SERVE_CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        let found = u64::from_le_bytes(
-            bytes[6..14]
-                .try_into()
-                .expect("slice of exactly eight bytes"),
-        );
-        if found != fingerprint {
-            return Err(CheckpointError::FingerprintMismatch {
-                expected: fingerprint,
-                found,
-            });
-        }
-
-        let mut map = BTreeMap::new();
-        let mut pos = SERVE_CHECKPOINT_HEADER_LEN;
-        let mut valid_end = pos;
-        while pos < bytes.len() {
-            // marker + len
-            if bytes[pos] != RECORD_MARKER || pos + 5 > bytes.len() {
-                break;
-            }
-            let len = u32::from_le_bytes(
-                bytes[pos + 1..pos + 5]
-                    .try_into()
-                    .expect("slice of exactly four bytes"),
-            );
-            if len > MAX_RECORD_LEN {
-                break;
-            }
-            let len = len as usize;
-            let payload_start = pos + 5;
-            let checksum_start = match payload_start.checked_add(len) {
-                Some(s) => s,
-                None => break,
-            };
-            if checksum_start + 8 > bytes.len() {
-                break;
-            }
-            let payload = &bytes[payload_start..checksum_start];
-            let stored = u64::from_le_bytes(
-                bytes[checksum_start..checksum_start + 8]
-                    .try_into()
-                    .expect("slice of exactly eight bytes"),
-            );
-            if fnv64(payload) != stored {
-                break;
-            }
-            let Some((vshard, reports)) = decode_vshard(payload) else {
-                break;
-            };
-            map.insert(vshard, reports);
-            pos = checksum_start + 8;
-            valid_end = pos;
-        }
-
-        // Truncate tail damage so the next append starts clean.
-        file.set_len(valid_end as u64)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok((ServeCheckpointWriter { file }, map))
+        let (writer, log) =
+            RecordWriter::resume(path, SERVE_CHECKPOINT_VERSION, fingerprint, decode_vshard)?;
+        Ok((
+            ServeCheckpointWriter(writer),
+            log.records.into_iter().collect(),
+        ))
     }
 
     /// Appends one completed vshard as a single flushed record.
@@ -369,136 +187,6 @@ impl ServeCheckpointWriter {
     ///
     /// Returns the underlying I/O error if the append fails.
     pub fn append(&mut self, vshard: u32, reports: &[SessionReport]) -> io::Result<()> {
-        let payload = encode_vshard(vshard, reports);
-        let mut record = Vec::with_capacity(payload.len() + 13);
-        record.push(RECORD_MARKER);
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        self.file.write_all(&record)?;
-        self.file.flush()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_reports(base: u32) -> Vec<SessionReport> {
-        (0..3)
-            .map(|i| SessionReport {
-                client: base + i * 7,
-                status: if i == 2 {
-                    SessionStatus::Quarantined
-                } else {
-                    SessionStatus::Completed
-                },
-                stats: SessionStats {
-                    frames_total: 10 + u64::from(i),
-                    frames_processed: 9,
-                    elements_accepted: 800 + u64::from(base),
-                    phase_digest: 0xDEAD_0000 + u64::from(i),
-                    phase_count: 4,
-                    verified: i != 2,
-                    shed: ShedLedger {
-                        rejected_frames: u64::from(i),
-                        ..ShedLedger::default()
-                    },
-                    ..SessionStats::default()
-                },
-            })
-            .collect()
-    }
-
-    #[test]
-    fn roundtrip_restores_every_record_bit_identically() {
-        let dir =
-            std::env::temp_dir().join(format!("opd_serve_ckpt_roundtrip_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("serve.opdk");
-        let fp = 0xABCD_EF01;
-        {
-            let mut w = ServeCheckpointWriter::create(&path, fp).expect("create");
-            w.append(3, &sample_reports(100)).expect("append");
-            w.append(1, &sample_reports(200)).expect("append");
-        }
-        let (_w, map) = ServeCheckpointWriter::resume(&path, fp).expect("resume");
-        assert_eq!(map.len(), 2);
-        assert_eq!(map[&3], sample_reports(100));
-        assert_eq!(map[&1], sample_reports(200));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_appends_continue() {
-        let dir = std::env::temp_dir().join(format!("opd_serve_ckpt_torn_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("serve.opdk");
-        let fp = 7;
-        {
-            let mut w = ServeCheckpointWriter::create(&path, fp).expect("create");
-            w.append(0, &sample_reports(1)).expect("append");
-            w.append(5, &sample_reports(2)).expect("append");
-        }
-        // Tear the second record: chop bytes off the end.
-        let full = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &full[..full.len() - 11]).expect("tear");
-
-        let (mut w, map) = ServeCheckpointWriter::resume(&path, fp).expect("resume");
-        assert_eq!(map.len(), 1, "torn record dropped");
-        assert!(map.contains_key(&0));
-        w.append(5, &sample_reports(2)).expect("append after heal");
-        drop(w);
-
-        let (_w, healed) = ServeCheckpointWriter::resume(&path, fp).expect("resume again");
-        assert_eq!(healed.len(), 2);
-        assert_eq!(healed[&5], sample_reports(2));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wrong_fingerprint_and_version_are_refused() {
-        let dir =
-            std::env::temp_dir().join(format!("opd_serve_ckpt_refuse_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("serve.opdk");
-        {
-            let _w = ServeCheckpointWriter::create(&path, 10).expect("create");
-        }
-        assert!(matches!(
-            ServeCheckpointWriter::resume(&path, 11),
-            Err(CheckpointError::FingerprintMismatch {
-                expected: 11,
-                found: 10
-            })
-        ));
-        // A version-1 (sweep) header must be refused, not misread.
-        let mut bytes = std::fs::read(&path).expect("read");
-        bytes[4] = 1;
-        bytes[5] = 0;
-        std::fs::write(&path, &bytes).expect("write");
-        assert!(matches!(
-            ServeCheckpointWriter::resume(&path, 10),
-            Err(CheckpointError::BadVersion(1))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_payload_checksum_is_tail_damage() {
-        let dir = std::env::temp_dir().join(format!("opd_serve_ckpt_sum_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("serve.opdk");
-        {
-            let mut w = ServeCheckpointWriter::create(&path, 3).expect("create");
-            w.append(2, &sample_reports(9)).expect("append");
-        }
-        let mut bytes = std::fs::read(&path).expect("read");
-        let flip = SERVE_CHECKPOINT_HEADER_LEN + 9;
-        bytes[flip] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("write");
-        let (_w, map) = ServeCheckpointWriter::resume(&path, 3).expect("resume");
-        assert!(map.is_empty(), "corrupt record must not be restored");
-        std::fs::remove_file(&path).ok();
+        self.0.append(&encode_vshard(vshard, reports))
     }
 }

@@ -34,7 +34,8 @@
 //! in virtual-time ticks, and every hazard (crash, wedge, poison) is
 //! a stateless keyed draw — so a run's outcome is a pure function of
 //! its configuration, independent of thread count, and resumable from
-//! an OPDK checkpoint after a hard kill ([`checkpoint`]).
+//! an OPDK checkpoint after a hard kill ([`checkpoint`]: the vshard
+//! payload codec, version 2, on `opd-trace`'s shared record log).
 //!
 //! # Examples
 //!

@@ -745,12 +745,7 @@ impl MemorySource {
         let mut words = vec![self.fingerprint, frames.len() as u64];
         for f in &frames {
             words.push(keyed_hash(&[f.len() as u64]));
-            let mut h = 0xCBF2_9CE4_8422_2325u64;
-            for &b in f {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            words.push(h);
+            words.push(opd_trace::fnv64(f));
         }
         self.fingerprint = keyed_hash(&words);
         self.streams.push((config, frames));

@@ -12,6 +12,8 @@
 //! resumed or replayed run sees exactly the same failures without any
 //! RNG stream state to persist.
 
+use opd_trace::{fnv64, fnv64_extend};
+
 /// When and how hard the supervisor retries a failed session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionPolicy {
@@ -147,13 +149,9 @@ impl HazardPolicy for SeededHazards {
 /// seeded draw in this crate.
 #[must_use]
 pub fn keyed_hash(words: &[u64]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
+    let mut h = words
+        .iter()
+        .fold(fnv64(&[]), |h, w| fnv64_extend(h, &w.to_le_bytes()));
     // splitmix64 finalizer: FNV alone is too linear for rate draws.
     h ^= h >> 30;
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);

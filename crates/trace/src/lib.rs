@@ -14,7 +14,9 @@
 //! * [`PhaseState`], [`StateSeq`], [`PhaseInterval`] — per-element
 //!   phase/transition labels and the intervals extracted from them,
 //! * [`TraceStats`] — the dynamic execution characteristics reported in
-//!   Table 1(a) of the paper.
+//!   Table 1(a) of the paper,
+//! * [`record`] — the OPDK record log, the one crash-safe framing
+//!   under the sweep and serve checkpoints, and [`fnv64`].
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@ mod element;
 mod error;
 mod event;
 mod phase;
+pub mod record;
 mod resync;
 mod sample;
 mod stats;
@@ -57,6 +60,7 @@ pub use phase::{
     boundaries_of, intervals_of, states_from_intervals, Boundary, BoundaryKind, PhaseInterval,
     PhaseState, StateSeq,
 };
+pub use record::{fnv64, fnv64_extend};
 pub use resync::{decode_trace_resync, CorruptionReport};
 pub use sample::{subsample, upsample_intervals};
 pub use stats::{StatsSink, TraceStats};

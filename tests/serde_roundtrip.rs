@@ -76,10 +76,9 @@ mod serde_formats {
 
 mod checkpoint_format {
     use opd::core::DetectedPhase;
-    use opd_experiments::checkpoint::{
-        fnv64, parse_checkpoint, CheckpointError, CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-    };
+    use opd::trace::fnv64;
+    use opd::trace::record::{HEADER_LEN as CHECKPOINT_HEADER_LEN, MAGIC as CHECKPOINT_MAGIC};
+    use opd_experiments::checkpoint::{parse_checkpoint, CheckpointError, CHECKPOINT_VERSION};
 
     /// A minimal valid checkpoint image: header plus one bucket record.
     /// `test` names the calling test, which gets its own temp file, so
