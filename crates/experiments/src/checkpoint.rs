@@ -339,6 +339,7 @@ mod tests {
             1,
             &[1_000],
             30_000,
+            2,
         );
         let configs = default_plan_grid();
         let reference = sweep_many(&prepared, &configs, 2);
@@ -396,6 +397,7 @@ mod tests {
             1,
             &[1_000],
             20_000,
+            2,
         );
         let configs = default_plan_grid();
         let fp = run_fingerprint(
@@ -439,7 +441,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_rejected() {
-        let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000);
+        let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000, 1);
         let configs = default_plan_grid();
         let path = tmp("fingerprint.opdk");
         let _ = std::fs::remove_file(&path);

@@ -9,16 +9,19 @@
 //! * the phases of the best framework detector (best accuracy score
 //!   among the Constant + Adaptive grids at CW = ½·MPL),
 //! * the phases of the prior-art fixed-interval detector.
+//!
+//! All three clients' grids run in one `sweep_many` over every workload.
 
 use core::fmt;
+use core::ops::Range;
 
 use opd_client::{recommended_mpl, simulate_intervals, CostModel};
 use opd_scoring::score_intervals;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, push_grid, ExpOptions};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind};
 use crate::report::{fmt_pct, Table};
-use crate::runner::{prepare_all, sweep, ConfigRun};
+use crate::runner::{prepare_all, sweep_many, ConfigRun};
 
 /// One client's aggregate outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,30 +95,46 @@ fn best_by_score<'a>(
 pub fn run(opts: &ExpOptions) -> ClientResult {
     let models = client_models();
     let mpls: Vec<u64> = models.iter().map(|(_, m)| recommended_mpl(m)).collect();
-    let prepared = prepare_all(&opts.workloads, opts.scale, &mpls, opts.fuel);
+    let prepared = prepare_all(&opts.workloads, opts.scale, &mpls, opts.fuel, opts.threads);
+    // Per client: the framework's Constant + Adaptive grids as one
+    // range, then the fixed-interval grid.
+    let mut configs = Vec::new();
+    let ranges: Vec<[Range<usize>; 2]> = mpls
+        .iter()
+        .map(|&mpl| {
+            let cw = half_mpl_cw(mpl);
+            [
+                push_grid(
+                    &mut configs,
+                    policy_grid(TwKind::Constant, cw)
+                        .into_iter()
+                        .chain(policy_grid(TwKind::Adaptive, cw)),
+                ),
+                push_grid(&mut configs, policy_grid(TwKind::FixedInterval, cw)),
+            ]
+        })
+        .collect();
+    let runs = sweep_many(&prepared, &configs, opts.threads);
 
     let rows = models
         .into_iter()
         .zip(mpls)
-        .map(|((client, model), mpl)| {
-            let cw = half_mpl_cw(mpl);
+        .zip(&ranges)
+        .map(|(((client, model), mpl), [framework, fixed])| {
             let mut oracle_b = Vec::new();
             let mut detector_b = Vec::new();
             let mut fixed_b = Vec::new();
-            for p in &prepared {
+            for (p, runs) in prepared.iter().zip(&runs) {
                 let oracle = p.oracle(mpl);
                 let truth = oracle.phases();
                 let total = p.total_elements();
                 oracle_b.push(simulate_intervals(truth, truth, total, &model).net_benefit_pct());
-                let mut runs = sweep(p, &policy_grid(TwKind::Constant, cw), opts.threads);
-                runs.extend(sweep(p, &policy_grid(TwKind::Adaptive, cw), opts.threads));
-                if let Some(best) = best_by_score(&runs, oracle) {
+                if let Some(best) = best_by_score(&runs[framework.clone()], oracle) {
                     detector_b.push(
                         simulate_intervals(&best.detected, truth, total, &model).net_benefit_pct(),
                     );
                 }
-                let fixed = sweep(p, &policy_grid(TwKind::FixedInterval, cw), opts.threads);
-                if let Some(best) = best_by_score(&fixed, oracle) {
+                if let Some(best) = best_by_score(&runs[fixed.clone()], oracle) {
                     fixed_b.push(
                         simulate_intervals(&best.detected, truth, total, &model).net_benefit_pct(),
                     );

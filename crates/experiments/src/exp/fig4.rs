@@ -5,13 +5,16 @@
 //! taking the average over benchmarks of the best score across all
 //! model/analyzer combinations. Fixed Interval uses skip factor = CW
 //! size; the other two use skip factor 1.
+//!
+//! All (MPL, strategy) grids run in one `sweep_many` over every workload.
 
 use core::fmt;
+use core::ops::Range;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, push_grid, ExpOptions};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind, MPLS_FIG4};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep_many};
+use crate::runner::{prepare_all, sweep_many};
 
 /// Scores for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,26 +51,29 @@ impl Fig4Result {
 /// Runs the Figure 4 experiment.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig4Result {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_FIG4, opts.fuel);
-    let rows = MPLS_FIG4
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_FIG4,
+        opts.fuel,
+        opts.threads,
+    );
+    let mut configs = Vec::new();
+    let ranges: Vec<[Range<usize>; 3]> = MPLS_FIG4
         .iter()
         .map(|&mpl| {
-            let cw = half_mpl_cw(mpl);
-            let mut scores = [Vec::new(), Vec::new(), Vec::new()];
-            for (ki, &kind) in TwKind::ALL.iter().enumerate() {
-                // All workloads at once: (workload × shape-group)
-                // units share the thread pool.
-                let per_workload = sweep_many(&prepared, &policy_grid(kind, cw), opts.threads);
-                for (p, runs) in prepared.iter().zip(&per_workload) {
-                    scores[ki].push(best_combined(runs, p.oracle(mpl)));
-                }
-            }
-            Fig4Row {
-                mpl,
-                adaptive: avg(scores[0].iter().copied()),
-                constant: avg(scores[1].iter().copied()),
-                fixed_interval: avg(scores[2].iter().copied()),
-            }
+            TwKind::ALL.map(|kind| push_grid(&mut configs, policy_grid(kind, half_mpl_cw(mpl))))
+        })
+        .collect();
+    let runs = sweep_many(&prepared, &configs, opts.threads);
+    let rows = MPLS_FIG4
+        .iter()
+        .zip(&ranges)
+        .map(|(&mpl, [adaptive, constant, fixed])| Fig4Row {
+            mpl,
+            adaptive: avg(best_scores(&prepared, &runs, adaptive, mpl)),
+            constant: avg(best_scores(&prepared, &runs, constant, mpl)),
+            fixed_interval: avg(best_scores(&prepared, &runs, fixed, mpl)),
         })
         .collect();
     Fig4Result { rows }

@@ -1,15 +1,18 @@
 //! Figure 5: weighted versus unweighted similarity models
 //! (Section 4.3), with and without the compress analogue.
+//!
+//! All (MPL, policy, model) grids run in one `sweep_many` over every
+//! workload.
 
 use core::fmt;
 
 use opd_core::ModelPolicy;
 use opd_microvm::workloads::Workload;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, push_grid, ExpOptions};
 use crate::grid::{analyzer_grid, half_mpl_cw, TwKind, MPLS_MAIN};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep};
+use crate::runner::{prepare_all, sweep_many};
 
 /// Scores for one (MPL, TW policy) group of Figure 5's bars.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,41 +52,53 @@ impl Fig5Result {
 /// Runs the Figure 5 experiment.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig5Result {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_MAIN, opts.fuel);
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_MAIN,
+        opts.fuel,
+        opts.threads,
+    );
     let kinds = [TwKind::Constant, TwKind::Adaptive];
-    let mut cells = Vec::new();
+    let models = [ModelPolicy::WeightedSet, ModelPolicy::UnweightedSet];
+    // One (MPL, policy) cell per entry: its [weighted, unweighted] grids.
+    let mut configs = Vec::new();
+    let mut requested = Vec::new();
     for &mpl in &MPLS_MAIN {
         let cw = half_mpl_cw(mpl);
-        for &kind in &kinds {
-            let mut by_model = [Vec::new(), Vec::new()]; // [weighted, unweighted] x bench
-            let mut is_compress = Vec::new();
-            for p in &prepared {
-                is_compress.push(p.workload() == Workload::Blockcomp);
-                for (slot, model) in [ModelPolicy::WeightedSet, ModelPolicy::UnweightedSet]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let runs = sweep(p, &analyzer_grid(kind, cw, model), opts.threads);
-                    by_model[slot].push(best_combined(&runs, p.oracle(mpl)));
-                }
-            }
-            let without = |scores: &[f64]| {
-                avg(scores
-                    .iter()
-                    .zip(&is_compress)
-                    .filter(|&(_, &c)| !c)
-                    .map(|(&s, _)| s))
-            };
-            cells.push(Fig5Cell {
-                mpl,
-                kind,
-                weighted: avg(by_model[0].iter().copied()),
-                unweighted: avg(by_model[1].iter().copied()),
-                weighted_no_compress: without(&by_model[0]),
-                unweighted_no_compress: without(&by_model[1]),
-            });
+        for kind in kinds {
+            let ranges =
+                models.map(|model| push_grid(&mut configs, analyzer_grid(kind, cw, model)));
+            requested.push((mpl, kind, ranges));
         }
     }
+    let runs = sweep_many(&prepared, &configs, opts.threads);
+    let is_compress: Vec<bool> = prepared
+        .iter()
+        .map(|p| p.workload() == Workload::Blockcomp)
+        .collect();
+    let without = |scores: &[f64]| {
+        avg(scores
+            .iter()
+            .zip(&is_compress)
+            .filter(|&(_, &c)| !c)
+            .map(|(&s, _)| s))
+    };
+    let cells = requested
+        .iter()
+        .map(|(mpl, kind, [weighted, unweighted])| {
+            let weighted: Vec<f64> = best_scores(&prepared, &runs, weighted, *mpl).collect();
+            let unweighted: Vec<f64> = best_scores(&prepared, &runs, unweighted, *mpl).collect();
+            Fig5Cell {
+                mpl: *mpl,
+                kind: *kind,
+                weighted: avg(weighted.iter().copied()),
+                unweighted: avg(unweighted.iter().copied()),
+                weighted_no_compress: without(&weighted),
+                unweighted_no_compress: without(&unweighted),
+            }
+        })
+        .collect();
     Fig5Result { cells }
 }
 

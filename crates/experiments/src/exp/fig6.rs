@@ -3,15 +3,18 @@
 //!
 //! The unweighted model is used throughout (the paper restricts the
 //! analyzer study to it after Section 4.3).
+//!
+//! All (MPL, policy) analyzer grids run in one `sweep_many` over every
+//! workload.
 
 use core::fmt;
 
 use opd_core::{AnalyzerPolicy, ModelPolicy};
 
-use crate::exp::{avg, ExpOptions};
-use crate::grid::{config_for, half_mpl_cw, paper_analyzers, TwKind, MPLS_MAIN};
+use crate::exp::{avg, push_grid, ExpOptions};
+use crate::grid::{analyzer_grid, half_mpl_cw, paper_analyzers, TwKind, MPLS_MAIN};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{prepare_all, run_detector, PreparedWorkload};
+use crate::runner::{prepare_all, sweep_many};
 
 /// One bar of Figure 6: an analyzer's average score for one MPL and
 /// policy.
@@ -47,26 +50,36 @@ impl Fig6Result {
 /// Runs the Figure 6 experiment.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig6Result {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_MAIN, opts.fuel);
-    let mut bars = Vec::new();
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_MAIN,
+        opts.fuel,
+        opts.threads,
+    );
+    // One grid per (MPL, policy): the ten analyzers, in paper order.
+    let mut configs = Vec::new();
+    let mut requested = Vec::new();
     for &mpl in &MPLS_MAIN {
-        let cw = half_mpl_cw(mpl);
         for kind in [TwKind::Constant, TwKind::Adaptive] {
-            for analyzer in paper_analyzers() {
-                let config = config_for(kind, cw, ModelPolicy::UnweightedSet, analyzer)
-                    .expect("grid parameters are valid");
-                let score = avg(prepared.iter().map(|p: &PreparedWorkload| {
-                    run_detector(config, p.interned())
-                        .score(p.oracle(mpl))
-                        .combined()
-                }));
-                bars.push(Fig6Bar {
-                    mpl,
-                    kind,
-                    analyzer,
-                    score,
-                });
-            }
+            let grid = analyzer_grid(kind, half_mpl_cw(mpl), ModelPolicy::UnweightedSet);
+            requested.push((mpl, kind, push_grid(&mut configs, grid)));
+        }
+    }
+    let runs = sweep_many(&prepared, &configs, opts.threads);
+    let mut bars = Vec::new();
+    for (mpl, kind, grid) in requested {
+        for (i, analyzer) in grid.zip(paper_analyzers()) {
+            let score = avg(prepared
+                .iter()
+                .zip(&runs)
+                .map(|(p, runs)| runs[i].score(p.oracle(mpl)).combined()));
+            bars.push(Fig6Bar {
+                mpl,
+                kind,
+                analyzer,
+                score,
+            });
         }
     }
     Fig6Result { bars }

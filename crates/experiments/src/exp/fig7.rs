@@ -1,14 +1,18 @@
 //! Figure 7: window resizing and anchoring at phase starts
 //! (Section 5): Slide versus Move (a) and RN versus LNN (b).
+//!
+//! All (MPL, variant) grids run in one `sweep_many` over every
+//! workload; the three variants of an MPL share one adaptive scan.
 
 use core::fmt;
+use core::ops::Range;
 
 use opd_core::{AnchorPolicy, ResizePolicy};
 
-use crate::exp::{avg, pct_improvement, ExpOptions};
+use crate::exp::{avg, best_scores, pct_improvement, push_grid, ExpOptions};
 use crate::grid::{adaptive_grid, half_mpl_cw, MPLS_TABLE1};
 use crate::report::{fmt_mpl, fmt_pct, Table};
-use crate::runner::{best_combined, prepare_all, sweep};
+use crate::runner::{prepare_all, sweep_many};
 
 /// Improvements for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,28 +49,41 @@ impl Fig7Result {
 /// Runs the Figure 7 experiment.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig7Result {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_TABLE1, opts.fuel);
-    let rows = MPLS_TABLE1
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_TABLE1,
+        opts.fuel,
+        opts.threads,
+    );
+    let variants = [
+        (AnchorPolicy::RightmostNoisy, ResizePolicy::Slide),
+        (AnchorPolicy::RightmostNoisy, ResizePolicy::Move),
+        (AnchorPolicy::LeftmostNonNoisy, ResizePolicy::Slide),
+    ];
+    // All three variants of one MPL share a window shape, so they run
+    // as one shared adaptive scan per workload.
+    let mut configs = Vec::new();
+    let ranges: Vec<[Range<usize>; 3]> = MPLS_TABLE1
         .iter()
         .map(|&mpl| {
             let cw = half_mpl_cw(mpl);
-            let variants = [
-                (AnchorPolicy::RightmostNoisy, ResizePolicy::Slide),
-                (AnchorPolicy::RightmostNoisy, ResizePolicy::Move),
-                (AnchorPolicy::LeftmostNonNoisy, ResizePolicy::Slide),
-            ];
+            variants
+                .map(|(anchor, resize)| push_grid(&mut configs, adaptive_grid(cw, anchor, resize)))
+        })
+        .collect();
+    let runs = sweep_many(&prepared, &configs, opts.threads);
+    let rows = MPLS_TABLE1
+        .iter()
+        .zip(&ranges)
+        .map(|(&mpl, [rn_slide, rn_move, lnn_slide])| {
             // Average of best scores per variant across benchmarks.
-            let mut scores = [0.0f64; 3];
-            for (vi, &(anchor, resize)) in variants.iter().enumerate() {
-                scores[vi] = avg(prepared.iter().map(|p| {
-                    let runs = sweep(p, &adaptive_grid(cw, anchor, resize), opts.threads);
-                    best_combined(&runs, p.oracle(mpl))
-                }));
-            }
+            let score = |grid| avg(best_scores(&prepared, &runs, grid, mpl));
+            let rn_slide = score(rn_slide);
             Fig7Row {
                 mpl,
-                slide_over_move: pct_improvement(scores[0], scores[1]),
-                rn_over_lnn: pct_improvement(scores[0], scores[2]),
+                slide_over_move: pct_improvement(rn_slide, score(rn_move)),
+                rn_over_lnn: pct_improvement(rn_slide, score(lnn_slide)),
             }
         })
         .collect();

@@ -4,13 +4,16 @@
 //! Detected phase-start boundaries are replaced by the anchor
 //! positions before scoring, and the Constant and Adaptive policies
 //! are compared per MPL.
+//!
+//! All (MPL, policy) grids run in one `sweep_many` over every workload.
 
 use core::fmt;
+use core::ops::Range;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, push_grid, ExpOptions};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind, MPLS_FIG4};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined_anchored, prepare_all, sweep};
+use crate::runner::{best_combined_anchored, prepare_all, sweep_many};
 
 /// Anchored-boundary scores for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,22 +45,36 @@ impl Fig8Result {
 /// Runs the Figure 8 experiment.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig8Result {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_FIG4, opts.fuel);
-    let rows = MPLS_FIG4
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_FIG4,
+        opts.fuel,
+        opts.threads,
+    );
+    let mut configs = Vec::new();
+    let ranges: Vec<[Range<usize>; 2]> = MPLS_FIG4
         .iter()
         .map(|&mpl| {
-            let cw = half_mpl_cw(mpl);
-            let mut scores = [0.0f64; 2];
-            for (ki, kind) in [TwKind::Constant, TwKind::Adaptive].into_iter().enumerate() {
-                scores[ki] = avg(prepared.iter().map(|p| {
-                    let runs = sweep(p, &policy_grid(kind, cw), opts.threads);
-                    best_combined_anchored(&runs, p.oracle(mpl))
-                }));
-            }
+            [TwKind::Constant, TwKind::Adaptive]
+                .map(|kind| push_grid(&mut configs, policy_grid(kind, half_mpl_cw(mpl))))
+        })
+        .collect();
+    let runs = sweep_many(&prepared, &configs, opts.threads);
+    let rows = MPLS_FIG4
+        .iter()
+        .zip(&ranges)
+        .map(|(&mpl, [constant, adaptive])| {
+            let score = |grid: &Range<usize>| {
+                avg(prepared
+                    .iter()
+                    .zip(&runs)
+                    .map(|(p, runs)| best_combined_anchored(&runs[grid.clone()], p.oracle(mpl))))
+            };
             Fig8Row {
                 mpl,
-                constant: scores[0],
-                adaptive: scores[1],
+                constant: score(constant),
+                adaptive: score(adaptive),
             }
         })
         .collect();

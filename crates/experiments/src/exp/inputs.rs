@@ -10,19 +10,35 @@
 //! (a basic-block-like profile), and *method invocations* (the
 //! method-level profiles of Georges et al.) — and scores all three
 //! against the same branch-offset oracle.
+//!
+//! Every (workload, stream) pair and its grid run through the sweep
+//! engine in one `runner::sweep_streams` call.
+//!
+//! # Known bug under a fuel cap
+//!
+//! The method stream always comes from an *uncapped* re-run of the
+//! workload (it records only method entries, see [`MethodProfile`]).
+//! Under [`ExpOptions::fuel`] the branch trace and its oracle are
+//! capped, so the method column scores intervals from the whole run
+//! against the capped oracle (invocations past the cap map to the
+//! trace end), and its window is sized by the ratio of *uncapped*
+//! invocations to *capped* branches, which is too large. Complete runs
+//! (`fuel = u64::MAX`, as in EXPERIMENTS.md) are unaffected. Fixing it
+//! changes the benchmark's pinned `inputs` digest, so it waits for a
+//! change that re-records the benchmark's references.
 
 use core::fmt;
 
-use opd_core::{InternedTrace, ModelPolicy, PhaseDetector};
+use opd_core::{DetectorConfig, InternedTrace, ModelPolicy};
+use opd_microvm::workloads::Workload;
+use opd_microvm::Interpreter;
 use opd_scoring::score_intervals;
-use opd_trace::{
-    intervals_of, method_profile, method_profile_offsets, site_profile, PhaseInterval,
-};
+use opd_trace::{site_profile, MethodProfile, PhaseInterval};
 
 use crate::exp::{avg, ExpOptions};
 use crate::grid::{analyzer_grid, half_mpl_cw, TwKind};
 use crate::report::{fmt_score, Table};
-use crate::runner::prepare_all;
+use crate::runner::{best_combined, prepare_all, sweep_streams};
 
 /// The MPL the study is run at.
 pub const INPUTS_MPL: u64 = 10_000;
@@ -61,81 +77,95 @@ impl InputsResult {
     }
 }
 
-/// Best combined score of the unweighted Constant-TW analyzer grid
-/// over an arbitrary element stream, with detected intervals mapped
-/// to branch offsets through `to_branch_offset`.
-fn best_on_stream(
-    interned: &InternedTrace,
-    cw: usize,
-    oracle: &opd_baseline::BaselineSolution,
-    to_branch_offset: impl Fn(u64) -> u64,
-) -> f64 {
-    analyzer_grid(TwKind::Constant, cw, ModelPolicy::UnweightedSet)
-        .into_iter()
-        .map(|config| {
-            let mut d = PhaseDetector::new(config);
-            let states = d.run_interned(interned);
-            let mapped: Vec<PhaseInterval> = intervals_of(&states)
-                .into_iter()
-                .filter_map(|p| {
-                    let start = to_branch_offset(p.start());
-                    let end = to_branch_offset(p.end());
-                    (start < end).then(|| PhaseInterval::new(start, end))
-                })
-                .collect();
-            score_intervals(&mapped, oracle).combined()
-        })
-        .fold(0.0f64, f64::max)
+/// The method-level profile of one complete run of `workload`: the
+/// interpreter records only method entries and their branch offsets.
+fn method_profile(workload: Workload, scale: u32) -> MethodProfile {
+    let mut methods = MethodProfile::new();
+    Interpreter::new(&workload.program(scale), workload.default_seed())
+        .run(&mut methods)
+        .expect("workload programs terminate");
+    methods
 }
 
 /// Runs the input-generality study.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> InputsResult {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &[INPUTS_MPL], opts.fuel);
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &[INPUTS_MPL],
+        opts.fuel,
+        opts.threads,
+    );
     let cw = half_mpl_cw(INPUTS_MPL);
+    let grid = analyzer_grid(TwKind::Constant, cw, ModelPolicy::UnweightedSet);
+
+    // Site stream: same positions, coarser element identity.
+    let sites: Vec<InternedTrace> = prepared
+        .iter()
+        .map(|p| InternedTrace::from(&site_profile(p.branches())))
+        .collect();
+    // Method stream: element k sits at the k-th invocation's branch
+    // offset; windows sized proportionally. Workloads making too few
+    // invocations for windows to fill have none.
+    let methods: Vec<Option<(MethodProfile, InternedTrace, Vec<DetectorConfig>)>> = prepared
+        .iter()
+        .map(|p| {
+            let profile = method_profile(p.workload(), opts.scale);
+            let len = profile.elements().len();
+            (len >= 64).then(|| {
+                let ratio = len as f64 / p.total_elements().max(1) as f64;
+                let cw_m = ((cw as f64 * ratio).ceil() as usize).max(4);
+                let interned = InternedTrace::from(profile.elements());
+                let grid = analyzer_grid(TwKind::Constant, cw_m, ModelPolicy::UnweightedSet);
+                (profile, interned, grid)
+            })
+        })
+        .collect();
+
+    // Per workload: its branch, site and (if any) method streams.
+    let mut streams: Vec<(&InternedTrace, &[DetectorConfig])> = Vec::new();
+    for ((p, sites), methods) in prepared.iter().zip(&sites).zip(&methods) {
+        streams.push((p.interned(), &grid));
+        streams.push((sites, &grid));
+        if let Some((_, interned, grid)) = methods {
+            streams.push((interned, grid));
+        }
+    }
+    let mut runs = sweep_streams(&streams, opts.threads).into_iter();
 
     let rows = prepared
         .iter()
-        .map(|p| {
+        .zip(&methods)
+        .map(|(p, methods)| {
             let oracle = p.oracle(INPUTS_MPL);
             let total = p.total_elements();
-
-            let branches = best_on_stream(p.interned(), cw, oracle, |o| o);
-
-            // Site stream: same positions, coarser element identity.
-            let site_trace = {
-                let mut t = opd_trace::ExecutionTrace::new();
-                for e in p.branches() {
-                    opd_trace::TraceSink::record_branch(&mut t, *e);
-                }
-                site_profile(&t)
-            };
-            let sites = best_on_stream(&InternedTrace::from(&site_trace), cw, oracle, |o| o);
-
-            // Method stream: element k sits at the k-th invocation's
-            // branch offset; windows sized proportionally.
-            let trace = p.workload().trace(opts.scale); // deterministic re-run for events
-            let methods_stream = method_profile(&trace);
-            let offsets = method_profile_offsets(&trace);
-            let methods = if methods_stream.len() >= 64 {
-                let ratio = methods_stream.len() as f64 / total.max(1) as f64;
-                let cw_m = ((cw as f64 * ratio).ceil() as usize).max(4);
+            let mut next = || runs.next().expect("one run list per stream");
+            let branches = best_combined(&next(), oracle);
+            let sites = best_combined(&next(), oracle);
+            let methods = methods.as_ref().map(|(profile, _, _)| {
                 // Clamp to the prepared trace length: under a fuel cap
-                // the deterministic re-run is longer than the prepared
+                // the uncapped re-run is longer than the prepared
                 // trace, so trailing invocations map to its end.
+                let offsets = profile.offsets();
                 let map = |o: u64| -> u64 {
                     offsets.get(o as usize).copied().unwrap_or(total).min(total)
                 };
-                Some(best_on_stream(
-                    &InternedTrace::from(&methods_stream),
-                    cw_m,
-                    oracle,
-                    map,
-                ))
-            } else {
-                None
-            };
-
+                next()
+                    .iter()
+                    .map(|run| {
+                        let mapped: Vec<PhaseInterval> = run
+                            .detected
+                            .iter()
+                            .filter_map(|iv| {
+                                let (start, end) = (map(iv.start()), map(iv.end()));
+                                (start < end).then(|| PhaseInterval::new(start, end))
+                            })
+                            .collect();
+                        score_intervals(&mapped, oracle).combined()
+                    })
+                    .fold(0.0f64, f64::max)
+            });
             InputsRow {
                 workload: p.workload().name(),
                 branches,

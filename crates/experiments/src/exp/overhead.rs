@@ -7,6 +7,9 @@
 //! measures the second source for every framework configuration
 //! family: sustained detector throughput in profile elements per
 //! second, and the relative slowdown versus the cheapest family.
+//!
+//! It alone runs private detectors, one per (family, workload), on
+//! purpose: a shared scan would not time any one family.
 
 use core::fmt;
 use std::time::Instant;

@@ -14,17 +14,21 @@
 //! * `pearson` — the framework with the Pearson model (Das et al.),
 //!   best across analyzers;
 //! * `pc-range` — Lu et al.'s detector with a window of ½·MPL.
+//!
+//! The framework, Dhodapkar-Smith and Pearson grids of every MPL run in
+//! one `sweep_many` over every workload; only PC-range runs privately.
 
 use core::fmt;
+use core::ops::Range;
 
 use opd_core::{run_online, AnalyzerPolicy, DetectorConfig, ModelPolicy, PcRangeDetector};
 use opd_scoring::score_intervals;
 use opd_trace::intervals_of;
 
-use crate::exp::{avg, ExpOptions};
-use crate::grid::{config_for, half_mpl_cw, paper_analyzers, policy_grid, TwKind, MPLS_MAIN};
+use crate::exp::{avg, best_scores, push_grid, ExpOptions};
+use crate::grid::{analyzer_grid, half_mpl_cw, policy_grid, TwKind, MPLS_MAIN};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep, PreparedWorkload};
+use crate::runner::{prepare_all, sweep_many, PreparedWorkload};
 
 /// Scores for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,45 +76,53 @@ fn pc_range_score(p: &PreparedWorkload, mpl: u64, window: usize) -> f64 {
 /// Runs the extension study.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> RelatedResult {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_MAIN, opts.fuel);
-    let rows = MPLS_MAIN
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_MAIN,
+        opts.fuel,
+        opts.threads,
+    );
+    // Per MPL: the framework's Constant + Adaptive grids as one range,
+    // Dhodapkar & Smith's single config, and the Pearson grid.
+    let mut configs = Vec::new();
+    let ranges: Vec<[Range<usize>; 3]> = MPLS_MAIN
         .iter()
         .map(|&mpl| {
             let cw = half_mpl_cw(mpl);
-            let framework = avg(prepared.iter().map(|p| {
-                let mut runs = sweep(p, &policy_grid(TwKind::Constant, cw), opts.threads);
-                runs.extend(sweep(p, &policy_grid(TwKind::Adaptive, cw), opts.threads));
-                best_combined(&runs, p.oracle(mpl))
-            }));
             let ds_config = DetectorConfig::fixed_interval(
                 cw,
                 ModelPolicy::UnweightedSet,
                 AnalyzerPolicy::Threshold(0.5),
             )
             .expect("valid config");
-            let dhodapkar_smith = avg(prepared.iter().map(|p| {
-                let runs = sweep(p, &[ds_config], 1);
-                best_combined(&runs, p.oracle(mpl))
-            }));
-            let pearson = avg(prepared.iter().map(|p| {
-                let configs: Vec<DetectorConfig> = paper_analyzers()
-                    .into_iter()
-                    .map(|a| {
-                        config_for(TwKind::Constant, cw, ModelPolicy::Pearson, a)
-                            .expect("valid config")
-                    })
-                    .collect();
-                let runs = sweep(p, &configs, opts.threads);
-                best_combined(&runs, p.oracle(mpl))
-            }));
-            let pc_range = avg(prepared.iter().map(|p| pc_range_score(p, mpl, cw)));
-            RelatedRow {
-                mpl,
-                framework,
-                dhodapkar_smith,
-                pearson,
-                pc_range,
-            }
+            [
+                push_grid(
+                    &mut configs,
+                    policy_grid(TwKind::Constant, cw)
+                        .into_iter()
+                        .chain(policy_grid(TwKind::Adaptive, cw)),
+                ),
+                push_grid(&mut configs, [ds_config]),
+                push_grid(
+                    &mut configs,
+                    analyzer_grid(TwKind::Constant, cw, ModelPolicy::Pearson),
+                ),
+            ]
+        })
+        .collect();
+    let runs = sweep_many(&prepared, &configs, opts.threads);
+    let rows = MPLS_MAIN
+        .iter()
+        .zip(&ranges)
+        .map(|(&mpl, [framework, ds, pearson])| RelatedRow {
+            mpl,
+            framework: avg(best_scores(&prepared, &runs, framework, mpl)),
+            dhodapkar_smith: avg(best_scores(&prepared, &runs, ds, mpl)),
+            pearson: avg(best_scores(&prepared, &runs, pearson, mpl)),
+            pc_range: avg(prepared
+                .iter()
+                .map(|p| pc_range_score(p, mpl, half_mpl_cw(mpl)))),
         })
         .collect();
     RelatedResult { rows }

@@ -9,17 +9,20 @@
 //! elements), its detected intervals are mapped back to full-trace
 //! offsets, and the usual score is computed against the unsampled
 //! oracle.
+//!
+//! Every (stride, workload) sampled stream and its grid run through the
+//! sweep engine in one `runner::sweep_streams` call.
 
 use core::fmt;
 
-use opd_core::{DetectorConfig, InternedTrace, PhaseDetector};
+use opd_core::{DetectorConfig, InternedTrace, ModelPolicy};
 use opd_scoring::score_intervals;
-use opd_trace::{intervals_of, subsample, upsample_intervals};
+use opd_trace::{subsample, upsample_intervals};
 
 use crate::exp::{avg, ExpOptions};
 use crate::grid::{analyzer_grid, half_mpl_cw, TwKind};
 use crate::report::{fmt_score, Table};
-use crate::runner::prepare_all;
+use crate::runner::{prepare_all, sweep_streams};
 
 /// The sampling strides studied.
 pub const STRIDES: [usize; 5] = [1, 2, 4, 8, 16];
@@ -62,28 +65,52 @@ impl SamplingResult {
 /// Runs the sampling study.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> SamplingResult {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &[SAMPLING_MPL], opts.fuel);
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &[SAMPLING_MPL],
+        opts.fuel,
+        opts.threads,
+    );
     let cw_full = half_mpl_cw(SAMPLING_MPL);
+
+    // Window sized in *sampled* elements so it still spans ~½·MPL
+    // original elements.
+    let grids: Vec<Vec<DetectorConfig>> = STRIDES
+        .iter()
+        .map(|&stride| {
+            let cw = (cw_full / stride).max(1);
+            analyzer_grid(TwKind::Constant, cw, ModelPolicy::UnweightedSet)
+        })
+        .collect();
+    // Stride-major: every workload's stream at one stride, then the next.
+    let sampled: Vec<InternedTrace> = STRIDES
+        .iter()
+        .flat_map(|&stride| {
+            prepared
+                .iter()
+                .map(move |p| InternedTrace::from(&subsample(p.branches(), stride)))
+        })
+        .collect();
+    let workloads = prepared.len();
+    let streams: Vec<(&InternedTrace, &[DetectorConfig])> = sampled
+        .iter()
+        .enumerate()
+        .map(|(i, trace)| (trace, grids[i / workloads].as_slice()))
+        .collect();
+    let runs = sweep_streams(&streams, opts.threads);
 
     let mut rows: Vec<SamplingRow> = STRIDES
         .iter()
-        .map(|&stride| {
-            let score = avg(prepared.iter().map(|p| {
+        .enumerate()
+        .map(|(si, &stride)| {
+            let runs = &runs[si * workloads..(si + 1) * workloads];
+            let score = avg(prepared.iter().zip(runs).map(|(p, runs)| {
                 let oracle = p.oracle(SAMPLING_MPL);
                 let total = p.total_elements();
-                let sampled = subsample(p.branches(), stride);
-                let interned = InternedTrace::from(&sampled);
-                // Window sized in *sampled* elements so it still spans
-                // ~½·MPL original elements.
-                let cw = (cw_full / stride).max(1);
-                let configs: Vec<DetectorConfig> =
-                    analyzer_grid(TwKind::Constant, cw, opd_core::ModelPolicy::UnweightedSet);
-                configs
-                    .into_iter()
-                    .map(|config| {
-                        let mut d = PhaseDetector::new(config);
-                        let states = d.run_interned(&interned);
-                        let detected = upsample_intervals(&intervals_of(&states), stride, total);
+                runs.iter()
+                    .map(|run| {
+                        let detected = upsample_intervals(&run.detected, stride, total);
                         score_intervals(&detected, oracle).combined()
                     })
                     .fold(0.0f64, f64::max)

@@ -8,13 +8,16 @@
 //! traces are 10–100× longer. This experiment re-runs the comparison
 //! at growing workload scales to show the gap closing — i.e. that the
 //! deviation is a trace-length artifact, not a framework property.
+//!
+//! At each scale, both MPLs' grids run in one `sweep_many` over every
+//! workload.
 
 use core::fmt;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, push_grid, ExpOptions};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep};
+use crate::runner::{prepare_all, sweep_many};
 
 /// The MPL values of the large-MPL regime under study.
 pub const SCALING_MPLS: [u64; 2] = [100_000, 200_000];
@@ -68,26 +71,27 @@ pub fn run(opts: &ExpOptions) -> ScalingResult {
     let mut rows = Vec::new();
     for step in 1..=3u32 {
         let scale = opts.scale.saturating_mul(step).max(1);
-        let prepared = prepare_all(&opts.workloads, scale, &SCALING_MPLS, opts.fuel);
+        let prepared = prepare_all(
+            &opts.workloads,
+            scale,
+            &SCALING_MPLS,
+            opts.fuel,
+            opts.threads,
+        );
         let avg_trace_len = if prepared.is_empty() {
             0
         } else {
             prepared.iter().map(|p| p.total_elements()).sum::<u64>() / prepared.len() as u64
         };
-        for &mpl in &SCALING_MPLS {
-            let cw = half_mpl_cw(mpl);
-            let fixed = avg(prepared.iter().map(|p| {
-                best_combined(
-                    &sweep(p, &policy_grid(TwKind::FixedInterval, cw), opts.threads),
-                    p.oracle(mpl),
-                )
-            }));
-            let constant = avg(prepared.iter().map(|p| {
-                best_combined(
-                    &sweep(p, &policy_grid(TwKind::Constant, cw), opts.threads),
-                    p.oracle(mpl),
-                )
-            }));
+        let mut configs = Vec::new();
+        let ranges = SCALING_MPLS.map(|mpl| {
+            [TwKind::FixedInterval, TwKind::Constant]
+                .map(|kind| push_grid(&mut configs, policy_grid(kind, half_mpl_cw(mpl))))
+        });
+        let runs = sweep_many(&prepared, &configs, opts.threads);
+        for (&mpl, [fixed, constant]) in SCALING_MPLS.iter().zip(&ranges) {
+            let fixed = avg(best_scores(&prepared, &runs, fixed, mpl));
+            let constant = avg(best_scores(&prepared, &runs, constant, mpl));
             rows.push(ScalingRow {
                 scale,
                 avg_trace_len,

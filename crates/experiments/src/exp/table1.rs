@@ -1,5 +1,8 @@
 //! Table 1: benchmark characteristics (a) and baseline phases per MPL
 //! value (b).
+//!
+//! It runs no detector: both parts come from the prepared traces and
+//! oracles.
 
 use core::fmt;
 
@@ -46,7 +49,13 @@ pub struct Table1Result {
 /// Runs the Table 1 experiment.
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Table1Result {
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_TABLE1, opts.fuel);
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_TABLE1,
+        opts.fuel,
+        opts.threads,
+    );
     let rows = prepared
         .iter()
         .map(|p| BenchRow {

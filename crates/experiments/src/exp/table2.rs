@@ -7,10 +7,14 @@
 //! smaller than (or equal to) the MPL over choosing one larger than
 //! the MPL, and part (b) the average best scores for the
 //! smaller/equal/half-MPL categories.
+//!
+//! All (strategy, CW) grids run in one `sweep_many` over every
+//! workload.
 
 use core::fmt;
+use core::ops::Range;
 
-use crate::exp::{avg, pct_improvement, ExpOptions};
+use crate::exp::{avg, pct_improvement, push_grid, ExpOptions};
 use crate::grid::{policy_grid, TwKind, CW_SIZES, MPLS_TABLE1};
 use crate::report::{fmt_pct, fmt_score, Table};
 use crate::runner::{best_combined, prepare_all, sweep_many};
@@ -65,18 +69,34 @@ pub struct Table2Result {
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Table2Result {
     assert!(!opts.workloads.is_empty(), "need at least one workload");
-    let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_TABLE1, opts.fuel);
+    let prepared = prepare_all(
+        &opts.workloads,
+        opts.scale,
+        &MPLS_TABLE1,
+        opts.fuel,
+        opts.threads,
+    );
+
+    // One sweep over every (kind, CW) grid and every workload.
+    let mut configs = Vec::new();
+    let ranges: Vec<Vec<Range<usize>>> = TwKind::ALL
+        .iter()
+        .map(|&kind| {
+            CW_SIZES
+                .iter()
+                .map(|&cw| push_grid(&mut configs, policy_grid(kind, cw)))
+                .collect()
+        })
+        .collect();
+    let runs = sweep_many(&prepared, &configs, opts.threads);
 
     // best[workload][kind][cw_idx][mpl_idx] = best combined score.
-    // Each grid is swept over every workload at once, so the engine
-    // distributes (workload × shape-group) units across the threads.
     let mut best = vec![[[[0.0f64; MPLS_TABLE1.len()]; CW_SIZES.len()]; 3]; prepared.len()];
-    for (ki, &kind) in TwKind::ALL.iter().enumerate() {
-        for (ci, &cw) in CW_SIZES.iter().enumerate() {
-            let per_workload = sweep_many(&prepared, &policy_grid(kind, cw), opts.threads);
-            for (wi, (p, runs)) in prepared.iter().zip(&per_workload).enumerate() {
+    for (ki, per_cw) in ranges.iter().enumerate() {
+        for (ci, grid) in per_cw.iter().enumerate() {
+            for (wi, (p, runs)) in prepared.iter().zip(&runs).enumerate() {
                 for (mi, &mpl) in MPLS_TABLE1.iter().enumerate() {
-                    best[wi][ki][ci][mi] = best_combined(runs, p.oracle(mpl));
+                    best[wi][ki][ci][mi] = best_combined(&runs[grid.clone()], p.oracle(mpl));
                 }
             }
         }

@@ -448,6 +448,7 @@ mod tests {
             1,
             &[1_000],
             30_000,
+            2,
         );
         let configs = default_plan_grid();
         let reference = sweep_many(&prepared, &configs, 2);
@@ -486,7 +487,7 @@ mod tests {
 
     #[test]
     fn profiled_sweep_records_the_kernel_variant() {
-        let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000);
+        let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000, 1);
         let configs = default_plan_grid();
         let (swar_runs, swar) = sweep_many_profiled(&prepared, &configs, 1);
         assert_eq!(swar.kernel, KernelKind::Swar);
@@ -506,7 +507,7 @@ mod tests {
 
     #[test]
     fn overhead_report_is_sane() {
-        let prepared = &prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000)[0];
+        let prepared = &prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000, 1)[0];
         let configs = &default_plan_grid()[..4];
         let report = null_observer_overhead(prepared, configs, 3);
         assert_eq!(report.samples, 3);
@@ -520,7 +521,7 @@ mod tests {
 
     #[test]
     fn obs_json_is_structurally_complete() {
-        let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000);
+        let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000, 1);
         let configs = default_plan_grid();
         let (_, profile) = sweep_many_profiled(&prepared, &configs, 1);
         let overhead = OverheadReport {

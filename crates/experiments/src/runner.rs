@@ -279,23 +279,32 @@ pub fn certified_unit_cost(
     window.saturating_add(scaled)
 }
 
-/// Prepares several workloads in parallel (one thread each). `fuel`
-/// caps every trace's length; pass `u64::MAX` for complete runs.
+/// Prepares several workloads, in `workloads` order. `fuel` caps
+/// every trace's length; pass `u64::MAX` for complete runs. The
+/// preparations run on the sweeps' work loop: at one thread in order
+/// on the calling thread, at more on up to `threads` scoped workers.
 #[must_use]
 pub fn prepare_all(
     workloads: &[Workload],
     scale: u32,
     mpls: &[u64],
     fuel: u64,
+    threads: usize,
 ) -> Vec<PreparedWorkload> {
     let mut out: Vec<Option<PreparedWorkload>> = workloads.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        for (slot, &w) in out.iter_mut().zip(workloads) {
-            s.spawn(move || {
-                *slot = Some(PreparedWorkload::prepare_with_fuel(w, scale, mpls, fuel));
-            });
-        }
-    });
+    let items: Vec<usize> = (0..workloads.len()).collect();
+    run_lpt(
+        &items,
+        threads,
+        0,
+        |items| vec![1; items.len()],
+        |&i, _| {
+            let prepared = PreparedWorkload::prepare_with_fuel(workloads[i], scale, mpls, fuel);
+            Ok::<_, Infallible>((i, prepared))
+        },
+        |_, (i, prepared)| out[i] = Some(prepared),
+    )
+    .unwrap_or_else(|never| match never {});
     out.into_iter().map(|o| o.expect("slot filled")).collect()
 }
 
@@ -434,6 +443,69 @@ pub fn sweep_many_with_kernel(
     filled(cells)
 }
 
+/// Runs each stream's configs over its interned trace through the
+/// [`SweepEngine`]: the [`sweep_many`] of derived streams (sampled,
+/// site or method profiles), which carry no preparation to price them
+/// by. `(stream × engine unit)` items spread over `threads` threads,
+/// priced by the static cost model at each stream's measured length
+/// and alphabet. Returns one `configs`-ordered vector per stream, in
+/// `streams` order, bit-identical to sequential [`run_detector`] calls.
+#[must_use]
+pub(crate) fn sweep_streams(
+    streams: &[(&InternedTrace, &[DetectorConfig])],
+    threads: usize,
+) -> Vec<Vec<ConfigRun>> {
+    let engines: Vec<SweepEngine> = streams.iter().map(|&(_, c)| SweepEngine::new(c)).collect();
+    let items: Vec<(usize, usize)> = engines
+        .iter()
+        .enumerate()
+        .flat_map(|(si, e)| (0..e.units().len()).map(move |ui| (si, ui)))
+        .collect();
+    let mut cells: Vec<Vec<Option<ConfigRun>>> =
+        streams.iter().map(|(_, c)| vec![None; c.len()]).collect();
+    let sites = streams
+        .iter()
+        .map(|(t, _)| t.distinct_count() as usize)
+        .max()
+        .unwrap_or(0);
+    run_lpt(
+        &items,
+        threads,
+        sites,
+        |items| {
+            items
+                .iter()
+                .map(|&(si, ui)| {
+                    let (trace, configs) = streams[si];
+                    opd_analyze::unit_cost(
+                        configs,
+                        &engines[si].units()[ui],
+                        trace.len() as u64,
+                        u64::from(trace.distinct_count()),
+                    )
+                })
+                .collect()
+        },
+        |&(si, ui), scratch| {
+            let (trace, configs) = streams[si];
+            let total = trace.len() as u64;
+            let runs: Vec<(usize, ConfigRun)> = engines[si]
+                .run_unit(ui, trace, scratch)
+                .into_iter()
+                .map(|(ci, phases)| (ci, config_run(configs[ci], &phases, total)))
+                .collect();
+            Ok::<_, Infallible>((si, runs))
+        },
+        |_, (si, runs)| {
+            for (ci, run) in runs {
+                cells[si][ci] = Some(run);
+            }
+        },
+    )
+    .unwrap_or_else(|never| match never {});
+    filled(cells)
+}
+
 /// LPT prices of `(workload, unit)` items: the static
 /// window-maintenance and comparison-op bounds of the unit's members,
 /// with the comparison part scaled by a judged-step density — the
@@ -474,10 +546,10 @@ pub(crate) fn worker_count(threads: usize, items: usize) -> usize {
     threads.max(1).min(items.max(1))
 }
 
-/// The one work loop under every sweep. Runs `work` on each item with
-/// a [`SweepScratch`] reused across the items of one worker, and hands
-/// each output, with its worker's index, to `collect` on the calling
-/// thread.
+/// The one work loop under every sweep and under [`prepare_all`]. Runs
+/// `work` on each item with a [`SweepScratch`] reused across the items
+/// of one worker, and hands each output, with its worker's index, to
+/// `collect` on the calling thread.
 ///
 /// On one worker the items run in order on the calling thread,
 /// unpriced, and each output is collected as it is made. On more,
@@ -669,7 +741,7 @@ mod tests {
     #[test]
     fn sweep_many_matches_per_workload_sweeps() {
         let ws = [Workload::Lexgen, Workload::Blockcomp];
-        let prepared = prepare_all(&ws, 1, &[1_000], 50_000);
+        let prepared = prepare_all(&ws, 1, &[1_000], 50_000, 2);
         // A grid mixing shared-eligible and private configs.
         let mut configs = policy_grid(TwKind::Constant, 500);
         configs.extend(policy_grid(TwKind::Adaptive, 250));
@@ -686,11 +758,37 @@ mod tests {
     }
 
     #[test]
-    fn prepare_all_is_order_preserving() {
-        let ws = [Workload::Lexgen, Workload::Blockcomp];
-        let prepared = prepare_all(&ws, 1, &[10_000], 80_000);
-        assert_eq!(prepared[0].workload(), Workload::Lexgen);
-        assert_eq!(prepared[1].workload(), Workload::Blockcomp);
+    fn prepare_all_is_order_preserving_at_any_thread_count() {
+        let ws = [Workload::Lexgen, Workload::Blockcomp, Workload::Tracer];
+        for threads in [1, 2, 8] {
+            let prepared = prepare_all(&ws, 1, &[10_000], 20_000, threads);
+            let order: Vec<Workload> = prepared.iter().map(PreparedWorkload::workload).collect();
+            assert_eq!(order, ws, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn sweep_streams_matches_sequential_runs_per_stream() {
+        let p = small_prepared();
+        let sampled = InternedTrace::from(&opd_trace::subsample(p.branches(), 3));
+        let constant = policy_grid(TwKind::Constant, 500);
+        let adaptive = policy_grid(TwKind::Adaptive, 250);
+        let streams = [
+            (p.interned(), constant.as_slice()),
+            (&sampled, adaptive.as_slice()),
+        ];
+        for threads in [1, 3] {
+            let runs = sweep_streams(&streams, threads);
+            assert_eq!(runs.len(), streams.len());
+            for ((trace, configs), runs) in streams.iter().zip(&runs) {
+                assert_eq!(runs.len(), configs.len());
+                for (run, &config) in runs.iter().zip(configs.iter()) {
+                    let expected = run_detector(config, trace);
+                    assert_eq!(run.detected, expected.detected, "{config:?}");
+                    assert_eq!(run.anchored, expected.anchored, "{config:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -698,7 +796,7 @@ mod tests {
         // The static-cost LPT plan for (8 workloads × the 28-config
         // shared-scan grid) must spread load evenly: the heaviest
         // bucket may exceed the mean by at most 15%.
-        let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000);
+        let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000, 2);
         let configs = crate::grid::default_plan_grid();
         let engine = SweepEngine::new(&configs);
         let mut costs = Vec::new();
@@ -738,7 +836,7 @@ mod tests {
         // window-maintenance part. The heaviest bucket may exceed the
         // mean by at most 20%. The uncalibrated static plan fails this
         // measure (BENCH_obs recorded 1.28 before calibration).
-        let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000);
+        let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000, 2);
         let configs = crate::grid::default_plan_grid();
         let engine = SweepEngine::new(&configs);
         let mut items = Vec::new();
@@ -802,7 +900,7 @@ mod tests {
         // well as the probe calibration does: plan from certified
         // prices, re-weigh with metered costs, max bucket within 20%
         // of the mean and of the measured-optimal plan.
-        let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000);
+        let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000, 2);
         let configs = crate::grid::default_plan_grid();
         let engine = SweepEngine::new(&configs);
         let mut items = Vec::new();

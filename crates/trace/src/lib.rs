@@ -52,7 +52,7 @@ pub use codec::{
     decode_trace, encode_trace, CodecError, BRANCH_RECORD_LEN, EVENT_COUNT_LEN, EVENT_RECORD_LEN,
     HEADER_LEN, MAGIC, VERSION,
 };
-pub use derive::{method_profile, method_profile_offsets, site_profile};
+pub use derive::{site_profile, MethodProfile};
 pub use element::{BranchSite, MethodId, ParseElementError, ProfileElement};
 pub use error::TraceError;
 pub use event::{CallLoopEvent, CallLoopEventKind, LoopId};

@@ -10,7 +10,8 @@
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
 # BENCH_cert.json freshness), a release-mode kernel-equivalence
-# smoke, the BENCH_kernel.json acceptance/freshness tests, a
+# smoke, a release-mode paper-table digest and thread-count check, the
+# BENCH_kernel.json acceptance/freshness tests, a
 # release-mode smoke of all three benchmark workloads checked against
 # their reference outputs, the feature-gate guard keeping opd-obs free
 # of opd-sched when `sched` is off, plus an optional ThreadSanitizer
@@ -63,6 +64,12 @@ RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
 # exercises the same differential + proptest suite in debug; release
 # is where the SWAR closed forms actually vectorise).
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
+# Paper-table smoke: every deterministic table over all eight workloads
+# at the benchmark's fuel cap must match the benchmark's pinned digests
+# and render the same text at one and at four threads (the only
+# end-to-end check of the certificate-priced LPT schedule under the
+# experiments' per-experiment sweeps; the benchmark runs one thread).
+RUST_BACKTRACE=1 cargo test -q --release -p opd --test paper_tables -- --include-ignored
 # Release-mode benchmark smoke: one second of each benchmark workload,
 # checked against its recorded reference outputs. grid_sweep checks
 # every (workload, config) cell of the full grid, the top-10 rankings,

@@ -926,8 +926,13 @@ fn sweep(opts: &SweepOpts) -> ExitCode {
 
     let reporter = Reporter::new(opts.json);
     let configs = opd_experiments::grid::default_plan_grid();
-    let prepared =
-        opd_experiments::runner::prepare_all(&Workload::ALL, opts.scale, &[STUDY_MPL], opts.fuel);
+    let prepared = opd_experiments::runner::prepare_all(
+        &Workload::ALL,
+        opts.scale,
+        &[STUDY_MPL],
+        opts.fuel,
+        opts.threads,
+    );
 
     let mut profile = None;
     let runs = if let Some(path) = &opts.checkpoint {

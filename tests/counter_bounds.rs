@@ -18,7 +18,7 @@ use opd_obs::{MeterObserver, UnitMetrics};
 const FUEL: u64 = 12_000;
 
 fn prepared_workloads() -> Vec<PreparedWorkload> {
-    prepare_all(&Workload::ALL, 1, &[1_000], FUEL)
+    prepare_all(&Workload::ALL, 1, &[1_000], FUEL, 2)
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn metered_counters_are_exact_on_a_shared_adaptive_unit() {
     // whose judgement triggered it.
     let configs = policy_grid(TwKind::Adaptive, 400);
     let engine = SweepEngine::new(&configs);
-    let p = &prepare_all(&[Workload::Lexgen], 1, &[1_000], FUEL)[0];
+    let p = &prepare_all(&[Workload::Lexgen], 1, &[1_000], FUEL, 1)[0];
     let elements = p.total_elements();
     let alphabet = p.site_capacity() as u64;
     let mut scratch = SweepScratch::with_site_capacity(p.site_capacity());

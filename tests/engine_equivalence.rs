@@ -27,6 +27,7 @@ fn workloads() -> Vec<PreparedWorkload> {
         1,
         &[1_000],
         40_000,
+        2,
     )
 }
 

@@ -56,7 +56,7 @@ fn committed_artifact_is_structurally_valid_and_current() {
 
     // Regenerate the deterministic fields at the recorded scale and
     // fuel: the metered counters must match the artifact bit-for-bit.
-    let prepared = prepare_all(&Workload::ALL, scale, &[1_000], fuel);
+    let prepared = prepare_all(&Workload::ALL, scale, &[1_000], fuel, 2);
     let (_, profile) = sweep_many_profiled(&prepared, &configs, 1);
     assert_eq!(profile.buckets.len(), buckets.len());
     for (b, fresh) in buckets.iter().zip(&profile.buckets) {

@@ -572,7 +572,7 @@ fn sweep_resume_from_an_empty_file_starts_fresh() {
     // A kill between creating the file and writing its header leaves
     // zero bytes; resuming must start over, not fail forever.
     let ws = [Workload::Lexgen, Workload::Blockcomp];
-    let prepared = prepare_all(&ws, 1, &[1_000], 20_000);
+    let prepared = prepare_all(&ws, 1, &[1_000], 20_000, 2);
     let configs = opd::experiments::grid::default_plan_grid();
     let fp = run_fingerprint(&configs, &ws, 1, 20_000);
     let path = tmp("empty_sweep");

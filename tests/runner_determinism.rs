@@ -37,7 +37,7 @@ fn assert_runs_identical(a: &[Vec<ConfigRun>], b: &[Vec<ConfigRun>], what: &str)
 #[test]
 fn sweep_results_are_bit_identical_across_thread_counts() {
     let ws = [Workload::Lexgen, Workload::Blockcomp];
-    let prepared = prepare_all(&ws, 1, &[1_000], 50_000);
+    let prepared = prepare_all(&ws, 1, &[1_000], 50_000, 2);
     let configs = grid();
     let baseline = sweep_many(&prepared, &configs, THREADS[0]);
     for &threads in &THREADS[1..] {
@@ -51,7 +51,7 @@ fn profiled_sweep_artifact_fields_are_thread_count_independent() {
     // The deterministic BENCH_obs.json fields: per-bucket and total
     // counters must not depend on which worker ran which bucket.
     let ws = [Workload::Lexgen];
-    let prepared = prepare_all(&ws, 1, &[1_000], 50_000);
+    let prepared = prepare_all(&ws, 1, &[1_000], 50_000, 2);
     let configs = grid();
     let (base_runs, base_profile) = sweep_many_profiled(&prepared, &configs, THREADS[0]);
     for &threads in &THREADS[1..] {
@@ -107,7 +107,7 @@ fn checkpointed_sweep_is_thread_count_independent_and_resumable_across_counts() 
     std::fs::create_dir_all(&dir).expect("create temp dir");
 
     let ws = [Workload::Lexgen];
-    let prepared = prepare_all(&ws, 1, &[1_000], 50_000);
+    let prepared = prepare_all(&ws, 1, &[1_000], 50_000, 2);
     let configs = grid();
     let fingerprint = run_fingerprint(&configs, &ws, 1, 50_000);
     let baseline = sweep_many(&prepared, &configs, 1);
