@@ -11,8 +11,8 @@
 //! DESIGN.md §13):
 //!
 //! * **Dead resize** — under a constant trailing window the resize
-//!   policy is never consulted (`Windows::anchor_and_resize` is only
-//!   reached from the Adaptive phase-start path), so `Move` and
+//!   policy is never consulted (anchor-and-resize is only reached
+//!   from the Adaptive phase-start path), so `Move` and
 //!   `Slide` coincide; the canonical form uses `Slide`.
 //! * **Always-fire analyzer** — a `Threshold(t ≤ 0)` analyzer, or an
 //!   `Average { delta: 1.0 }` analyzer whose similarities provably
@@ -78,7 +78,7 @@ impl EquivRule {
         match self {
             EquivRule::DeadResize => {
                 "a constant trailing window never reaches the resize path \
-                 (Windows::anchor_and_resize is only called at Adaptive phase starts), \
+                 (windows are only anchored and resized at Adaptive phase starts), \
                  so Slide and Move produce identical windows forever"
             }
             EquivRule::AlwaysFire => {

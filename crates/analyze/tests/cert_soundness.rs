@@ -147,14 +147,14 @@ fn arb_config() -> impl Strategy<Value = DetectorConfig> {
     )
 }
 
-/// The peak scalar CW + TW occupancy over a skip-aligned run.
+/// The peak CW + TW occupancy over a skip-aligned run.
 fn measured_peak_occupancy(config: &DetectorConfig, elements: &[ProfileElement]) -> u64 {
     let mut detector = PhaseDetector::new(*config);
     let mut peak = 0u64;
     for chunk in elements.chunks(config.skip_factor().max(1)) {
         detector.process(chunk);
-        let w = detector.windows();
-        peak = peak.max((w.cw_len() + w.tw_len()) as u64);
+        let (cw_len, tw_len) = detector.window_lens();
+        peak = peak.max((cw_len + tw_len) as u64);
     }
     peak
 }

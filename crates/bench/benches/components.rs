@@ -141,35 +141,6 @@ fn bench_detector_per_workload(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_weighted_ablation(c: &mut Criterion) {
-    // Ablation of a core design choice: the weighted model's
-    // incrementally maintained integer min-sum (exact at window
-    // capacity) versus recomputing the similarity from the distinct
-    // CW sites on every step.
-    let trace = truncated_trace(Workload::Ruleng);
-    let interned = InternedTrace::from(trace.branches());
-    let mut group = c.benchmark_group("ablation");
-    group.throughput(Throughput::Elements(TRACE_LEN));
-    for (name, tracked) in [
-        ("weighted_incremental", true),
-        ("weighted_recompute", false),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut w = opd_core::Windows::with_weighted_tracking(1_000, 1_000, tracked);
-                w.ensure_sites(interned.distinct_count() as usize);
-                let mut acc = 0.0;
-                for &id in interned.ids() {
-                    w.push(id, false);
-                    acc += w.weighted_similarity();
-                }
-                black_box(acc)
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_microvm(c: &mut Criterion) {
     let mut group = c.benchmark_group("microvm");
     group.throughput(Throughput::Elements(TRACE_LEN));
@@ -186,7 +157,6 @@ criterion_group!(
     bench_baseline,
     bench_scoring,
     bench_detector_per_workload,
-    bench_weighted_ablation,
     bench_microvm
 );
 criterion_main!(benches);

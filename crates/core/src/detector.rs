@@ -1,16 +1,14 @@
 //! The online phase detector: the `processProfile` driver of Figure 3.
 
-use std::collections::HashMap;
-
 use opd_obs::{DetectorEvent, DetectorObserver, NullObserver, ResizeKind};
 use opd_trace::{BranchTrace, PhaseState, ProfileElement, StateSeq};
 
 use crate::analyzer::Analyzer;
 use crate::boundary::DetectedPhase;
 use crate::config::DetectorConfig;
-use crate::intern::{intern_into, IdLog, InternedTrace};
-use crate::kernel::{KernelKind, SwarCursor, SwarKernelState, SwarWindows, WindowKernel};
-use crate::window::{ResizePolicy, TwPolicy, Windows};
+use crate::intern::{IdLog, InternedTrace};
+use crate::kernel::{SwarCursor, SwarKernelState, SwarWindows};
+use crate::window::{ResizePolicy, TwPolicy};
 
 /// Error returned by the fallible detector entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,11 +57,10 @@ impl StateSink for StateSeq {
     }
 }
 
-/// The kernel-independent half of a detector: configuration, analyzer,
+/// The window-independent half of a detector: configuration, analyzer,
 /// the `P`/`T` state machine, and the detected-phase ledger. Split out
-/// of [`PhaseDetector`] so the per-step logic is generic over the
-/// [`WindowKernel`] while the detector owns the storage of both
-/// kernels.
+/// of [`PhaseDetector`] so the batch and streaming paths drive one
+/// per-step body over their own [`SwarWindows`] runs.
 #[derive(Debug, Clone)]
 struct DetectorCore {
     config: DetectorConfig,
@@ -93,9 +90,9 @@ impl DetectorCore {
     /// One state-machine step after the windows consumed `step_len`
     /// elements. Every event is built under `O::ACTIVE`, so with
     /// [`NullObserver`] this is the plain step.
-    fn finish_step<K: WindowKernel, O: DetectorObserver>(
+    fn finish_step<O: DetectorObserver>(
         &mut self,
-        windows: &mut K,
+        windows: &mut SwarWindows<'_>,
         step_len: usize,
         step: u64,
         observer: &mut O,
@@ -213,14 +210,13 @@ impl DetectorCore {
 
 /// The chunk loop of an interned-trace run: one kernel advance and one
 /// state-machine step per `skip_factor` elements.
-fn drive<K, S, O>(
+fn drive<S, O>(
     core: &mut DetectorCore,
-    windows: &mut K,
+    windows: &mut SwarWindows<'_>,
     trace: &InternedTrace,
     sink: &mut S,
     observer: &mut O,
 ) where
-    K: WindowKernel,
     S: StateSink,
     O: DetectorObserver,
 {
@@ -245,6 +241,26 @@ fn drive<K, S, O>(
     core.close_open_phase();
 }
 
+/// One streaming step over `ids`, a log's current contents: resumes the
+/// SWAR run at `cursor`, advances it over every id after the cursor,
+/// and judges.
+fn stream_step(
+    core: &mut DetectorCore,
+    swar: &mut SwarKernelState,
+    cursor: &mut SwarCursor,
+    ids: &[u32],
+    n_sites: usize,
+) -> PhaseState {
+    let (cw, tw) = (core.config.current_window(), core.config.trailing_window());
+    let tw_grows = core.tw_grows();
+    let start = cursor.consumed();
+    let mut windows = SwarWindows::resume(swar, ids, n_sites, cw, tw, *cursor);
+    windows.advance(&ids[start..], tw_grows);
+    let state = core.finish_step(&mut windows, ids.len() - start, 0, &mut NullObserver);
+    *cursor = windows.cursor();
+    state
+}
+
 /// An online phase detector: one instantiation of the framework.
 ///
 /// The detector consumes `skip_factor` profile elements per step and
@@ -254,18 +270,15 @@ fn drive<K, S, O>(
 /// Figure 3 (anchor the trailing window, reset analyzer statistics,
 /// flush windows) applied at state changes.
 ///
-/// Two interchangeable window kernels back the detector (see
-/// [`KernelKind`] and the `kernel` module docs): the scalar deque
-/// reference and the default SoA/bitset (SWAR) kernel. The kernel
-/// choice affects only the interned-trace run paths
-/// ([`run_interned`](PhaseDetector::run_interned) and friends). The
-/// two streaming paths are fixed:
-/// [`process_log`](PhaseDetector::process_log) streams the SWAR kernel
-/// over an append-only [`IdLog`], while
+/// Every run path uses the SoA/bitset (SWAR) window kernel (see the
+/// `kernel` module docs): [`run_interned`](PhaseDetector::run_interned)
+/// and friends run it over a pre-interned trace,
+/// [`process_log`](PhaseDetector::process_log) streams it over a
+/// caller's append-only [`IdLog`], and
 /// [`process`](PhaseDetector::process)/[`run`](PhaseDetector::run)
-/// take bare element slices, keep no log, and so use the scalar
-/// kernel. Both kernels produce bit-identical similarity and state
-/// streams.
+/// stream it over a private log that drops the ids before the trailing
+/// window, so its memory stays bounded by the windows. All of them
+/// match the executable spec ([`crate::spec`]) bit for bit.
 ///
 /// # Examples
 ///
@@ -284,36 +297,23 @@ fn drive<K, S, O>(
 #[derive(Debug, Clone)]
 pub struct PhaseDetector {
     core: DetectorCore,
-    windows: Windows,
-    interner: HashMap<u64, u32>,
-    kernel: KernelKind,
     swar: SwarKernelState,
-    /// Where `process_log`'s SWAR run stands between steps.
+    /// Where the streaming run of `process` or `process_log` stands
+    /// between steps.
     stream: SwarCursor,
+    /// `process`'s private log: the ids from the TW start on, plus at
+    /// most as many older ones (see [`PhaseDetector::process`]).
+    log: IdLog,
 }
 
 impl PhaseDetector {
-    /// Creates a detector for the given configuration, on the default
-    /// kernel.
+    /// Creates a detector for the given configuration.
     #[must_use]
     pub fn new(config: DetectorConfig) -> Self {
-        Self::with_kernel(config, KernelKind::default())
-    }
-
-    /// Creates a detector for the given configuration on an explicit
-    /// window kernel (see the type docs for what the choice affects).
-    #[must_use]
-    pub fn with_kernel(config: DetectorConfig, kernel: KernelKind) -> Self {
         PhaseDetector {
-            windows: Windows::with_weighted_tracking(
-                config.current_window(),
-                config.trailing_window(),
-                config.model() == crate::ModelPolicy::WeightedSet,
-            ),
-            interner: HashMap::new(),
-            kernel,
             swar: SwarKernelState::default(),
             stream: SwarCursor::default(),
+            log: IdLog::new(),
             core: DetectorCore::new(config),
         }
     }
@@ -330,23 +330,14 @@ impl PhaseDetector {
         self.core.state
     }
 
-    /// Returns the scalar-kernel window state (for inspection and
-    /// tests of [`process`](PhaseDetector::process); `process_log` and
-    /// interned runs on the default SWAR kernel do not populate it).
+    /// `(CW length, TW length)` after the last step of
+    /// [`process`](PhaseDetector::process) or
+    /// [`process_log`](PhaseDetector::process_log); `(0, 0)` before
+    /// the first (batch runs over an interned trace do not report
+    /// here).
     #[must_use]
-    pub fn windows(&self) -> &Windows {
-        &self.windows
-    }
-
-    /// The window kernel this detector's interned runs use.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Switches the window kernel for subsequent interned runs.
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.kernel = kernel;
+    pub fn window_lens(&self) -> (usize, usize) {
+        self.stream.window_lens()
     }
 
     /// The similarity value computed at the most recent warm step.
@@ -355,20 +346,21 @@ impl PhaseDetector {
         self.core.last_similarity
     }
 
-    /// Pre-sizes the per-site window tables (of both kernels) for
-    /// `n_sites` distinct elements — typically a static alphabet bound
-    /// from the `opd-analyze` crate — so a run over any trace with at
-    /// most that many distinct elements never grows them mid-scan.
+    /// Pre-sizes the per-site tables (the kernel's count columns and
+    /// `process`'s intern table) for `n_sites` distinct elements —
+    /// typically a static alphabet bound from the `opd-analyze` crate
+    /// — so a run over any trace with at most that many distinct
+    /// elements never grows them mid-scan.
     pub fn reserve_sites(&mut self, n_sites: usize) {
-        self.windows.ensure_sites(n_sites);
         self.swar.ensure_sites(n_sites);
+        self.log.reserve_distinct(n_sites);
     }
 
     /// Bytes of per-site kernel storage currently held — the memory
     /// high-water mark the resource certificates bound (`ensure_sites`
     /// only ever grows the columns). Counts the SWAR count/bit-lane
-    /// state; the scalar window deques are bounded by `cw + tw`
-    /// elements and are not per-site.
+    /// state; `process`'s private log is bounded by the windows and is
+    /// not per-site.
     #[must_use]
     pub fn kernel_footprint_bytes(&self) -> u64 {
         self.swar.footprint_bytes()
@@ -403,18 +395,39 @@ impl PhaseDetector {
     /// trace may be shorter) and returns the state attributed to all of
     /// them.
     ///
+    /// The elements are interned into a private [`IdLog`] and streamed
+    /// like [`process_log`](PhaseDetector::process_log) does. No step
+    /// reads an id before the trailing window's start again, so once
+    /// those ids make up half the log they are dropped; the run keeps
+    /// their count as the offset of the log's first id, so anchored
+    /// phase starts stay absolute.
+    ///
     /// # Panics
     ///
-    /// Panics if `elements` is empty.
+    /// Panics if `elements` is empty, or if the detector has consumed
+    /// elements through another run path since it was created or last
+    /// reconfigured.
     pub fn process(&mut self, elements: &[ProfileElement]) -> PhaseState {
         assert!(!elements.is_empty(), "a step needs at least one element");
-        let tw_grows = self.core.tw_grows();
-        let windows = &mut self.windows;
-        intern_into(&mut self.interner, elements.iter().copied(), |id| {
-            windows.push(id, tw_grows);
-        });
-        self.core
-            .finish_step(&mut self.windows, elements.len(), 0, &mut NullObserver)
+        let cursor = self.stream;
+        assert!(
+            cursor.consumed() == self.log.len()
+                && cursor.base() + self.log.len() as u64 == self.core.consumed,
+            "process must not be mixed with other run paths"
+        );
+        let dead = cursor.tw_start();
+        if dead > 0 && 2 * dead >= self.log.len() {
+            self.log.drop_prefix(dead);
+            self.stream = cursor.rebased(dead);
+        }
+        self.log.extend(elements.iter().copied());
+        stream_step(
+            &mut self.core,
+            &mut self.swar,
+            &mut self.stream,
+            self.log.ids(),
+            self.log.distinct_count() as usize,
+        )
     }
 
     /// `processProfile` over an append-only [`IdLog`]: consumes the
@@ -441,24 +454,17 @@ impl PhaseDetector {
     pub fn process_log(&mut self, log: &IdLog, step_len: usize) -> PhaseState {
         assert!(step_len > 0, "a step needs at least one element");
         let start = self.stream.consumed();
-        assert_eq!(
-            start as u64, self.core.consumed,
+        assert!(
+            self.log.is_empty() && start as u64 == self.core.consumed,
             "process_log must not be mixed with other run paths"
         );
-        let ids = &log.ids()[..start + step_len];
-        let (cw, tw) = (
-            self.core.config.current_window(),
-            self.core.config.trailing_window(),
-        );
-        let tw_grows = self.core.tw_grows();
-        let n_sites = log.distinct_count() as usize;
-        let mut windows = SwarWindows::resume(&mut self.swar, ids, n_sites, cw, tw, self.stream);
-        windows.advance(&ids[start..], tw_grows);
-        let state = self
-            .core
-            .finish_step(&mut windows, step_len, 0, &mut NullObserver);
-        self.stream = windows.cursor();
-        state
+        stream_step(
+            &mut self.core,
+            &mut self.swar,
+            &mut self.stream,
+            &log.ids()[..start + step_len],
+            log.distinct_count() as usize,
+        )
     }
 
     /// Like [`process`](PhaseDetector::process), but rejects an empty
@@ -523,22 +529,14 @@ impl PhaseDetector {
         sink: &mut S,
         observer: &mut O,
     ) {
-        match self.kernel {
-            KernelKind::Scalar => {
-                self.windows.ensure_sites(trace.distinct_count() as usize);
-                drive(&mut self.core, &mut self.windows, trace, sink, observer);
-            }
-            KernelKind::Swar => {
-                let config = &self.core.config;
-                let (skip, cw, tw) = (
-                    config.skip_factor(),
-                    config.current_window(),
-                    config.trailing_window(),
-                );
-                let mut windows = SwarWindows::begin(&mut self.swar, trace, skip, cw, tw);
-                drive(&mut self.core, &mut windows, trace, sink, observer);
-            }
-        }
+        let config = &self.core.config;
+        let (skip, cw, tw) = (
+            config.skip_factor(),
+            config.current_window(),
+            config.trailing_window(),
+        );
+        let mut windows = SwarWindows::begin(&mut self.swar, trace, skip, cw, tw);
+        drive(&mut self.core, &mut windows, trace, sink, observer);
     }
 
     /// Runs over a pre-interned trace discarding the state stream and
@@ -561,22 +559,16 @@ impl PhaseDetector {
     }
 
     /// Resets this detector to a fresh run of `config`, reusing the
-    /// allocations of both kernels (per-site tables, element deque,
-    /// distinct lists) sized by previous runs and keeping the kernel
-    /// choice. Equivalent to `*self = PhaseDetector::new(config)` but
-    /// without reallocating — the sweep engine's per-thread scratch
-    /// path. The SWAR columns are zeroed and the
-    /// [`process_log`](PhaseDetector::process_log) cursor rewound, so
-    /// a stream may start over.
+    /// allocations sized by previous runs (the kernel's per-site
+    /// columns, the private log and its intern table, the phase list).
+    /// Equivalent to `*self = PhaseDetector::new(config)` but without
+    /// reallocating — the sweep engine's per-thread scratch path. The
+    /// SWAR columns are zeroed and the streaming cursor rewound, so a
+    /// stream may start over.
     pub fn reconfigure(&mut self, config: DetectorConfig) {
-        self.windows.reset_shape(
-            config.current_window(),
-            config.trailing_window(),
-            config.model() == crate::ModelPolicy::WeightedSet,
-        );
         self.core.analyzer = Analyzer::new(config.analyzer());
         self.core.state = PhaseState::Transition;
-        self.interner.clear();
+        self.log.clear();
         self.swar.clear();
         self.stream = SwarCursor::default();
         self.core.consumed = 0;
@@ -704,27 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn interned_runs_agree_across_kernels() {
-        for kernel in [KernelKind::Scalar, KernelKind::Swar] {
-            for model in ModelPolicy::ALL_EXTENDED {
-                let cfg = DetectorConfig::builder()
-                    .current_window(16)
-                    .model(model)
-                    .build()
-                    .unwrap();
-                let trace = block_trace(4, 200, 5);
-                let interned = InternedTrace::from(&trace);
-                let mut d = PhaseDetector::with_kernel(cfg, kernel);
-                assert_eq!(d.kernel(), kernel);
-                let states = d.run_interned(&interned);
-                let reference =
-                    PhaseDetector::with_kernel(cfg, KernelKind::Scalar).run_interned(&interned);
-                assert_eq!(states, reference, "{kernel} {model}");
-            }
-        }
-    }
-
-    #[test]
     fn skip_factor_labels_whole_steps() {
         let cfg = DetectorConfig::builder()
             .current_window(10)
@@ -771,12 +742,8 @@ mod tests {
             d.process(&[elem(i % 4)]);
         }
         assert!(d.state().is_phase());
-        assert!(
-            d.windows().tw_len() > d.windows().tw_cap(),
-            "adaptive TW should have grown: {} <= {}",
-            d.windows().tw_len(),
-            d.windows().tw_cap()
-        );
+        let (_, tw_len) = d.window_lens();
+        assert!(tw_len > 8, "adaptive TW should have grown: {tw_len} <= 8");
     }
 
     #[test]
@@ -786,7 +753,39 @@ mod tests {
             d.process(&[elem(i % 4)]);
         }
         assert!(d.state().is_phase());
-        assert_eq!(d.windows().tw_len(), 8);
+        assert_eq!(d.window_lens(), (8, 8));
+    }
+
+    #[test]
+    fn process_keeps_its_log_within_twice_the_windows() {
+        let cfg = DetectorConfig::builder()
+            .current_window(8)
+            .trailing_window(5)
+            .skip_factor(3)
+            .build()
+            .unwrap();
+        let mut d = PhaseDetector::new(cfg);
+        let trace = block_trace(6, 300, 4);
+        let states = d.run(&trace);
+        assert!(d.log.len() <= 2 * (8 + 5) + 3, "log of {}", d.log.len());
+        // Dropping the prefix keeps offsets absolute.
+        assert_eq!(d.elements_consumed(), 1_800);
+        let interned = InternedTrace::from(&trace);
+        let mut batch = PhaseDetector::new(cfg);
+        assert_eq!(batch.run_interned(&interned), states);
+        assert_eq!(batch.detected_phases(), d.detected_phases());
+    }
+
+    #[test]
+    fn streaming_paths_do_not_mix() {
+        let mut d = PhaseDetector::new(config(4));
+        d.process(&[elem(0)]);
+        let mut log = IdLog::new();
+        log.push(elem(0));
+        let mixed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            d.process_log(&log, 1);
+        }));
+        assert!(mixed.is_err());
     }
 
     #[test]

@@ -110,11 +110,11 @@ impl InternedTrace {
 
 /// The one interning loop: maps each element to its dense id in
 /// `map` — ids are assigned in first-seen order — and hands the ids to
-/// `emit` in input order. Every interner in the crate (batch traces,
-/// [`IdLog`], and the private table of
+/// `emit` in input order. Every interner in the crate (batch traces
+/// and [`IdLog`], including the private log of
 /// [`PhaseDetector::process`](crate::PhaseDetector::process)) runs
 /// this body, so all of them assign identical ids to identical inputs.
-pub(crate) fn intern_into<I, F>(map: &mut HashMap<u64, u32>, elements: I, mut emit: F)
+fn intern_into<I, F>(map: &mut HashMap<u64, u32>, elements: I, mut emit: F)
 where
     I: IntoIterator<Item = ProfileElement>,
     F: FnMut(u32),
@@ -215,6 +215,26 @@ impl IdLog {
     #[must_use]
     pub fn as_interned(&self) -> &InternedTrace {
         &self.trace
+    }
+
+    /// Sizes the intern table for `distinct` distinct elements.
+    pub(crate) fn reserve_distinct(&mut self, distinct: usize) {
+        self.map.reserve(distinct.saturating_sub(self.map.len()));
+    }
+
+    /// Drops the first `n` logged ids in place. The intern table is
+    /// kept, so later elements get the ids they would have got anyway.
+    pub(crate) fn drop_prefix(&mut self, n: usize) {
+        self.trace.site_index.take();
+        self.trace.ids.drain(..n);
+    }
+
+    /// Empties the log and its intern table, keeping both allocations.
+    pub(crate) fn clear(&mut self) {
+        self.trace.site_index.take();
+        self.trace.ids.clear();
+        self.trace.distinct = 0;
+        self.map.clear();
     }
 }
 

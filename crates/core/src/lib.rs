@@ -16,7 +16,9 @@
 //!   threshold or adaptive running average).
 //!
 //! [`DetectorConfig`] captures one choice of all parameters;
-//! [`PhaseDetector`] is the runtime of Figure 3 of the paper.
+//! [`PhaseDetector`] is the runtime of Figure 3 of the paper, on the
+//! SWAR window kernel, and [`spec`] is an executable transliteration
+//! of the same figure that every run path is checked against.
 //!
 //! # Examples
 //!
@@ -53,6 +55,7 @@ mod model;
 mod predict;
 mod recur;
 mod related;
+pub mod spec;
 mod sweep;
 mod window;
 
@@ -61,10 +64,10 @@ pub use boundary::{anchored_intervals, detected_intervals, DetectedPhase};
 pub use config::{ConfigError, ConfigShape, DetectorConfig, DetectorConfigBuilder};
 pub use detector::{DetectorError, NullSink, PhaseDetector, StateSink};
 pub use intern::{IdLog, InternedTrace};
-pub use kernel::{swar_footprint_bytes, KernelKind, RANK_MODE_MIN_SKIP};
+pub use kernel::{swar_footprint_bytes, RANK_MODE_MIN_SKIP};
 pub use model::ModelPolicy;
 pub use predict::{PhasePredictor, Prediction};
 pub use recur::{PhaseId, PhaseRegistry, PhaseSignature, RecurringPhase, RecurringPhaseDetector};
 pub use related::{run_online, OnlineDetector, PcRangeDetector};
 pub use sweep::{SweepEngine, SweepError, SweepScratch, SweepUnit, UnitKind};
-pub use window::{AnchorPolicy, ResizePolicy, TwPolicy, Windows};
+pub use window::{AnchorPolicy, ResizePolicy, TwPolicy};

@@ -3,8 +3,6 @@
 
 use core::fmt;
 
-use crate::window::Windows;
-
 /// The model policy of the framework (Section 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -34,31 +32,6 @@ impl ModelPolicy {
         ModelPolicy::WeightedSet,
         ModelPolicy::Pearson,
     ];
-
-    /// Computes the similarity of the two windows under this model.
-    ///
-    /// Returns a value in `[0, 1]`; empty windows yield `0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use opd_core::{ModelPolicy, Windows};
-    ///
-    /// let mut w = Windows::new(2, 2);
-    /// for site in [7, 7, 7, 7] {
-    ///     w.push(site, false);
-    /// }
-    /// assert_eq!(ModelPolicy::UnweightedSet.similarity(&w), 1.0);
-    /// assert_eq!(ModelPolicy::WeightedSet.similarity(&w), 1.0);
-    /// ```
-    #[must_use]
-    pub fn similarity(self, windows: &Windows) -> f64 {
-        match self {
-            ModelPolicy::UnweightedSet => windows.unweighted_similarity(),
-            ModelPolicy::WeightedSet => windows.weighted_similarity(),
-            ModelPolicy::Pearson => windows.pearson_similarity(),
-        }
-    }
 }
 
 impl fmt::Display for ModelPolicy {
@@ -71,15 +44,15 @@ impl fmt::Display for ModelPolicy {
     }
 }
 
-/// The final arithmetic of every similarity model, shared by all
-/// window kernels.
+/// The final arithmetic of every similarity model, shared by the SWAR
+/// kernel's dense and rank modes and by the executable spec.
 ///
-/// Each kernel reduces its window representation to the *same exact
+/// Each of them reduces its window representation to the *same exact
 /// integer quantities* (distinct counts, the weighted integer
 /// min-sum, Pearson's moment sums) and hands them to these functions,
-/// so similarity values are bit-identical across kernels by
-/// construction: integer summation is order-independent, and the
-/// floating-point tail here is the single shared code path.
+/// so similarity values are bit-identical by construction: integer
+/// summation is order-independent, and the floating-point tail here is
+/// the single shared code path.
 pub(crate) mod exact {
     /// Unweighted similarity from the distinct-site counts.
     #[inline]
@@ -161,115 +134,11 @@ pub(crate) mod exact {
 mod tests {
     use super::*;
 
-    fn windows_with(tw: &[u32], cw: &[u32]) -> Windows {
-        let mut w = Windows::new(cw.len(), tw.len());
-        for &site in tw.iter().chain(cw) {
-            w.push(site, false);
-        }
-        w
-    }
-
-    #[test]
-    fn disjoint_windows_have_zero_similarity() {
-        let w = windows_with(&[0, 1, 2], &[3, 4, 5]);
-        for m in ModelPolicy::ALL {
-            assert_eq!(m.similarity(&w), 0.0, "{m}");
-        }
-    }
-
-    #[test]
-    fn identical_windows_have_full_similarity() {
-        let w = windows_with(&[1, 2, 3], &[1, 2, 3]);
-        for m in ModelPolicy::ALL {
-            assert!((m.similarity(&w) - 1.0).abs() < 1e-12, "{m}");
-        }
-    }
-
-    #[test]
-    fn models_diverge_on_frequency_shift() {
-        // Same site sets, different frequency mix: the unweighted model
-        // is blind to the shift, the weighted model is not. This is the
-        // `_201_compress` situation from Figure 5 of the paper.
-        let mut tw = vec![0; 90];
-        tw.extend(vec![1; 10]);
-        let mut cw = vec![0; 10];
-        cw.extend(vec![1; 90]);
-        let w = windows_with(&tw, &cw);
-        assert!((ModelPolicy::UnweightedSet.similarity(&w) - 1.0).abs() < 1e-12);
-        let weighted = ModelPolicy::WeightedSet.similarity(&w);
-        assert!((weighted - 0.2).abs() < 1e-12, "{weighted}");
-    }
-
-    #[test]
-    fn unweighted_is_asymmetric() {
-        // Extra TW-only elements do not reduce unweighted similarity.
-        let w = windows_with(&[0, 1, 2, 3, 4, 5], &[0, 1]);
-        assert!((ModelPolicy::UnweightedSet.similarity(&w) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_penalizes_tw_only_mass() {
-        // TW mass on elements missing from the CW is lost from the sum.
-        let w = windows_with(&[0, 9, 9, 9], &[0, 0, 0, 0]);
-        // min(1, 0.25) = 0.25.
-        assert!((ModelPolicy::WeightedSet.similarity(&w) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn similarity_is_bounded() {
-        let patterns: &[(&[u32], &[u32])] = &[
-            (&[0], &[0]),
-            (&[0, 1, 0, 1], &[1, 1, 1, 1]),
-            (&[5, 5, 5], &[5, 6, 7]),
-        ];
-        for (tw, cw) in patterns {
-            let w = windows_with(tw, cw);
-            for m in ModelPolicy::ALL {
-                let s = m.similarity(&w);
-                assert!((0.0..=1.0).contains(&s), "{m}: {s}");
-            }
-        }
-    }
-
     #[test]
     fn display_names() {
         assert_eq!(ModelPolicy::UnweightedSet.to_string(), "unweighted");
         assert_eq!(ModelPolicy::WeightedSet.to_string(), "weighted");
         assert_eq!(ModelPolicy::Pearson.to_string(), "pearson");
-    }
-
-    #[test]
-    fn pearson_basics() {
-        // Identical count vectors correlate perfectly.
-        let w = windows_with(&[0, 1, 1, 2], &[0, 1, 1, 2]);
-        assert!((ModelPolicy::Pearson.similarity(&w) - 1.0).abs() < 1e-9);
-        // Disjoint supports anti-correlate; clamped to 0.
-        let w = windows_with(&[0, 0, 1], &[2, 3, 3]);
-        assert_eq!(ModelPolicy::Pearson.similarity(&w), 0.0);
-    }
-
-    #[test]
-    fn pearson_scale_invariant() {
-        // Pearson looks at the shape of the count vector, not its
-        // magnitude: TW twice as long with the same mix is a perfect
-        // match.
-        let mut tw = Vec::new();
-        for _ in 0..2 {
-            tw.extend([0, 0, 0, 1, 2]);
-        }
-        let w = windows_with(&tw, &[0, 0, 0, 1, 2]);
-        assert!((ModelPolicy::Pearson.similarity(&w) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pearson_zero_variance_cases() {
-        // Same single site on both sides: zero variance, full support
-        // overlap -> 1.0.
-        let w = windows_with(&[5, 5], &[5, 5]);
-        assert_eq!(ModelPolicy::Pearson.similarity(&w), 1.0);
-        // Empty windows -> 0.
-        let w = Windows::new(3, 3);
-        assert_eq!(ModelPolicy::Pearson.similarity(&w), 0.0);
     }
 
     #[test]

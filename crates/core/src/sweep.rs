@@ -2,14 +2,14 @@
 //!
 //! A parameter sweep runs many [`DetectorConfig`]s over one interned
 //! trace. The expensive part of each run is *window maintenance* —
-//! deque pushes, eviction, multiset counts, distinct-set upkeep in
-//! [`Windows::push`] — and it depends only on the window **shape**
-//! `(cw, tw, skip)`, never on the model, analyzer, or anchor policy.
-//! The engine therefore groups a config grid by shape and, per
-//! Constant-TW group, makes **one** scan of the trace: the shared
-//! `Windows` advance once per step while each member config evaluates
-//! only its cheap residue (memoized model similarity, analyzer
-//! judgment, anchor bookkeeping, phase boundaries).
+//! moving elements through the windows and keeping their per-site
+//! counts (see [`WindowPair::push`]) — and it depends only on the
+//! window **shape** `(cw, tw, skip)`, never on the model, analyzer, or
+//! anchor policy. The engine therefore groups a config grid by shape
+//! and, per Constant-TW group, makes **one** scan of the trace: the
+//! shared windows advance once per step while each member config
+//! evaluates only its cheap residue (memoized model similarity,
+//! analyzer judgment, anchor bookkeeping, phase boundaries).
 //!
 //! # Why sharing is exact (shape-group invariants)
 //!
@@ -19,7 +19,7 @@
 //! elements*, independent of any per-config state. A private detector
 //! differs from that saturated FIFO in exactly one way: at each phase
 //! end it flushes its windows, keeping the last `skip` elements
-//! ([`Windows::clear_keep_last`]). But a flushed detector is not
+//! ([`WindowPair::flush_keep`]). But a flushed detector is not
 //! *warm* again until its buffer refills to `cw + tw` — which takes
 //! `cw + tw − skip` further elements — and a non-warm detector reads
 //! nothing from its windows (it reports `T` unconditionally). Once
@@ -29,7 +29,7 @@
 //! only the element count at which the member becomes warm again
 //! (`warm_from`), and the flush itself never has to happen.
 //!
-//! The `skip ≤ cw` restriction exists because [`Windows::push`]
+//! The `skip ≤ cw` restriction exists because [`WindowPair::push`]
 //! transfers at most one element per push from CW to TW: re-seeding
 //! the CW with `skip > cw` elements would leave the CW over capacity
 //! while the TW refills, so the private buffer would transiently hold
@@ -74,7 +74,7 @@
 //!
 //! An Adaptive-TW config's windows deviate from the pure FIFO only
 //! *while the config is inside a phase*: at phase entry it mutates
-//! the windows ([`Windows::anchor_and_resize`]) and while in phase it
+//! the windows ([`WindowPair::anchor_and_resize`]) and while in phase it
 //! suppresses TW eviction, so in-phase window contents depend on the
 //! config's own detection history. But outside a phase the same FIFO
 //! argument as above applies — in Transition the TW policy never
@@ -84,13 +84,13 @@
 //! FIFO at the same offset. The engine therefore runs one shared FIFO
 //! per adaptive shape group too, and handles phases by **forking**:
 //! at a member's phase entry the FIFO state is snapshotted
-//! ([`ForkableKernel::fork`]), `anchor_and_resize` is applied to the
+//! (`SwarWindows::fork`), `anchor_and_resize` is applied to the
 //! snapshot, and the member judges that *phase class* (advanced with
 //! TW growth each step) until its phase ends — at which point the
 //! member sleeps until its refill point, exactly like a Constant-TW
 //! flush.
 //!
-//! **Boundary-key coalescing.** Windows are always contiguous trace
+//! **Boundary-key coalescing.** The windows are always contiguous trace
 //! slices: a class holds TW = `trace[a..b)` and CW =
 //! `trace[b..consumed)`, so its key `(a, b)` (`offset_of_index(0)` and
 //! that plus `tw_len`) determines its whole state and its future. Two
@@ -123,10 +123,13 @@
 //! reuse), for the over-full-CW reason above; they run through the
 //! same engine and its work distribution.
 //!
-//! Mixed-model groups are also exact: the shared windows enable
-//! weighted min-sum tracking iff some member uses the weighted model.
-//! Members that don't never read `min_sum`, and members that do see
-//! the same integer fast path a private tracking window would use.
+//! Mixed-model groups are also exact: a similarity is a pure function
+//! of the window contents and the model, so members of different
+//! models judge the same windows independently.
+//!
+//! [`WindowPair::push`]: crate::spec::WindowPair::push
+//! [`WindowPair::flush_keep`]: crate::spec::WindowPair::flush_keep
+//! [`WindowPair::anchor_and_resize`]: crate::spec::WindowPair::anchor_and_resize
 //!
 //! # Example
 //!
@@ -154,6 +157,7 @@
 //! # Ok::<(), opd_core::ConfigError>(())
 //! ```
 
+use std::borrow::BorrowMut;
 use std::collections::{HashMap, VecDeque};
 
 use opd_obs::{MeterObserver, UnitMetrics};
@@ -164,9 +168,9 @@ use crate::boundary::DetectedPhase;
 use crate::config::{ConfigShape, DetectorConfig};
 use crate::detector::PhaseDetector;
 use crate::intern::InternedTrace;
-use crate::kernel::{ForkableKernel, KernelKind, SwarKernelState, SwarWindows, WindowKernel};
+use crate::kernel::{SwarKernelState, SwarWindows};
 use crate::model::ModelPolicy;
-use crate::window::{AnchorPolicy, ResizePolicy, Windows};
+use crate::window::{AnchorPolicy, ResizePolicy};
 
 /// Error from the fallible sweep entry points
 /// ([`SweepEngine::try_run_unit`]).
@@ -244,9 +248,9 @@ impl SweepUnit {
     }
 }
 
-/// Per-thread reusable state for private-path runs: one
-/// [`PhaseDetector`] whose window allocations (site tables, deque,
-/// distinct lists) are sized once per trace and reused across configs.
+/// Per-thread reusable state: one [`PhaseDetector`] for private-path
+/// runs and the shared scans' kernel columns, both sized once per
+/// trace and reused across configs.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     detector: Option<PhaseDetector>,
@@ -277,7 +281,7 @@ impl SweepScratch {
         }
     }
 
-    fn detector_for(&mut self, config: DetectorConfig, kernel: KernelKind) -> &mut PhaseDetector {
+    fn detector_for(&mut self, config: DetectorConfig) -> &mut PhaseDetector {
         let detector = match &mut self.detector {
             Some(d) => {
                 d.reconfigure(config);
@@ -285,41 +289,28 @@ impl SweepScratch {
             }
             slot @ None => slot.insert(PhaseDetector::new(config)),
         };
-        detector.set_kernel(kernel);
         detector.reserve_sites(self.site_capacity);
         detector
     }
-}
 
-/// Builds a group's shared FIFO on the engine's kernel and runs
-/// `scan(fifo, skip, members, args...)` over it. The scalar FIFO
-/// tracks the weighted min-sum iff some member uses the weighted model
-/// (module docs).
-macro_rules! with_shared_fifo {
-    ($members:expr, $trace:expr, $scratch:expr, $kernel:expr, $scan:ident($($arg:expr),*)) => {{
-        let members: Vec<Member> = $members;
+    /// Starts a group's shared FIFO over `trace` in the scratch's
+    /// kernel columns.
+    fn shared_fifo<'a>(
+        &'a mut self,
+        members: &[Member],
+        trace: &'a InternedTrace,
+    ) -> SwarWindows<'a> {
         let first = &members[0].config;
-        let (cw, tw, skip) = (
+        let sites = (trace.distinct_count() as usize).max(self.site_capacity);
+        self.shared_swar.ensure_sites(sites);
+        SwarWindows::begin(
+            &mut self.shared_swar,
+            trace,
+            first.skip_factor(),
             first.current_window(),
             first.trailing_window(),
-            first.skip_factor(),
-        );
-        let sites = ($trace.distinct_count() as usize).max($scratch.site_capacity);
-        match $kernel {
-            KernelKind::Scalar => {
-                let track = members
-                    .iter()
-                    .any(|m| m.config.model() == ModelPolicy::WeightedSet);
-                let fifo = &mut Windows::with_site_capacity(cw, tw, track, sites);
-                $scan(fifo, skip, members, $($arg),*)
-            }
-            KernelKind::Swar => {
-                $scratch.shared_swar.ensure_sites(sites);
-                let fifo = &mut SwarWindows::begin(&mut $scratch.shared_swar, $trace, skip, cw, tw);
-                $scan(fifo, skip, members, $($arg),*)
-            }
-        }
-    }};
+        )
+    }
 }
 
 /// A planned sweep of one config grid: shape groups for Constant-TW
@@ -332,25 +323,14 @@ macro_rules! with_shared_fifo {
 pub struct SweepEngine<'a> {
     configs: &'a [DetectorConfig],
     units: Vec<SweepUnit>,
-    kernel: KernelKind,
 }
 
 impl<'a> SweepEngine<'a> {
     /// Plans a sweep over `configs`: groups shareable configs by
     /// window shape (first-seen order) and gives every other config a
-    /// private unit. Runs use the default window kernel; see
-    /// [`with_kernel`](Self::with_kernel).
+    /// private unit.
     #[must_use]
     pub fn new(configs: &'a [DetectorConfig]) -> Self {
-        Self::with_kernel(configs, KernelKind::default())
-    }
-
-    /// Like [`new`](Self::new), but running every unit (shared scans
-    /// and private detectors) on an explicit window kernel. Both
-    /// kernels produce bit-identical results; the scalar kernel exists
-    /// as the differential-testing reference.
-    #[must_use]
-    pub fn with_kernel(configs: &'a [DetectorConfig], kernel: KernelKind) -> Self {
         // Constant-TW and Adaptive-TW groups are keyed separately:
         // identical shapes under different TW policies cannot share a
         // scan (the adaptive scan forks, the constant one never does).
@@ -382,23 +362,13 @@ impl<'a> SweepEngine<'a> {
                 }),
             }
         }
-        SweepEngine {
-            configs,
-            units,
-            kernel,
-        }
+        SweepEngine { configs, units }
     }
 
     /// The configs this engine plans over.
     #[must_use]
     pub fn configs(&self) -> &'a [DetectorConfig] {
         self.configs
-    }
-
-    /// The window kernel this engine's runs use.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// The planned units, in deterministic planning order.
@@ -493,29 +463,25 @@ impl<'a> SweepEngine<'a> {
             })?;
         let indices = &unit.config_indices;
         Ok(match unit.kind {
-            UnitKind::SharedConstant => with_shared_fifo!(
-                group_members(self.configs, indices, DetectorConfig::shares_windows),
-                trace,
-                scratch,
-                self.kernel,
-                run_shared_group_scan(trace, meter)
-            ),
-            UnitKind::SharedAdaptive => with_shared_fifo!(
-                group_members(
+            UnitKind::SharedConstant => {
+                let members = group_members(self.configs, indices, DetectorConfig::shares_windows);
+                let fifo = &mut scratch.shared_fifo(&members, trace);
+                run_shared_group_scan(fifo, members, trace, meter)
+            }
+            UnitKind::SharedAdaptive => {
+                let members = group_members(
                     self.configs,
                     indices,
-                    DetectorConfig::shares_windows_adaptively
-                ),
-                trace,
-                scratch,
-                self.kernel,
-                run_shared_adaptive_scan(trace, meter)
-            ),
+                    DetectorConfig::shares_windows_adaptively,
+                );
+                let fifo = &mut scratch.shared_fifo(&members, trace);
+                run_shared_adaptive_scan(fifo, members, trace, meter)
+            }
             UnitKind::Private => unit
                 .config_indices
                 .iter()
                 .map(|&i| {
-                    let detector = scratch.detector_for(self.configs[i], self.kernel);
+                    let detector = scratch.detector_for(self.configs[i]);
                     if M::ACTIVE {
                         let mut observer = MeterObserver::new();
                         let _ = detector.run_interned_phases_observed(trace, &mut observer);
@@ -579,7 +545,12 @@ impl Meter for UnitMetrics {
 /// runtime comparison cost, every further one only the analyzer's
 /// judge overhead, so a shared scan never exceeds the static
 /// per-member bound.
-fn tally_judges<K: WindowKernel>(tally: &mut UnitMetrics, windows: &K, slot: usize, n: usize) {
+fn tally_judges<S: BorrowMut<SwarKernelState>>(
+    tally: &mut UnitMetrics,
+    windows: &SwarWindows<'_, S>,
+    slot: usize,
+    n: usize,
+) {
     if n > 0 {
         tally.judged_steps += n as u64;
         tally.compare_ops += windows.judge_ops(MODELS[slot]) + 2 * (n as u64 - 1);
@@ -927,14 +898,14 @@ impl PhaseJudges {
 /// the exactness argument), event-driven: only warm members are
 /// visited, each judging the per-model similarity computed once per
 /// step. An active `meter` counts every warm member as judging it.
-fn run_shared_group_scan<K: WindowKernel, M: Meter>(
-    windows: &mut K,
-    skip: usize,
+fn run_shared_group_scan<M: Meter>(
+    windows: &mut SwarWindows<'_>,
     mut members: Vec<Member>,
     trace: &InternedTrace,
     meter: &mut M,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
+    let skip = first.skip_factor();
     // After a flush keeps `skip` elements, a private window is full
     // (warm) again `cw + tw - skip` elements later.
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
@@ -990,7 +961,7 @@ fn run_shared_group_scan<K: WindowKernel, M: Meter>(
 }
 
 /// One forked window state shared by every in-phase member whose
-/// windows have the same boundaries. Windows are contiguous trace
+/// windows have the same boundaries. The windows are contiguous trace
 /// slices — TW = `trace[a..b)`, CW = `trace[b..consumed)` — so the
 /// key `(a, b)` determines the whole state and its future.
 struct PhaseClass<F> {
@@ -1002,7 +973,7 @@ struct PhaseClass<F> {
 }
 
 /// The boundary key of a window state.
-fn boundary_key<K: WindowKernel>(windows: &K) -> (u64, u64) {
+fn boundary_key<S: BorrowMut<SwarKernelState>>(windows: &SwarWindows<'_, S>) -> (u64, u64) {
     let a = windows.offset_of_index(0);
     (a, a + windows.tw_len() as u64)
 }
@@ -1046,20 +1017,20 @@ fn coalesce_classes<F>(
 /// judge the FIFO, in-phase members their class; sleeping members
 /// are not visited. An active `meter` counts one similarity per window
 /// state and model that some member judges.
-fn run_shared_adaptive_scan<K: ForkableKernel, M: Meter>(
-    fifo: &mut K,
-    skip: usize,
+fn run_shared_adaptive_scan<'a, M: Meter>(
+    fifo: &mut SwarWindows<'a>,
     mut members: Vec<Member>,
     trace: &InternedTrace,
     meter: &mut M,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
+    let skip = first.skip_factor();
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
     let tw_cap = first.trailing_window() as u64;
     let mut sched = Schedule::new(members.len());
     // Phase classes, with freed slots recycled so the table stays at
     // the peak number of *live* classes.
-    let mut classes: Vec<PhaseClass<K::Forked>> = Vec::new();
+    let mut classes: Vec<PhaseClass<SwarWindows<'a, SwarKernelState>>> = Vec::new();
     let mut live: Vec<usize> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut tally = scan_tally(trace, skip);
@@ -1114,7 +1085,7 @@ fn run_shared_adaptive_scan<K: ForkableKernel, M: Meter>(
         sched.judge_awake(&sims);
         // Phase start: fork the FIFO and anchor/resize the fork —
         // unless a live class already has the resulting boundaries,
-        // computed here in closed form. Both kernels pop `anchor_idx`
+        // computed here in closed form. Anchoring pops `anchor_idx`
         // elements from the TW front; Slide then tops the TW back up
         // from the CW, whose last element (offset `consumed - 1`)
         // never moves. The four `(anchor, resize)` pairs routinely
@@ -1416,20 +1387,11 @@ mod tests {
         })
         .collect();
         for config in configs {
-            let d = scratch.detector_for(config, KernelKind::default());
+            let d = scratch.detector_for(config);
             let _ = d.run_interned_phases_only(&trace);
             let reused = d.take_phases();
             assert_eq!(reused, reference(config, &trace), "{config:?}");
         }
-    }
-
-    #[test]
-    fn engine_kernels_agree() {
-        let configs = mixed_grid();
-        let trace = block_trace(3, 120, 4);
-        let swar = SweepEngine::with_kernel(&configs, KernelKind::Swar).run_all(&trace);
-        let scalar = SweepEngine::with_kernel(&configs, KernelKind::Scalar).run_all(&trace);
-        assert_eq!(swar, scalar);
     }
 
     fn trace_of(sites: &[u32]) -> InternedTrace {
@@ -1440,16 +1402,13 @@ mod tests {
         )
     }
 
-    /// Runs `configs` over `trace` on both kernels, checks every result
-    /// against a sequential detector, and returns the scan events the
-    /// two runs took.
+    /// Runs `configs` over `trace`, checks every result against a
+    /// sequential detector, and returns the scan events the run took.
     fn events_matching_reference(configs: &[DetectorConfig], trace: &InternedTrace) -> ScanEvents {
         SCAN_EVENTS.with(|e| e.set(ScanEvents::default()));
-        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-            let all = SweepEngine::with_kernel(configs, kernel).run_all(trace);
-            for (i, config) in configs.iter().enumerate() {
-                assert_eq!(all[i], reference(*config, trace), "{kernel}: {config:?}");
-            }
+        let all = SweepEngine::new(configs).run_all(trace);
+        for (i, config) in configs.iter().enumerate() {
+            assert_eq!(all[i], reference(*config, trace), "{config:?}");
         }
         SCAN_EVENTS.with(std::cell::Cell::get)
     }
@@ -1476,15 +1435,15 @@ mod tests {
             .unwrap();
         let configs = [constant, adaptive(8, 8, ResizePolicy::Slide, 0.1)];
         // 15 elements < cw + tw = 16: the FIFO never warms, so every
-        // step of both scans on both kernels is cold.
+        // step of both scans is cold.
         let short = block_trace(1, 15, 2);
         let events = events_matching_reference(&configs, &short);
         assert_eq!(events.wakes, 0);
-        assert_eq!(events.cold_steps, 2 * 2 * 15);
+        assert_eq!(events.cold_steps, 2 * 15);
         // One more element warms the FIFO and wakes both members.
         let events = events_matching_reference(&configs, &block_trace(1, 16, 2));
-        assert_eq!(events.wakes, 2 * 2);
-        assert_eq!(events.cold_steps, 2 * 2 * 15);
+        assert_eq!(events.wakes, 2);
+        assert_eq!(events.cold_steps, 2 * 15);
     }
 
     #[test]
@@ -1507,7 +1466,7 @@ mod tests {
             .unwrap();
         let configs = [constant, adaptive(4, 4, ResizePolicy::Move, 0.9)];
         let events = events_matching_reference(&configs, &trace);
-        assert_eq!(events.entries_at_warm_from, 2 * 2);
+        assert_eq!(events.entries_at_warm_from, 2);
         for config in configs {
             let phases = reference(config, &trace);
             assert_eq!(phases.len(), 2, "{config:?}");
@@ -1531,7 +1490,7 @@ mod tests {
             adaptive(8, 8, ResizePolicy::Move, 0.3),
         ];
         let events = events_matching_reference(&configs, &trace);
-        assert_eq!(events.merges, 2);
+        assert_eq!(events.merges, 1);
         let phases = reference(configs[0], &trace);
         assert_eq!(phases[0].anchored_start, 3);
         // A weighted member first reaches 0.7 one step later (0.625,
@@ -1547,8 +1506,8 @@ mod tests {
             .build()
             .unwrap();
         let events = events_matching_reference(&[configs[0], configs[1], late], &trace);
-        assert_eq!(events.joins, 2);
-        assert_eq!(events.merges, 2);
+        assert_eq!(events.joins, 1);
+        assert_eq!(events.merges, 1);
         assert_eq!(reference(late, &trace)[0].start, 16);
     }
 }

@@ -1,16 +1,13 @@
-//! The two-window similarity model state: current window (CW) and
-//! trailing window (TW) over a stream of interned profile elements.
-//!
-//! A single deque holds the trailing window followed by the current
-//! window. New elements enter the CW; elements ageing out of a full CW
-//! transfer into the TW; the TW evicts its oldest element when over
-//! capacity — unless an adaptive detector is in phase, in which case
-//! the TW grows to hold the entire phase (Section 2 of the paper).
+//! The window policies of Section 2 and Section 5: how the trailing
+//! window (TW) is managed, where a detected phase is anchored, and how
+//! the windows are resized at a phase start. New elements enter the
+//! current window (CW); elements ageing out of a full CW move to the
+//! TW, which evicts its oldest element when over capacity unless an
+//! adaptive detector is in phase, in which case the TW grows to hold
+//! the entire phase. [`crate::spec::WindowPair`] states these rules
+//! directly; the SWAR kernel runs them in closed form.
 
 use core::fmt;
-use std::collections::VecDeque;
-
-use crate::model::exact;
 
 /// Trailing-window management policy (Section 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,779 +74,9 @@ impl fmt::Display for ResizePolicy {
     }
 }
 
-/// The CW/TW pair over interned element ids, with incrementally
-/// maintained multiset counts.
-///
-/// This is the `Model`'s window state from Figure 3 of the paper,
-/// factored out so that similarity models
-/// ([`ModelPolicy`](crate::ModelPolicy)) are pure functions of it.
-#[derive(Debug, Clone)]
-pub struct Windows {
-    buf: VecDeque<u32>,
-    tw_len: usize,
-    cw_cap: usize,
-    tw_cap: usize,
-    /// Per-site occurrence counts inside each window.
-    cw_counts: Vec<u32>,
-    tw_counts: Vec<u32>,
-    /// Number of distinct sites present in the CW.
-    distinct_cw: usize,
-    /// Number of distinct sites present in both windows.
-    distinct_shared: usize,
-    /// Distinct sites currently in the CW (for the weighted model's
-    /// O(|distinct CW|) similarity computation).
-    cw_sites: Vec<u32>,
-    cw_site_pos: Vec<u32>,
-    /// Distinct sites currently in the TW (for the Pearson model's
-    /// union iteration).
-    tw_sites: Vec<u32>,
-    tw_site_pos: Vec<u32>,
-    /// Global element offset of `buf[0]`.
-    front_offset: u64,
-    /// Set once both windows have filled to capacity; reset by
-    /// [`clear_keep_last`](Windows::clear_keep_last).
-    warm: bool,
-    /// Incrementally maintained Σ_e min(cw_count·tw_cap, tw_count·cw_cap),
-    /// kept only when `track_min_sum` is set. Exact for the weighted
-    /// similarity whenever both windows sit at their capacities.
-    min_sum: u64,
-    track_min_sum: bool,
-}
-
-const NO_POS: u32 = u32::MAX;
-
-impl Windows {
-    /// Creates empty windows with the given capacities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either capacity is zero.
-    #[must_use]
-    pub fn new(cw_cap: usize, tw_cap: usize) -> Self {
-        Self::with_weighted_tracking(cw_cap, tw_cap, true)
-    }
-
-    /// Creates empty windows, choosing whether to maintain the
-    /// incremental weighted min-sum (detectors using only the
-    /// unweighted model can skip that bookkeeping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either capacity is zero.
-    #[must_use]
-    pub fn with_weighted_tracking(cw_cap: usize, tw_cap: usize, track: bool) -> Self {
-        assert!(
-            cw_cap > 0 && tw_cap > 0,
-            "window capacities must be positive"
-        );
-        Windows {
-            buf: VecDeque::with_capacity(cw_cap + tw_cap + 1),
-            tw_len: 0,
-            cw_cap,
-            tw_cap,
-            cw_counts: Vec::new(),
-            tw_counts: Vec::new(),
-            distinct_cw: 0,
-            distinct_shared: 0,
-            cw_sites: Vec::new(),
-            cw_site_pos: Vec::new(),
-            tw_sites: Vec::new(),
-            tw_site_pos: Vec::new(),
-            front_offset: 0,
-            warm: false,
-            min_sum: 0,
-            track_min_sum: track,
-        }
-    }
-
-    /// `min(cw_count·tw_cap, tw_count·cw_cap)` for one site — the
-    /// unnormalized weighted-similarity term.
-    #[inline]
-    fn term(&self, site: u32) -> u64 {
-        let a = u64::from(self.cw_counts[site as usize]);
-        let b = u64::from(self.tw_counts[site as usize]);
-        (a * self.tw_cap as u64).min(b * self.cw_cap as u64)
-    }
-
-    /// Empties the windows and adopts new capacities, *reusing* every
-    /// allocation (the element deque, count tables, and distinct-site
-    /// lists). This is the sweep engine's scratch-reuse path: one
-    /// `Windows` value serves many configurations over the same trace
-    /// without re-allocating per-site tables per config.
-    ///
-    /// Counts are cleared sparsely via the distinct-site lists, so the
-    /// cost is `O(distinct sites present)`, not `O(site table)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either capacity is zero.
-    pub fn reset_shape(&mut self, cw_cap: usize, tw_cap: usize, track: bool) {
-        assert!(
-            cw_cap > 0 && tw_cap > 0,
-            "window capacities must be positive"
-        );
-        for &site in &self.cw_sites {
-            self.cw_counts[site as usize] = 0;
-            self.cw_site_pos[site as usize] = NO_POS;
-        }
-        for &site in &self.tw_sites {
-            self.tw_counts[site as usize] = 0;
-            self.tw_site_pos[site as usize] = NO_POS;
-        }
-        self.cw_sites.clear();
-        self.tw_sites.clear();
-        self.buf.clear();
-        self.tw_len = 0;
-        self.cw_cap = cw_cap;
-        self.tw_cap = tw_cap;
-        self.distinct_cw = 0;
-        self.distinct_shared = 0;
-        self.front_offset = 0;
-        self.warm = false;
-        self.min_sum = 0;
-        self.track_min_sum = track;
-    }
-
-    /// Creates empty windows with every per-site table pre-sized for
-    /// `n_sites` sites — the construction path for callers that know a
-    /// static alphabet bound up front, so the steady state is
-    /// allocation-free from the first element (not just after a
-    /// warm-up run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either capacity is zero.
-    #[must_use]
-    pub fn with_site_capacity(cw_cap: usize, tw_cap: usize, track: bool, n_sites: usize) -> Self {
-        let mut w = Self::with_weighted_tracking(cw_cap, tw_cap, track);
-        w.ensure_sites(n_sites);
-        w
-    }
-
-    /// Grows the per-site tables to cover ids `0..n_sites`.
-    pub fn ensure_sites(&mut self, n_sites: usize) {
-        if self.cw_counts.len() < n_sites {
-            self.cw_counts.resize(n_sites, 0);
-            self.tw_counts.resize(n_sites, 0);
-            self.cw_site_pos.resize(n_sites, NO_POS);
-            self.tw_site_pos.resize(n_sites, NO_POS);
-            // The distinct-site lists hold at most one entry per site;
-            // sizing them here (rather than as they grow) keeps every
-            // later push allocation-free.
-            let reserve = n_sites - self.cw_sites.len();
-            self.cw_sites.reserve(reserve);
-            let reserve = n_sites - self.tw_sites.len();
-            self.tw_sites.reserve(reserve);
-        }
-    }
-
-    /// Current-window length.
-    #[must_use]
-    pub fn cw_len(&self) -> usize {
-        self.buf.len() - self.tw_len
-    }
-
-    /// Trailing-window length.
-    #[must_use]
-    pub fn tw_len(&self) -> usize {
-        self.tw_len
-    }
-
-    /// Current-window capacity.
-    #[must_use]
-    pub fn cw_cap(&self) -> usize {
-        self.cw_cap
-    }
-
-    /// Trailing-window capacity (the adaptive policy may exceed it
-    /// while in phase).
-    #[must_use]
-    pub fn tw_cap(&self) -> usize {
-        self.tw_cap
-    }
-
-    /// `true` once both windows have filled since the last flush.
-    #[must_use]
-    pub fn is_warm(&self) -> bool {
-        self.warm
-    }
-
-    /// Number of distinct sites in the CW.
-    #[must_use]
-    pub fn distinct_cw(&self) -> usize {
-        self.distinct_cw
-    }
-
-    /// Number of distinct sites present in both windows.
-    #[must_use]
-    pub fn distinct_shared(&self) -> usize {
-        self.distinct_shared
-    }
-
-    /// The distinct sites currently in the CW.
-    #[must_use]
-    pub fn cw_sites(&self) -> &[u32] {
-        &self.cw_sites
-    }
-
-    /// The distinct sites currently in the TW.
-    #[must_use]
-    pub fn tw_sites(&self) -> &[u32] {
-        &self.tw_sites
-    }
-
-    /// Occurrence count of `site` in the CW.
-    #[must_use]
-    pub fn cw_count(&self, site: u32) -> u32 {
-        self.cw_counts.get(site as usize).copied().unwrap_or(0)
-    }
-
-    /// Occurrence count of `site` in the TW.
-    #[must_use]
-    pub fn tw_count(&self, site: u32) -> u32 {
-        self.tw_counts.get(site as usize).copied().unwrap_or(0)
-    }
-
-    fn inc_cw(&mut self, site: u32) {
-        if self.track_min_sum {
-            self.min_sum -= self.term(site);
-        }
-        let c = &mut self.cw_counts[site as usize];
-        *c += 1;
-        if *c == 1 {
-            self.distinct_cw += 1;
-            self.cw_site_pos[site as usize] = self.cw_sites.len() as u32;
-            self.cw_sites.push(site);
-            if self.tw_counts[site as usize] > 0 {
-                self.distinct_shared += 1;
-            }
-        }
-        if self.track_min_sum {
-            self.min_sum += self.term(site);
-        }
-    }
-
-    fn dec_cw(&mut self, site: u32) {
-        if self.track_min_sum {
-            self.min_sum -= self.term(site);
-        }
-        let c = &mut self.cw_counts[site as usize];
-        debug_assert!(*c > 0);
-        *c -= 1;
-        if *c == 0 {
-            self.distinct_cw -= 1;
-            // Swap-remove the site from the distinct list. Invariant:
-            // the count just fell 1 -> 0, so the site was appended to
-            // `cw_sites` when it rose 0 -> 1 and `pos` still indexes
-            // it (swap-removal keeps `cw_site_pos` current).
-            let pos = self.cw_site_pos[site as usize] as usize;
-            debug_assert!(pos < self.cw_sites.len() && self.cw_sites[pos] == site);
-            if pos < self.cw_sites.len() {
-                let last = self.cw_sites[self.cw_sites.len() - 1];
-                self.cw_sites.swap_remove(pos);
-                if pos < self.cw_sites.len() {
-                    self.cw_site_pos[last as usize] = pos as u32;
-                }
-            }
-            self.cw_site_pos[site as usize] = NO_POS;
-            if self.tw_counts[site as usize] > 0 {
-                self.distinct_shared -= 1;
-            }
-        }
-        if self.track_min_sum {
-            self.min_sum += self.term(site);
-        }
-    }
-
-    fn inc_tw(&mut self, site: u32) {
-        if self.track_min_sum {
-            self.min_sum -= self.term(site);
-        }
-        let c = &mut self.tw_counts[site as usize];
-        *c += 1;
-        if *c == 1 {
-            self.tw_site_pos[site as usize] = self.tw_sites.len() as u32;
-            self.tw_sites.push(site);
-            if self.cw_counts[site as usize] > 0 {
-                self.distinct_shared += 1;
-            }
-        }
-        if self.track_min_sum {
-            self.min_sum += self.term(site);
-        }
-    }
-
-    fn dec_tw(&mut self, site: u32) {
-        if self.track_min_sum {
-            self.min_sum -= self.term(site);
-        }
-        let c = &mut self.tw_counts[site as usize];
-        debug_assert!(*c > 0);
-        *c -= 1;
-        if *c == 0 {
-            // Invariant: mirrors `dec_cw` — a site whose TW count just
-            // reached zero is present in `tw_sites` at `pos`.
-            let pos = self.tw_site_pos[site as usize] as usize;
-            debug_assert!(pos < self.tw_sites.len() && self.tw_sites[pos] == site);
-            if pos < self.tw_sites.len() {
-                let last = self.tw_sites[self.tw_sites.len() - 1];
-                self.tw_sites.swap_remove(pos);
-                if pos < self.tw_sites.len() {
-                    self.tw_site_pos[last as usize] = pos as u32;
-                }
-            }
-            self.tw_site_pos[site as usize] = NO_POS;
-            if self.cw_counts[site as usize] > 0 {
-                self.distinct_shared -= 1;
-            }
-        }
-        if self.track_min_sum {
-            self.min_sum += self.term(site);
-        }
-    }
-
-    /// Transfers the oldest CW element into the TW.
-    fn shift_cw_to_tw(&mut self) {
-        let site = self.buf[self.tw_len];
-        self.dec_cw(site);
-        self.inc_tw(site);
-        self.tw_len += 1;
-    }
-
-    /// Consumes one element. `tw_grows` suppresses trailing-window
-    /// eviction (adaptive policy, in phase).
-    pub fn push(&mut self, site: u32, tw_grows: bool) {
-        self.ensure_sites(site as usize + 1);
-        self.buf.push_back(site);
-        self.inc_cw(site);
-        if self.cw_len() > self.cw_cap {
-            self.shift_cw_to_tw();
-        }
-        if !tw_grows {
-            // Invariant: `tw_len` counts a prefix of `buf`, so a
-            // positive `tw_len` means the deque is non-empty.
-            while self.tw_len > self.tw_cap {
-                debug_assert!(!self.buf.is_empty());
-                let Some(evicted) = self.buf.pop_front() else {
-                    break;
-                };
-                self.dec_tw(evicted);
-                self.tw_len -= 1;
-                self.front_offset += 1;
-            }
-        }
-        if !self.warm && self.tw_len >= self.tw_cap && self.cw_len() >= self.cw_cap {
-            self.warm = true;
-        }
-    }
-
-    /// Flushes both windows, keeping the most recent `keep` elements as
-    /// the new (partial) CW — the paper's `clearWindows` plus CW
-    /// re-seeding with the last `skipFactor` elements.
-    pub fn clear_keep_last(&mut self, keep: usize) {
-        let total = self.buf.len();
-        let drop = total.saturating_sub(keep);
-        // Invariant: `drop <= total`, so each of the `drop` pops finds
-        // an element.
-        for _ in 0..drop {
-            debug_assert!(!self.buf.is_empty());
-            let Some(site) = self.buf.pop_front() else {
-                break;
-            };
-            if self.tw_len > 0 {
-                self.dec_tw(site);
-                self.tw_len -= 1;
-            } else {
-                self.dec_cw(site);
-            }
-            self.front_offset += 1;
-        }
-        // Any kept elements that were still in the TW become CW.
-        while self.tw_len > 0 {
-            let site = self.buf[self.tw_len - 1];
-            self.dec_tw(site);
-            self.inc_cw(site);
-            self.tw_len -= 1;
-        }
-        self.warm = false;
-    }
-
-    /// Computes the anchor index (relative to the TW front) for a phase
-    /// that was just detected, per the anchor policy. Returns `0` when
-    /// the TW contains no noisy element (RN) and `tw_len` when it
-    /// contains no non-noisy element (LNN).
-    #[must_use]
-    pub fn anchor_index(&self, policy: AnchorPolicy) -> usize {
-        match policy {
-            AnchorPolicy::RightmostNoisy => {
-                for j in (0..self.tw_len).rev() {
-                    if self.cw_counts[self.buf[j] as usize] == 0 {
-                        return j + 1;
-                    }
-                }
-                0
-            }
-            AnchorPolicy::LeftmostNonNoisy => {
-                for j in 0..self.tw_len {
-                    if self.cw_counts[self.buf[j] as usize] > 0 {
-                        return j;
-                    }
-                }
-                self.tw_len
-            }
-        }
-    }
-
-    /// Global element offset corresponding to a TW-relative index.
-    #[must_use]
-    pub fn offset_of_index(&self, index: usize) -> u64 {
-        self.front_offset + index as u64
-    }
-
-    /// Applies the anchor and resize policies at a phase start: drops
-    /// the TW prefix before `anchor_idx`, then either slides the TW
-    /// right (restoring its capacity at the CW's expense) or merely
-    /// moves its left boundary. Returns the global offset of the anchor
-    /// element.
-    pub fn anchor_and_resize(&mut self, anchor_idx: usize, resize: ResizePolicy) -> u64 {
-        let anchor_offset = self.offset_of_index(anchor_idx);
-        // Invariant: the loop is bounded by `tw_len`, which counts a
-        // prefix of `buf`, so each pop finds an element.
-        for _ in 0..anchor_idx.min(self.tw_len) {
-            debug_assert!(!self.buf.is_empty());
-            let Some(site) = self.buf.pop_front() else {
-                break;
-            };
-            self.dec_tw(site);
-            self.tw_len -= 1;
-            self.front_offset += 1;
-        }
-        if resize == ResizePolicy::Slide {
-            // Extend the TW into the CW region up to its capacity,
-            // leaving at least one element in the CW.
-            while self.tw_len < self.tw_cap && self.cw_len() > 1 {
-                self.shift_cw_to_tw();
-            }
-        }
-        anchor_offset
-    }
-
-    /// Unweighted (asymmetric working-set) similarity: the fraction of
-    /// distinct CW sites that also occur in the TW.
-    #[must_use]
-    pub fn unweighted_similarity(&self) -> f64 {
-        if self.distinct_cw == 0 {
-            0.0
-        } else {
-            self.distinct_shared as f64 / self.distinct_cw as f64
-        }
-    }
-
-    /// Weighted (symmetric) similarity: the sum over sites of the
-    /// minimum relative weight in each window.
-    #[must_use]
-    pub fn weighted_similarity(&self) -> f64 {
-        let cw_len = self.cw_len();
-        let tw_len = self.tw_len;
-        if cw_len == 0 || tw_len == 0 {
-            return 0.0;
-        }
-        // Fast path: with both windows exactly at capacity, the
-        // incrementally maintained integer min-sum is exact.
-        if self.track_min_sum && cw_len == self.cw_cap && tw_len == self.tw_cap {
-            return exact::weighted(self.min_sum, self.cw_cap, self.tw_cap);
-        }
-        // Sites absent from the CW contribute min(0, ·) = 0, so the
-        // CW support covers every non-zero term.
-        let mut sum: u64 = 0;
-        for &site in &self.cw_sites {
-            let wc = u64::from(self.cw_counts[site as usize]) * tw_len as u64;
-            let wt = u64::from(self.tw_counts[site as usize]) * cw_len as u64;
-            sum += wc.min(wt);
-        }
-        exact::weighted(sum, cw_len, tw_len)
-    }
-
-    /// Pearson correlation of the two windows' site-count vectors over
-    /// the union of their distinct sites, clamped to `[0, 1]` (negative
-    /// correlation carries no more phase information than none).
-    ///
-    /// This models the region-monitoring approach of Das et al.
-    /// (CGO 2006), which compares sample vectors by Pearson's
-    /// coefficient against a fixed threshold. When either vector has
-    /// zero variance the correlation is undefined; this returns `1.0`
-    /// when the windows share their entire support (trivially similar)
-    /// and `0.0` otherwise.
-    #[must_use]
-    pub fn pearson_similarity(&self) -> f64 {
-        if self.cw_len() == 0 || self.tw_len == 0 {
-            return 0.0;
-        }
-        // Union iteration: all CW sites, then TW-only sites. Integer
-        // sums are order-independent, so the iteration order (unlike
-        // the SWAR kernel's) does not affect the result.
-        let mut n: u64 = self.cw_sites.len() as u64;
-        let mut sums = exact::PearsonSums::default();
-        for &site in &self.cw_sites {
-            sums.add(self.cw_counts[site as usize], self.tw_counts[site as usize]);
-        }
-        for &site in &self.tw_sites {
-            if self.cw_counts[site as usize] == 0 {
-                n += 1;
-                sums.add(0, self.tw_counts[site as usize]);
-            }
-        }
-        exact::pearson(n, sums, self.distinct_shared as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Builds windows whose TW holds `tw` and CW holds `cw`, in order.
-    fn windows_with(tw: &[u32], cw: &[u32]) -> Windows {
-        let mut w = Windows::new(cw.len(), tw.len());
-        for &site in tw.iter().chain(cw) {
-            w.push(site, false);
-        }
-        assert_eq!(w.tw_len(), tw.len());
-        assert_eq!(w.cw_len(), cw.len());
-        w
-    }
-
-    #[test]
-    fn fifo_flow_fills_cw_then_tw() {
-        let mut w = Windows::new(2, 3);
-        for site in 0..5 {
-            w.push(site, false);
-            assert!(w.cw_len() <= 2);
-        }
-        // CW = [3, 4], TW = [0, 1, 2]
-        assert_eq!(w.cw_len(), 2);
-        assert_eq!(w.tw_len(), 3);
-        assert!(w.is_warm());
-        assert_eq!(w.cw_count(4), 1);
-        assert_eq!(w.tw_count(0), 1);
-    }
-
-    #[test]
-    fn eviction_keeps_capacities() {
-        let mut w = Windows::new(2, 3);
-        for site in 0..20 {
-            w.push(site % 4, false);
-        }
-        assert_eq!(w.cw_len(), 2);
-        assert_eq!(w.tw_len(), 3);
-        let total: u32 = (0..4).map(|s| w.cw_count(s) + w.tw_count(s)).sum();
-        assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn adaptive_growth_suppresses_eviction() {
-        let mut w = Windows::new(2, 3);
-        for site in 0..10 {
-            w.push(site, true);
-        }
-        assert_eq!(w.cw_len(), 2);
-        assert_eq!(w.tw_len(), 8);
-    }
-
-    #[test]
-    fn unweighted_paper_example() {
-        // CW {a, b}, TW {a, c} -> 0.5 regardless of frequencies.
-        let w = windows_with(&[0, 2], &[0, 1]);
-        assert!((w.unweighted_similarity() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unweighted_ignores_frequency() {
-        // CW {a, a, c}, TW {a, b, c}: all distinct CW sites occur in TW.
-        let w = windows_with(&[0, 1, 2], &[0, 0, 2]);
-        assert!((w.unweighted_similarity() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_paper_example() {
-        // CW {(a,5),(b,3),(c,2)}; TW {(a,25),(b,15),(c,10),(d,50)}.
-        let mut tw = vec![0; 25];
-        tw.extend(std::iter::repeat(1).take(15));
-        tw.extend(std::iter::repeat(2).take(10));
-        tw.extend(std::iter::repeat(3).take(50));
-        let mut cw = vec![0; 5];
-        cw.extend(std::iter::repeat(1).take(3));
-        cw.extend(std::iter::repeat(2).take(2));
-        let w = windows_with(&tw, &cw);
-        assert!((w.weighted_similarity() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn similarity_empty_windows_is_zero() {
-        let w = Windows::new(4, 4);
-        assert_eq!(w.unweighted_similarity(), 0.0);
-        assert_eq!(w.weighted_similarity(), 0.0);
-    }
-
-    #[test]
-    fn clear_keep_last_reseeds_cw() {
-        let mut w = Windows::new(3, 3);
-        for site in 0..9 {
-            w.push(site, false);
-        }
-        w.clear_keep_last(2);
-        assert_eq!(w.cw_len(), 2);
-        assert_eq!(w.tw_len(), 0);
-        assert!(!w.is_warm());
-        // Kept the most recent two elements (7 and 8).
-        assert_eq!(w.cw_count(7), 1);
-        assert_eq!(w.cw_count(8), 1);
-        assert_eq!(w.distinct_cw(), 2);
-    }
-
-    #[test]
-    fn clear_keep_more_than_buffered() {
-        let mut w = Windows::new(3, 3);
-        w.push(1, false);
-        w.clear_keep_last(10);
-        assert_eq!(w.cw_len(), 1);
-        assert_eq!(w.tw_len(), 0);
-    }
-
-    #[test]
-    fn anchor_rn_and_lnn_paper_example() {
-        // TW = [a, b, c], CW = [a, a, c]; b is noisy.
-        // RN anchors one right of b (index 2, element c);
-        // LNN anchors at the leftmost non-noisy (index 0, element a).
-        let w = windows_with(&[0, 1, 2], &[0, 0, 2]);
-        assert_eq!(w.anchor_index(AnchorPolicy::RightmostNoisy), 2);
-        assert_eq!(w.anchor_index(AnchorPolicy::LeftmostNonNoisy), 0);
-    }
-
-    #[test]
-    fn anchor_without_noise() {
-        let w = windows_with(&[0, 1], &[0, 1]);
-        assert_eq!(w.anchor_index(AnchorPolicy::RightmostNoisy), 0);
-        assert_eq!(w.anchor_index(AnchorPolicy::LeftmostNonNoisy), 0);
-    }
-
-    #[test]
-    fn anchor_all_noise() {
-        let w = windows_with(&[5, 6], &[0, 1]);
-        assert_eq!(w.anchor_index(AnchorPolicy::RightmostNoisy), 2);
-        assert_eq!(w.anchor_index(AnchorPolicy::LeftmostNonNoisy), 2);
-    }
-
-    #[test]
-    fn slide_restores_tw_at_cw_expense() {
-        let mut w = windows_with(&[9, 0, 1, 2], &[0, 1, 2, 3]);
-        let anchor = w.anchor_index(AnchorPolicy::RightmostNoisy);
-        assert_eq!(anchor, 1); // element 9 at index 0 is noisy
-        let offset = w.anchor_and_resize(anchor, ResizePolicy::Slide);
-        assert_eq!(offset, 1);
-        // TW dropped one, then refilled from the CW up to capacity.
-        assert_eq!(w.tw_len(), 4);
-        assert_eq!(w.cw_len(), 3);
-    }
-
-    #[test]
-    fn move_shrinks_tw_only() {
-        let mut w = windows_with(&[9, 0, 1, 2], &[0, 1, 2, 3]);
-        let offset = w.anchor_and_resize(1, ResizePolicy::Move);
-        assert_eq!(offset, 1);
-        assert_eq!(w.tw_len(), 3);
-        assert_eq!(w.cw_len(), 4);
-    }
-
-    #[test]
-    fn slide_leaves_at_least_one_cw_element() {
-        let mut w = windows_with(&[1, 2, 3, 4], &[5]);
-        // Drop the whole TW, then slide: CW must not empty out.
-        let _ = w.anchor_and_resize(4, ResizePolicy::Slide);
-        assert!(w.cw_len() >= 1);
-    }
-
-    #[test]
-    fn offsets_track_front() {
-        let mut w = Windows::new(2, 2);
-        for site in 0..10 {
-            w.push(site % 3, false);
-        }
-        // 10 pushed, capacity 4 => 6 evicted.
-        assert_eq!(w.offset_of_index(0), 6);
-    }
-
-    #[test]
-    fn distinct_bookkeeping_randomized() {
-        // Cross-check the incremental distinct counters against a
-        // recomputation from scratch.
-        let mut w = Windows::new(7, 13);
-        let mut x = 123_456_789u64;
-        for step in 0..5_000 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let site = (x >> 33) % 17;
-            let grow = (step / 100) % 2 == 1;
-            w.push(site as u32, grow);
-            if step % 997 == 0 {
-                w.clear_keep_last(3);
-            }
-            let mut shared = 0;
-            let mut distinct = 0;
-            for s in 0..17 {
-                if w.cw_count(s) > 0 {
-                    distinct += 1;
-                    if w.tw_count(s) > 0 {
-                        shared += 1;
-                    }
-                }
-            }
-            assert_eq!(distinct, w.distinct_cw(), "step {step}");
-            assert_eq!(shared, w.distinct_shared(), "step {step}");
-            assert_eq!(w.cw_sites().len(), distinct);
-        }
-    }
-
-    #[test]
-    fn incremental_weighted_matches_brute_force() {
-        // Exercise the at-capacity fast path against a from-scratch
-        // computation over all sites.
-        let mut w = Windows::new(11, 17);
-        let mut x = 42u64;
-        for step in 0..8_000u64 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let site = ((x >> 33) % 23) as u32;
-            w.push(site, false);
-            if step % 1_499 == 0 {
-                w.clear_keep_last(1);
-            }
-            if w.cw_len() == 11 && w.tw_len() == 17 {
-                let fast = w.weighted_similarity();
-                let mut slow = 0.0;
-                for s in 0..23 {
-                    let wc = f64::from(w.cw_count(s)) / 11.0;
-                    let wt = f64::from(w.tw_count(s)) / 17.0;
-                    slow += wc.min(wt);
-                }
-                assert!((fast - slow).abs() < 1e-9, "step {step}: {fast} vs {slow}");
-            }
-        }
-    }
-
-    #[test]
-    fn tracking_disabled_still_correct() {
-        let mut a = Windows::with_weighted_tracking(5, 5, false);
-        let mut b = Windows::with_weighted_tracking(5, 5, true);
-        for i in 0..40u32 {
-            a.push(i % 6, false);
-            b.push(i % 6, false);
-            assert!((a.weighted_similarity() - b.weighted_similarity()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        let _ = Windows::new(0, 5);
-    }
 
     #[test]
     fn policy_displays() {

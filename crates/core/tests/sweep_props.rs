@@ -2,21 +2,25 @@
 //! sweep engine's phases are bit-identical to a fresh sequential
 //! [`PhaseDetector`] per config — across both trailing-window
 //! policies, all models and analyzers, and skip factors larger than
-//! the current window (which must route to the private path).
+//! the current window (which must route to the private path). Adaptive
+//! groups under load are checked against the executable spec.
 
 use opd_core::{
-    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, KernelKind, ModelPolicy,
-    PhaseDetector, ResizePolicy, SweepEngine, TwPolicy,
+    spec, AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector,
+    ResizePolicy, SweepEngine, TwPolicy,
 };
 use opd_trace::{MethodId, ProfileElement};
 use proptest::prelude::*;
 
+fn elements(sites: &[u32]) -> Vec<ProfileElement> {
+    sites
+        .iter()
+        .map(|&s| ProfileElement::new(MethodId::new(0), s, true))
+        .collect()
+}
+
 fn interned(sites: &[u32]) -> InternedTrace {
-    InternedTrace::from_elements(
-        sites
-            .iter()
-            .map(|&s| ProfileElement::new(MethodId::new(0), s, true)),
-    )
+    InternedTrace::from_elements(elements(sites))
 }
 
 /// Decodes one packed parameter tuple into a detector config. `flags`
@@ -178,9 +182,9 @@ proptest! {
     /// The event-driven forking scan under load: many members per
     /// adaptive group, entering, leaving and re-entering recurring
     /// phases, so members sleep and wake, share classes across steps
-    /// and see classes merge — on both kernels.
+    /// and see classes merge — against the spec.
     #[test]
-    fn adaptive_heavy_groups_match_sequential_detectors_on_both_kernels(
+    fn adaptive_heavy_groups_match_the_spec(
         blocks in prop::collection::vec((0u32..3, 8usize..60, 1u32..5), 1..12),
         noise in prop::collection::vec(0usize..600, 0..6),
         (cw, tw, skip) in (2usize..10, 1usize..10, 1usize..4)
@@ -190,28 +194,21 @@ proptest! {
         thresholds in prop::collection::vec((4u32..20).prop_map(|k| f64::from(k) / 20.0), 1..5),
         deltas in prop::collection::vec(0.0f64..0.3, 0..3),
     ) {
-        let trace = interned(&block_trace(&blocks, &noise));
+        let sites = block_trace(&blocks, &noise);
+        let trace = interned(&sites);
+        let elements = elements(&sites);
         let analyzers: Vec<AnalyzerPolicy> = thresholds
             .iter()
             .map(|&t| AnalyzerPolicy::Threshold(t))
             .chain(deltas.iter().map(|&delta| AnalyzerPolicy::Average { delta }))
             .collect();
         let configs = adaptive_grid(cw, tw, skip, &analyzers);
-        let expected: Vec<_> = configs
-            .iter()
-            .map(|&config| {
-                let mut detector = PhaseDetector::new(config);
-                let _ = detector.run_interned(&trace);
-                detector.take_phases()
-            })
-            .collect();
-        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-            let engine = SweepEngine::with_kernel(&configs, kernel);
-            prop_assert_eq!(engine.units().len(), 1);
-            let all = engine.run_all(&trace);
-            for (i, config) in configs.iter().enumerate() {
-                prop_assert_eq!(&all[i], &expected[i], "{} config {}: {:?}", kernel, i, config);
-            }
+        let engine = SweepEngine::new(&configs);
+        prop_assert_eq!(engine.units().len(), 1);
+        let all = engine.run_all(&trace);
+        for (i, &config) in configs.iter().enumerate() {
+            let expected = spec::run(config, &elements).phases;
+            prop_assert_eq!(&all[i], &expected, "config {}: {:?}", i, config);
         }
     }
 }

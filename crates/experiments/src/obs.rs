@@ -20,7 +20,7 @@ use std::convert::Infallible;
 use std::time::Instant;
 
 use opd_analyze::ConfigCost;
-use opd_core::{DetectorConfig, KernelKind, PhaseDetector, SweepEngine, SweepScratch};
+use opd_core::{DetectorConfig, PhaseDetector, SweepEngine, SweepScratch};
 use opd_obs::{MetricsRegistry, MetricsSnapshot, NullObserver, UnitMetrics};
 
 use crate::report::Table;
@@ -43,7 +43,8 @@ pub struct BucketProfile {
     pub workload_index: usize,
     /// Index into the engine's unit list.
     pub unit_index: usize,
-    /// The window kernel the bucket ran on (`"swar"` or `"scalar"`).
+    /// The window kernel the bucket ran on: always `"swar"`, the only
+    /// kernel, recorded per bucket in `BENCH_obs.json`.
     pub kernel: &'static str,
     /// Whether the unit ran one shared scan for all members.
     pub shared: bool,
@@ -61,10 +62,8 @@ pub struct BucketProfile {
 }
 
 impl BucketProfile {
-    /// Measured comparison-op throughput (ops/second) of this bucket —
-    /// the number that separates the SWAR kernel from the scalar
-    /// reference in the committed artifacts. `0.0` if the bucket ran
-    /// too fast to time.
+    /// Measured comparison-op throughput (ops/second) of this bucket.
+    /// `0.0` if the bucket ran too fast to time.
     #[must_use]
     pub fn compare_ops_per_sec(&self) -> f64 {
         if self.wall_nanos == 0 {
@@ -78,8 +77,6 @@ impl BucketProfile {
 /// registry snapshot and per-worker busy time.
 #[derive(Debug, Clone)]
 pub struct SweepProfile {
-    /// The window kernel every bucket ran on.
-    pub kernel: KernelKind,
     /// Worker threads the sweep ran on.
     pub threads: usize,
     /// End-to-end wall-clock of the sweep.
@@ -169,20 +166,7 @@ pub fn sweep_many_profiled(
     configs: &[DetectorConfig],
     threads: usize,
 ) -> (Vec<Vec<ConfigRun>>, SweepProfile) {
-    sweep_many_profiled_with_kernel(prepared, configs, threads, KernelKind::default())
-}
-
-/// [`sweep_many_profiled`] on an explicit window kernel, so `opd
-/// sweep --stats` artifacts can record both the SWAR default and the
-/// scalar reference.
-#[must_use]
-pub fn sweep_many_profiled_with_kernel(
-    prepared: &[PreparedWorkload],
-    configs: &[DetectorConfig],
-    threads: usize,
-    kernel: KernelKind,
-) -> (Vec<Vec<ConfigRun>>, SweepProfile) {
-    let engine = SweepEngine::with_kernel(configs, kernel);
+    let engine = SweepEngine::new(configs);
     let started = Instant::now();
 
     let mut registry = MetricsRegistry::for_host();
@@ -233,7 +217,7 @@ pub fn sweep_many_profiled_with_kernel(
             workload: p.workload().name(),
             workload_index: wi,
             unit_index: ui,
-            kernel: engine.kernel().as_str(),
+            kernel: "swar",
             shared: unit.is_shared(),
             members: unit.config_indices().len(),
             metrics,
@@ -269,7 +253,6 @@ pub fn sweep_many_profiled_with_kernel(
     buckets.sort_by_key(|b| (b.workload_index, b.unit_index));
 
     let profile = SweepProfile {
-        kernel: engine.kernel(),
         threads,
         wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         thread_busy_nanos,
@@ -372,7 +355,7 @@ pub fn obs_json(
     out.push_str("  \"schema\": \"opd-bench-obs-v2\",\n");
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"fuel\": {fuel},\n"));
-    out.push_str(&format!("  \"kernel\": \"{}\",\n", profile.kernel.as_str()));
+    out.push_str("  \"kernel\": \"swar\",\n");
     out.push_str(&format!("  \"threads\": {},\n", profile.threads));
     out.push_str(&format!("  \"grid_configs\": {grid_configs},\n"));
     out.push_str("  \"overhead\": {\n");
@@ -483,26 +466,6 @@ mod tests {
             );
             assert!(profile.table().to_string().contains("lexgen"));
         }
-    }
-
-    #[test]
-    fn profiled_sweep_records_the_kernel_variant() {
-        let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000, 1);
-        let configs = default_plan_grid();
-        let (swar_runs, swar) = sweep_many_profiled(&prepared, &configs, 1);
-        assert_eq!(swar.kernel, KernelKind::Swar);
-        assert!(swar.buckets.iter().all(|b| b.kernel == "swar"));
-        let (scalar_runs, scalar) =
-            sweep_many_profiled_with_kernel(&prepared, &configs, 1, KernelKind::Scalar);
-        assert_eq!(scalar.kernel, KernelKind::Scalar);
-        assert!(scalar.buckets.iter().all(|b| b.kernel == "scalar"));
-        // Same decisions, same step accounting — the kernels differ
-        // only in per-judge op counts and speed.
-        for (a, b) in swar_runs[0].iter().zip(&scalar_runs[0]) {
-            assert_eq!(a.detected, b.detected);
-            assert_eq!(a.anchored, b.anchored);
-        }
-        assert_eq!(swar.totals().judged_steps, scalar.totals().judged_steps);
     }
 
     #[test]

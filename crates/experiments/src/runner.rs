@@ -7,7 +7,7 @@ use opd_analyze::{AbsInt, Analysis, ResourceCertificate};
 use opd_baseline::{BaselineSolution, CallLoopForest};
 use opd_core::{
     anchored_intervals, detected_intervals, DetectedPhase, DetectorConfig, InternedTrace,
-    KernelKind, PhaseDetector, SweepEngine, SweepScratch, SweepUnit,
+    PhaseDetector, SweepEngine, SweepScratch, SweepUnit,
 };
 use opd_microvm::workloads::Workload;
 use opd_scoring::{score_intervals, AccuracyScore};
@@ -370,20 +370,7 @@ pub fn sweep(
     configs: &[DetectorConfig],
     threads: usize,
 ) -> Vec<ConfigRun> {
-    sweep_with_kernel(prepared, configs, threads, KernelKind::default())
-}
-
-/// [`sweep`] on an explicit window kernel — the benchmark harness runs
-/// the same grid on both kernels and diffs the results.
-#[must_use]
-pub fn sweep_with_kernel(
-    prepared: &PreparedWorkload,
-    configs: &[DetectorConfig],
-    threads: usize,
-    kernel: KernelKind,
-) -> Vec<ConfigRun> {
-    let mut per_workload =
-        sweep_many_with_kernel(std::slice::from_ref(prepared), configs, threads, kernel);
+    let mut per_workload = sweep_many(std::slice::from_ref(prepared), configs, threads);
     per_workload.pop().expect("one workload in, one out")
 }
 
@@ -402,18 +389,7 @@ pub fn sweep_many(
     configs: &[DetectorConfig],
     threads: usize,
 ) -> Vec<Vec<ConfigRun>> {
-    sweep_many_with_kernel(prepared, configs, threads, KernelKind::default())
-}
-
-/// [`sweep_many`] on an explicit window kernel.
-#[must_use]
-pub fn sweep_many_with_kernel(
-    prepared: &[PreparedWorkload],
-    configs: &[DetectorConfig],
-    threads: usize,
-    kernel: KernelKind,
-) -> Vec<Vec<ConfigRun>> {
-    let engine = SweepEngine::with_kernel(configs, kernel);
+    let engine = SweepEngine::new(configs);
     let items: Vec<(usize, usize)> = (0..prepared.len())
         .flat_map(|wi| (0..engine.units().len()).map(move |ui| (wi, ui)))
         .collect();

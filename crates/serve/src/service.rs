@@ -357,7 +357,7 @@ impl ServiceReport {
     }
 
     /// Completed sessions whose phase stream did **not** match a
-    /// scalar-kernel offline run over the session log — the
+    /// batch offline run over the session log — the
     /// acceptance gate requires zero.
     #[must_use]
     pub fn verify_failures(&self) -> u64 {

@@ -11,8 +11,8 @@
 //! uninterrupted session would have — incremental steps over the log
 //! equal one offline run over it, so the phase stream is bit-identical
 //! by construction. With verification on, that is re-checked per
-//! session against an independent kernel: a scalar-kernel batch run
-//! over the log's interned view.
+//! session against the batch driver: one run from scratch over the
+//! log's interned view, independent of the streamed cursor.
 //!
 //! The lifecycle:
 //!
@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 
-use opd_core::{DetectedPhase, DetectorConfig, IdLog, KernelKind, PhaseDetector};
+use opd_core::{DetectedPhase, DetectorConfig, IdLog, PhaseDetector};
 use opd_obs::{DetectorEvent, SpanKind, SpanRecorder};
 use opd_trace::decode_trace_resync;
 
@@ -218,7 +218,7 @@ pub struct SessionStats {
     pub phase_count: u64,
     /// Digest of the final phase stream (see [`phase_digest`]).
     pub phase_digest: u64,
-    /// `true` if the final phase stream matched a fresh scalar-kernel
+    /// `true` if the final phase stream matched a fresh batch
     /// run over the session log (always `true` when verification is
     /// off or the session never completed).
     pub verified: bool,
@@ -692,7 +692,7 @@ impl Session {
     }
 
     /// Clean completion: judge the residual partial step, close the
-    /// open phase, and (optionally) verify against a scalar-kernel run
+    /// open phase, and (optionally) verify against a batch run
     /// over the log. The residual step gets its own `detect` span, and
     /// the closing phase boundaries are emitted under it.
     fn finish<R: SpanRecorder>(
@@ -802,12 +802,13 @@ impl Session {
         self.stats.phase_digest = phase_digest(phases);
     }
 
-    /// Bit-identity check: a batch run of the scalar reference kernel
-    /// over the session log must produce the same phase stream the
-    /// incremental SWAR path did. The log's interned view feeds it
-    /// directly — no copy, no second interning pass.
+    /// Bit-identity check: a batch run over the whole session log must
+    /// produce the same phase stream the incremental path did. The
+    /// batch driver runs the kernel from scratch over the log's
+    /// zero-copy interned view, not the resumed cursor the stream
+    /// kept, so a lost, repeated or misplaced step shows up.
     fn offline_matches(&self) -> bool {
-        let mut reference = PhaseDetector::with_kernel(self.config, KernelKind::Scalar);
+        let mut reference = PhaseDetector::new(self.config);
         reference.run_interned_phases_only(self.log.as_interned())
             == self.detector.detected_phases()
     }

@@ -1018,9 +1018,8 @@ fn sweep(opts: &SweepOpts) -> ExitCode {
         );
         reporter.human(profile.table().to_string().trim_end());
         reporter.human(format_args!(
-            "kernel {}; lpt imbalance {:.3} over {} thread(s); null-observer overhead {:.2}% \
+            "lpt imbalance {:.3} over {} thread(s); null-observer overhead {:.2}% \
              ({} samples, {:.2} ms plain vs {:.2} ms instrumented)",
-            profile.kernel.as_str(),
             profile.imbalance(),
             profile.threads,
             (overhead.ratio() - 1.0) * 100.0,

@@ -52,15 +52,15 @@ fn certify_all() -> Vec<Certified> {
         .collect()
 }
 
-/// The peak scalar window occupancy of one run: elements resident in
+/// The peak window occupancy of one run: elements resident in
 /// CW + TW after each skip-aligned step.
 fn measured_peak_occupancy(config: &opd_core::DetectorConfig, elements: &[ProfileElement]) -> u64 {
     let mut detector = PhaseDetector::new(*config);
     let mut peak = 0u64;
     for chunk in elements.chunks(config.skip_factor().max(1)) {
         detector.process(chunk);
-        let w = detector.windows();
-        peak = peak.max((w.cw_len() + w.tw_len()) as u64);
+        let (cw_len, tw_len) = detector.window_lens();
+        peak = peak.max((cw_len + tw_len) as u64);
     }
     peak
 }
@@ -73,8 +73,8 @@ fn every_dynamic_counter_lands_inside_its_certified_interval() {
     for c in certify_all() {
         let dynamic_elements = c.elements.len() as u64;
         let dynamic_sites = u64::from(c.interned.distinct_count());
-        // All grid members share one window shape, so one scalar
-        // occupancy measurement covers the whole row.
+        // All grid members share one window shape, so one occupancy
+        // measurement covers the whole row.
         let peak_occupancy = measured_peak_occupancy(&configs[0], &c.elements);
         for (ci, config) in configs.iter().enumerate() {
             let cert = ResourceCertificate::from_parts(&c.absint, &c.flow, config, CERT_FUEL);

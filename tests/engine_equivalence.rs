@@ -1,14 +1,15 @@
 //! Tier-1 equivalence: the shared-window sweep engine must produce
-//! results bit-identical to sequential per-config detector runs —
+//! results bit-identical to the executable spec (`opd_core::spec`) —
 //! detected and anchored intervals alike — for the paper's full
 //! policy grid (all three trailing-window strategies) on multiple
 //! workloads, and for mixed multi-shape grids that exercise unit
 //! planning and threaded distribution.
 
-use opd_core::{anchored_intervals, detected_intervals, DetectorConfig, SweepEngine};
+use opd_core::{anchored_intervals, detected_intervals, spec, DetectorConfig, SweepEngine};
 use opd_experiments::grid::{policy_grid, TwKind};
-use opd_experiments::runner::{prepare_all, run_detector, sweep, sweep_many, PreparedWorkload};
+use opd_experiments::runner::{prepare_all, sweep, sweep_many, PreparedWorkload};
 use opd_microvm::workloads::Workload;
+use opd_trace::PhaseInterval;
 
 /// The paper's 20-config model × analyzer grid for every strategy:
 /// Adaptive TW (the forking shared scan), Constant TW (the plain
@@ -31,6 +32,19 @@ fn workloads() -> Vec<PreparedWorkload> {
     )
 }
 
+/// The spec's detected and anchored intervals for `config` on `p`.
+fn reference(
+    config: DetectorConfig,
+    p: &PreparedWorkload,
+) -> (Vec<PhaseInterval>, Vec<PhaseInterval>) {
+    let phases = spec::run(config, p.branches().as_slice()).phases;
+    let total = p.interned().len() as u64;
+    (
+        detected_intervals(&phases, total),
+        anchored_intervals(&phases, total),
+    )
+}
+
 #[test]
 fn engine_matches_sequential_over_full_policy_grid() {
     let prepared = workloads();
@@ -44,16 +58,16 @@ fn engine_matches_sequential_over_full_policy_grid() {
         let total = p.interned().len() as u64;
         let all = engine.run_all(p.interned());
         for (i, &config) in configs.iter().enumerate() {
-            let expected = run_detector(config, p.interned());
+            let (detected, anchored) = reference(config, p);
             assert_eq!(
                 detected_intervals(&all[i], total),
-                expected.detected,
+                detected,
                 "{:?} config {i}: {config:?}",
                 p.workload()
             );
             assert_eq!(
                 anchored_intervals(&all[i], total),
-                expected.anchored,
+                anchored,
                 "{:?} config {i}: {config:?}",
                 p.workload()
             );
@@ -70,11 +84,11 @@ fn threaded_sweep_equals_single_threaded_and_sequential() {
         let four = sweep(p, &configs, 4);
         assert_eq!(one.len(), configs.len());
         for ((a, b), &config) in one.iter().zip(&four).zip(&configs) {
-            let expected = run_detector(config, p.interned());
+            let (detected, anchored) = reference(config, p);
             assert_eq!(a.detected, b.detected, "{config:?}");
-            assert_eq!(a.detected, expected.detected, "{config:?}");
+            assert_eq!(a.detected, detected, "{config:?}");
             assert_eq!(a.anchored, b.anchored, "{config:?}");
-            assert_eq!(a.anchored, expected.anchored, "{config:?}");
+            assert_eq!(a.anchored, anchored, "{config:?}");
         }
     }
 }
@@ -93,9 +107,9 @@ fn multi_shape_multi_workload_distribution_is_exact() {
     assert_eq!(many.len(), prepared.len());
     for (p, runs) in prepared.iter().zip(&many) {
         for (run, &config) in runs.iter().zip(&configs) {
-            let expected = run_detector(config, p.interned());
-            assert_eq!(run.detected, expected.detected, "{config:?}");
-            assert_eq!(run.anchored, expected.anchored, "{config:?}");
+            let (detected, anchored) = reference(config, p);
+            assert_eq!(run.detected, detected, "{config:?}");
+            assert_eq!(run.anchored, anchored, "{config:?}");
         }
     }
 }

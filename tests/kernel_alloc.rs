@@ -1,19 +1,17 @@
-//! Allocation discipline of the window kernels: a steady-state
-//! detector run allocates nothing on either kernel — including
-//! Pearson on the SWAR kernel, whose scalar counterpart needs a
-//! per-judgement site union — and pre-sizing the site tables from the
-//! static alphabet bound (`reserve_sites`, backed by
-//! `Windows::with_site_capacity`) moves every site-table growth out of
-//! the first run. The same holds for a serve session's streaming
-//! path: with the sites and the id log reserved up front, interning
-//! frames into an `IdLog` and stepping `process_log` allocates
-//! nothing. A counting global allocator wraps the system one and
-//! counts per thread, so the tests run in parallel safely.
+//! Allocation discipline of the window kernel: a steady-state
+//! detector run allocates nothing for any model, on every run path —
+//! batch runs over an interned trace, `process` over its private log
+//! (which stays bounded by the windows, however long the stream), and
+//! a serve session's `process_log` over an `IdLog` reserved up front —
+//! and pre-sizing the site tables from the static alphabet bound
+//! (`reserve_sites`) moves every site-table growth out of the first
+//! run. A counting global allocator wraps the system one and counts
+//! per thread, so the tests run in parallel safely.
 
 #[path = "common/alloc.rs"]
 mod alloc;
 
-use opd_core::{DetectorConfig, IdLog, InternedTrace, KernelKind, ModelPolicy, PhaseDetector};
+use opd_core::{DetectorConfig, IdLog, InternedTrace, ModelPolicy, PhaseDetector};
 use opd_microvm::workloads::Workload;
 
 /// Allocations the calling thread makes during `run` (the detector
@@ -51,7 +49,7 @@ fn swar_steady_state_allocates_nothing_for_every_model() {
     let trace = workload_trace(20_000);
     for model in ModelPolicy::ALL_EXTENDED {
         let config = config_for(model);
-        let mut detector = PhaseDetector::with_kernel(config, KernelKind::Swar);
+        let mut detector = PhaseDetector::new(config);
         // Warm-up sizes the SWAR count/bit lanes and the phase buffer;
         // `reconfigure` clears state but keeps every capacity.
         let _ = detector.run_interned_phases_only(&trace);
@@ -65,19 +63,32 @@ fn swar_steady_state_allocates_nothing_for_every_model() {
 
 #[test]
 fn scalar_steady_state_allocates_nothing_for_set_models() {
-    let trace = workload_trace(20_000);
-    // Scalar Pearson builds a per-judgement site union, so the
-    // scalar guarantee covers the set models only — one of the
-    // reasons the SWAR kernel is the default.
+    // The element-at-a-time path: `process` interns each step into a
+    // private log and streams the kernel over it.
+    const STREAM: usize = 20_000;
+    let branches = workload_branches(60_000);
+    let stream = &branches.as_slice()[..STREAM];
     for model in [ModelPolicy::UnweightedSet, ModelPolicy::WeightedSet] {
         let config = config_for(model);
-        let mut detector = PhaseDetector::with_kernel(config, KernelKind::Scalar);
-        let _ = detector.run_interned_phases_only(&trace);
+        let run = |detector: &mut PhaseDetector| {
+            for step in stream.chunks(config.skip_factor()) {
+                detector.process(step);
+            }
+        };
+        let mut detector = PhaseDetector::new(config);
+        // The cold pass sizes every table. Its largest allocation is
+        // bounded by the windows, not by the stream: the log drops the
+        // ids before the TW, where an uncompacted log would hold all
+        // 20,000 ids (80 KB).
+        let ((), largest) = alloc::thread_max_allocation_during(|| run(&mut detector));
+        let windows = config.current_window() + config.trailing_window() + config.skip_factor();
+        assert!(
+            largest <= 8 * windows * std::mem::size_of::<u32>(),
+            "{model:?}: a {largest}-byte allocation; the private log is not compacted"
+        );
         detector.reconfigure(config);
-        let steady = allocations_during(|| {
-            let _ = detector.run_interned_phases_only(&trace);
-        });
-        assert_eq!(steady, 0, "{model:?}: scalar steady state allocated");
+        let steady = allocations_during(|| run(&mut detector));
+        assert_eq!(steady, 0, "{model:?}: warm process stream allocated");
     }
 }
 
@@ -117,11 +128,10 @@ fn streaming_steady_state_allocates_nothing_for_every_model() {
 #[test]
 fn reserving_sites_up_front_moves_growth_out_of_the_first_streaming_run() {
     // The `process`/`run` path interns sites one at a time, so an
-    // unreserved detector grows its site tables incrementally as new
-    // sites appear mid-trace. `reserve_sites` (backed by
-    // `Windows::with_site_capacity`) pre-sizes them in one shot; both
-    // arms still pay the same interner and state-sequence
-    // allocations.
+    // unreserved detector grows its site tables (kernel columns and
+    // intern table) incrementally as new sites appear mid-trace.
+    // `reserve_sites` pre-sizes them in one shot; both arms still pay
+    // the same log and state-sequence allocations.
     let branches = workload_branches(20_000);
     let distinct = workload_trace(20_000).distinct_count() as usize;
     let config = config_for(ModelPolicy::WeightedSet);
@@ -143,20 +153,17 @@ fn reserving_sites_up_front_moves_growth_out_of_the_first_streaming_run() {
 #[test]
 fn interned_first_runs_size_their_tables_in_one_shot() {
     // The interned paths pre-size from the trace's distinct count on
-    // entry (SWAR lanes and counts, scalar site lists), so even a
-    // cold first run performs a small constant number of allocations
-    // — table sizing plus the phase buffer — never per-site growth.
+    // entry (SWAR lanes and counts), so even a cold first run performs
+    // a small constant number of allocations — table sizing plus the
+    // phase buffer — never per-site growth.
     let trace = workload_trace(20_000);
     let config = config_for(ModelPolicy::WeightedSet);
-    for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-        let cold = allocations_during(|| {
-            let mut detector = PhaseDetector::with_kernel(config, kernel);
-            let _ = detector.run_interned_phases_only(&trace);
-        });
-        assert!(
-            cold <= 16,
-            "{kernel}: cold interned run allocated {cold} times; \
-             site tables are growing incrementally"
-        );
-    }
+    let cold = allocations_during(|| {
+        let mut detector = PhaseDetector::new(config);
+        let _ = detector.run_interned_phases_only(&trace);
+    });
+    assert!(
+        cold <= 16,
+        "cold interned run allocated {cold} times; site tables are growing incrementally"
+    );
 }

@@ -45,7 +45,7 @@ fn committed_artifact_meets_the_acceptance_lines() {
     assert!(
         swar_seconds < SWAR_BUDGET_SECONDS,
         "recorded SWAR sweep {swar_seconds:.1}s exceeds the {SWAR_BUDGET_SECONDS:.0}s budget; \
-         regenerate with `cargo run --release -p opd-experiments --bin sweep -- --write-bench`"
+         the artifact is a frozen record and cannot be regenerated"
     );
     let speedup = swar.get("speedup_vs_baseline").num();
     assert!(
@@ -75,8 +75,8 @@ fn committed_artifact_is_fresh_for_the_current_grid_and_workload() {
     assert_eq!(
         doc.get("trace_elements").as_u64(),
         prepared.total_elements(),
-        "stale trace_elements; regenerate with \
-         `cargo run --release -p opd-experiments --bin sweep -- --write-bench`"
+        "stale trace_elements; the artifact is a frozen record of the kernel rewrite \
+         and cannot be regenerated"
     );
     assert_eq!(
         doc.get("trace_distinct").as_u64(),

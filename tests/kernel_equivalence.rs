@@ -1,24 +1,35 @@
-//! The kernel-differential suite: the SWAR (default) window kernel
-//! must be bit-identical to the scalar reference — same per-element
-//! state sequence, same detected and anchored phases, same final
-//! similarity — on every MicroVM workload and on arbitrary traces.
-//! The grids cross all three similarity models with both TW policies,
-//! both anchors, both resize policies, and skip factors on both sides
-//! of the rank-mode cutoff, so the dense incremental path, the
-//! rank-index path, mid-phase flushes (`clear_keep_last`), and
-//! adaptive TW growth are all exercised against the reference.
+//! The spec-differential suite: every run path of the detector must
+//! be bit-identical to the executable spec (`opd_core::spec`, a naive
+//! transliteration of the paper's Section 2 and Figure 3) — same
+//! per-element state sequence, same detected and anchored phases, same
+//! final similarity and state — on every MicroVM workload and on
+//! arbitrary traces. The grids cross all three similarity models with
+//! both TW policies, both anchors, both resize policies, and skip
+//! factors on both sides of the rank-mode cutoff, so mid-phase flushes
+//! and adaptive TW growth are exercised on every path.
 //!
-//! Each case also streams the trace the way a serve session does:
-//! interned into an `IdLog` frame by frame and consumed through
-//! `process_log` (SWAR, always dense), straight through, with a crash
-//! and replay from an arbitrary prefix, and on a detector reused via
-//! `reconfigure` after a dense batch run dirtied its SWAR columns.
+//! The paths (arms) checked against the spec:
+//!
+//! * the batch run over an interned trace, in dense mode below the
+//!   rank-mode cutoff and in rank mode at or above it;
+//! * `process`, step by step over its private prefix-compacted log,
+//!   whose window lengths must match the spec's after every step;
+//! * `process_log` streaming the trace the way a serve session does:
+//!   interned into an `IdLog` frame by frame, straight through, with a
+//!   crash and replay from an arbitrary prefix, and on a detector
+//!   reused via `reconfigure` after both a `process` run and a dense
+//!   batch run dirtied its kernel columns and private log;
+//! * the sweep engine: the shared-constant and shared-adaptive scans
+//!   (and private units for `skip > cw`), over whole grids on the
+//!   workloads and over each generated config's anchor × resize
+//!   siblings under proptest.
 
 use proptest::prelude::*;
 
+use opd_core::spec::{self, SpecRun};
 use opd_core::{
-    AnalyzerPolicy, AnchorPolicy, DetectorConfig, IdLog, InternedTrace, KernelKind, ModelPolicy,
-    PhaseDetector, ResizePolicy, TwPolicy, RANK_MODE_MIN_SKIP,
+    AnalyzerPolicy, AnchorPolicy, DetectedPhase, DetectorConfig, IdLog, InternedTrace, ModelPolicy,
+    PhaseDetector, ResizePolicy, SweepEngine, TwPolicy, RANK_MODE_MIN_SKIP,
 };
 use opd_microvm::workloads::Workload;
 use opd_trace::{BranchTrace, MethodId, ProfileElement, StateSeq};
@@ -78,6 +89,15 @@ const FRAMING: Framing<'static> = Framing {
     crash_at: 5,
 };
 
+/// One run path's result, in the shape of a [`SpecRun`].
+struct Arm {
+    detector: PhaseDetector,
+    states: StateSeq,
+    /// `(CW length, TW length)` after each step, on the paths that
+    /// report them.
+    window_lens: Option<Vec<(usize, usize)>>,
+}
+
 /// Streams `elements` into `detector` as a serve session does: each
 /// frame is interned into the log, every full `skip` step is consumed
 /// as soon as it is logged, and the residual step closes the stream.
@@ -89,12 +109,13 @@ fn stream_session(
     elements: &[ProfileElement],
     framing: Framing<'_>,
     crash: bool,
-) -> (PhaseDetector, StateSeq) {
+) -> Arm {
     let config = *detector.config();
     let skip = config.skip_factor();
     let unconsumed = |d: &PhaseDetector, log: &IdLog| log.len() - d.elements_consumed() as usize;
     let mut log = IdLog::new();
     let mut states = StateSeq::with_capacity(elements.len());
+    let mut window_lens = Vec::new();
     let mut rest = elements;
     for (frame, &len) in framing.frames.iter().cycle().enumerate() {
         if rest.is_empty() {
@@ -111,41 +132,81 @@ fn stream_session(
         log.extend(head.iter().copied());
         while unconsumed(&detector, &log) >= skip {
             states.push_n(detector.process_log(&log, skip), skip);
+            window_lens.push(detector.window_lens());
         }
     }
     let residual = unconsumed(&detector, &log);
     if residual > 0 {
         states.push_n(detector.process_log(&log, residual), residual);
+        window_lens.push(detector.window_lens());
     }
     detector.close_open_phase();
-    (detector, states)
+    Arm {
+        detector,
+        states,
+        window_lens: Some(window_lens),
+    }
 }
 
-fn assert_kernels_agree(
+/// `process` step by step, as `run` does, recording the window
+/// lengths after each step.
+fn stream_process(mut detector: PhaseDetector, elements: &[ProfileElement]) -> Arm {
+    let mut states = StateSeq::with_capacity(elements.len());
+    let mut window_lens = Vec::new();
+    for step in elements.chunks(detector.config().skip_factor()) {
+        states.push_n(detector.process(step), step.len());
+        window_lens.push(detector.window_lens());
+    }
+    detector.close_open_phase();
+    Arm {
+        detector,
+        states,
+        window_lens: Some(window_lens),
+    }
+}
+
+/// Checks every single-detector path over `elements` (interned as
+/// `trace`) against the spec and returns the spec's run, for callers
+/// that also check engine units.
+fn assert_paths_match_spec(
     elements: &[ProfileElement],
+    trace: &InternedTrace,
     config: DetectorConfig,
     framing: Framing<'_>,
     context: &str,
-) {
-    let trace = InternedTrace::from_elements(elements.iter().copied());
-    let mut scalar = PhaseDetector::with_kernel(config, KernelKind::Scalar);
-    let scalar_seq = scalar.run_interned(&trace);
-    let mut swar = PhaseDetector::with_kernel(config, KernelKind::Swar);
-    let swar_seq = swar.run_interned(&trace);
+) -> SpecRun {
+    let reference = spec::run(config, elements);
+    let mut batch = PhaseDetector::new(config);
+    let batch_states = batch.run_interned(trace);
 
-    // A dense batch run leaves nonzero SWAR columns behind, which
-    // `reconfigure` must clear before the stream starts over.
+    // A `process` run leaves a private log and nonzero kernel columns
+    // behind, and a dense batch run dirties the columns again; the
+    // `reconfigure`s must clear both before the stream starts over.
     let dirty_config = DetectorConfig::builder()
         .current_window(9)
         .trailing_window(5)
         .build()
         .expect("valid config");
-    let mut reused = PhaseDetector::with_kernel(dirty_config, KernelKind::Swar);
-    let _ = reused.run_interned(&trace);
+    let prefix = &elements[..elements.len().min(500)];
+    let mut reused = PhaseDetector::new(dirty_config);
+    let _ = reused.run(&prefix.iter().copied().collect());
+    reused.reconfigure(dirty_config);
+    let _ = reused.run_interned(&InternedTrace::from_elements(prefix.iter().copied()));
     reused.reconfigure(config);
 
     let arms = [
-        ("swar batch", (swar, swar_seq)),
+        (
+            "batch",
+            Arm {
+                detector: batch,
+                states: batch_states,
+                window_lens: None,
+            },
+        ),
+        (
+            "process",
+            stream_process(PhaseDetector::new(config), elements),
+        ),
         (
             "stream",
             stream_session(PhaseDetector::new(config), elements, framing, false),
@@ -159,24 +220,64 @@ fn assert_kernels_agree(
             stream_session(reused, elements, framing, false),
         ),
     ];
-    for (arm, (detector, seq)) in arms {
-        assert_eq!(scalar_seq, seq, "{context}: {arm}: state sequence");
+    for (arm, run) in arms {
+        let d = &run.detector;
         assert_eq!(
-            scalar.detected_phases(),
-            detector.detected_phases(),
+            reference.states, run.states,
+            "{context}: {arm}: state sequence"
+        );
+        assert_eq!(
+            reference.phases,
+            d.detected_phases(),
             "{context}: {arm}: phases"
         );
         assert_eq!(
-            scalar.last_similarity(),
-            detector.last_similarity(),
+            reference.last_similarity,
+            d.last_similarity(),
             "{context}: {arm}: last similarity"
         );
-        assert_eq!(
-            scalar.state(),
-            detector.state(),
-            "{context}: {arm}: final state"
-        );
+        assert_eq!(reference.state, d.state(), "{context}: {arm}: final state");
+        if let Some(window_lens) = run.window_lens {
+            assert_eq!(
+                reference.window_lens, window_lens,
+                "{context}: {arm}: window lengths"
+            );
+        }
     }
+    reference
+}
+
+/// Runs `configs` through one sweep engine over `trace` and checks
+/// each config's phases against its spec run.
+fn assert_engine_matches(
+    trace: &InternedTrace,
+    configs: &[DetectorConfig],
+    references: &[Vec<DetectedPhase>],
+    context: &str,
+) {
+    let engine = SweepEngine::new(configs);
+    for ((phases, expected), config) in engine.run_all(trace).iter().zip(references).zip(configs) {
+        assert_eq!(phases, expected, "{context}: engine unit: {config:?}");
+    }
+}
+
+/// Checks every path for every config of `configs`, including one
+/// sweep engine over all of them.
+fn assert_grid_matches_spec(
+    elements: &[ProfileElement],
+    configs: &[DetectorConfig],
+    framing: Framing<'_>,
+    context: &str,
+) {
+    let trace = InternedTrace::from_elements(elements.iter().copied());
+    let references: Vec<Vec<DetectedPhase>> = configs
+        .iter()
+        .map(|&config| {
+            let context = format!("{context} {config:?}");
+            assert_paths_match_spec(elements, &trace, config, framing, &context).phases
+        })
+        .collect();
+    assert_engine_matches(&trace, configs, &references, context);
 }
 
 #[test]
@@ -184,20 +285,19 @@ fn kernels_agree_on_every_workload() {
     let configs = differential_grid();
     for &workload in &Workload::ALL {
         let trace = branches(workload);
-        for &config in &configs {
-            assert_kernels_agree(
-                trace.as_slice(),
-                config,
-                FRAMING,
-                &format!("{workload:?} {config:?}"),
-            );
-        }
+        assert_grid_matches_spec(
+            trace.as_slice(),
+            &configs,
+            FRAMING,
+            &format!("{workload:?}"),
+        );
     }
 }
 
 #[test]
 fn kernels_agree_on_degenerate_traces() {
-    let config = differential_grid()[0];
+    let grid = differential_grid();
+    let configs = [grid[0], grid[47]];
     // Empty trace, single element, single repeated site.
     let e = |o| ProfileElement::new(MethodId::new(0), o, false);
     for elements in [
@@ -206,9 +306,7 @@ fn kernels_agree_on_degenerate_traces() {
         vec![e(0); 1_000],
         (0..700u32).map(|i| e(i % 3)).collect(),
     ] {
-        for &cfg in &[config, differential_grid()[47]] {
-            assert_kernels_agree(&elements, cfg, FRAMING, &format!("degenerate {cfg:?}"));
-        }
+        assert_grid_matches_spec(&elements, &configs, FRAMING, "degenerate");
     }
 }
 
@@ -223,14 +321,7 @@ fn kernels_agree_when_new_sites_arrive_after_warm_up() {
         .map(|i| e(i % 5))
         .chain((0..6_000u32).map(|i| e(5 + i / 40 + i % 6)))
         .collect();
-    for config in differential_grid() {
-        assert_kernels_agree(
-            &elements,
-            config,
-            FRAMING,
-            &format!("late sites {config:?}"),
-        );
-    }
+    assert_grid_matches_spec(&elements, &differential_grid(), FRAMING, "late sites");
 }
 
 fn arb_element() -> impl Strategy<Value = ProfileElement> {
@@ -300,11 +391,31 @@ proptest! {
         crash_at in 0usize..12,
     ) {
         let framing = Framing { frames: &frames, crash_at };
-        assert_kernels_agree(
-            trace.as_slice(),
-            config,
-            framing,
-            &format!("{config:?} {framing:?}"),
-        );
+        let context = format!("{config:?} {framing:?}");
+        let interned = InternedTrace::from_elements(trace.iter().copied());
+        let reference =
+            assert_paths_match_spec(trace.as_slice(), &interned, config, framing, &context);
+        // The config's anchor × resize siblings share its window shape,
+        // so the engine runs them as one multi-member unit.
+        let mut siblings = vec![config];
+        let mut references = vec![reference.phases];
+        for anchor in [AnchorPolicy::RightmostNoisy, AnchorPolicy::LeftmostNonNoisy] {
+            for resize in [ResizePolicy::Slide, ResizePolicy::Move] {
+                let sibling = DetectorConfig::builder()
+                    .current_window(config.current_window())
+                    .trailing_window(config.trailing_window())
+                    .skip_factor(config.skip_factor())
+                    .tw_policy(config.tw_policy())
+                    .anchor(anchor)
+                    .resize(resize)
+                    .model(config.model())
+                    .analyzer(config.analyzer())
+                    .build()
+                    .expect("sibling of a valid config");
+                references.push(spec::run(sibling, trace.as_slice()).phases);
+                siblings.push(sibling);
+            }
+        }
+        assert_engine_matches(&interned, &siblings, &references, &context);
     }
 }

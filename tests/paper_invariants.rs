@@ -195,17 +195,14 @@ fn figure_2_walkthrough() {
                 "{policy}: row E"
             );
         }
+        let (_, tw_len) = d.window_lens();
         if policy == TwPolicy::Adaptive {
             assert!(
-                d.windows().tw_len() > d.windows().tw_cap(),
+                tw_len > config.trailing_window(),
                 "adaptive TW holds the whole phase (Figure 2b)"
             );
         } else {
-            assert_eq!(
-                d.windows().tw_len(),
-                5,
-                "constant TW stays fixed (Figure 2a)"
-            );
+            assert_eq!(tw_len, 5, "constant TW stays fixed (Figure 2a)");
         }
 
         // Row F: the phase ends at the first dissimilar element.
@@ -214,10 +211,9 @@ fn figure_2_walkthrough() {
             PhaseState::Transition,
             "{policy}: row F"
         );
-        // Windows were flushed and the CW re-seeded with the last
+        // The windows were flushed and the CW re-seeded with the last
         // skipFactor (= 1) elements.
-        assert_eq!(d.windows().tw_len(), 0, "{policy}: TW flushed");
-        assert_eq!(d.windows().cw_len(), 1, "{policy}: CW re-seeded");
+        assert_eq!(d.window_lens(), (1, 0), "{policy}: flushed, CW re-seeded");
 
         // Row G: refilling keeps reporting T.
         for site in 201..209 {

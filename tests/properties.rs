@@ -4,9 +4,10 @@
 use proptest::prelude::*;
 
 use opd::baseline::CallLoopForest;
+use opd::core::spec::WindowPair;
 use opd::core::{
     AnalyzerPolicy, AnchorPolicy, DetectorConfig, ModelPolicy, PhaseDetector, ResizePolicy,
-    TwPolicy, Windows,
+    TwPolicy,
 };
 use opd::microvm::{ArgExpr, Interpreter, ProgramBuilder, TakenDist, Trip};
 use opd::scoring::{correlation, match_phases, score_intervals};
@@ -15,6 +16,11 @@ use opd::trace::{
     states_from_intervals, BranchTrace, ExecutionTrace, MethodId, PhaseInterval, PhaseState,
     ProfileElement, StateSeq, TraceSink, BRANCH_RECORD_LEN,
 };
+
+/// The profile element of branch site `offset` in method 0, taken.
+fn site(offset: u32) -> ProfileElement {
+    ProfileElement::new(MethodId::new(0), offset, true)
+}
 
 fn arb_element() -> impl Strategy<Value = ProfileElement> {
     (0u32..8, 0u32..6, any::<bool>())
@@ -115,11 +121,11 @@ proptest! {
         cw in 1usize..20,
         tw in 1usize..20,
     ) {
-        let mut w = Windows::new(cw, tw);
+        let mut w = WindowPair::new(cw, tw);
         for (i, &s) in sites.iter().enumerate() {
-            w.push(s, i % 3 == 0);
-            let u = w.unweighted_similarity();
-            let wt = w.weighted_similarity();
+            w.push(site(s), i % 3 == 0);
+            let u = w.similarity(ModelPolicy::UnweightedSet);
+            let wt = w.similarity(ModelPolicy::WeightedSet);
             prop_assert!((0.0..=1.0 + 1e-9).contains(&u), "{u}");
             prop_assert!((0.0..=1.0 + 1e-9).contains(&wt), "{wt}");
         }
@@ -130,16 +136,18 @@ proptest! {
         sites in prop::collection::vec(0u32..4, 40..80),
     ) {
         // Push enough elements that every site occurs in both windows.
-        let mut w = Windows::new(8, 8);
+        let mut w = WindowPair::new(8, 8);
         for _ in 0..4 {
             for &s in &sites {
-                w.push(s, false);
+                w.push(site(s), false);
             }
         }
-        let distinct_cw = w.distinct_cw();
-        let in_tw = (0..4).filter(|&s| w.tw_count(s) > 0 && w.cw_count(s) > 0).count();
+        let distinct_cw = (0..4).filter(|&s| w.cw_count(site(s)) > 0).count();
+        let in_tw = (0..4)
+            .filter(|&s| w.tw_count(site(s)) > 0 && w.cw_count(site(s)) > 0)
+            .count();
         if in_tw == distinct_cw {
-            prop_assert!((w.unweighted_similarity() - 1.0).abs() < 1e-9);
+            prop_assert!((w.similarity(ModelPolicy::UnweightedSet) - 1.0).abs() < 1e-9);
         }
     }
 
