@@ -37,6 +37,17 @@ impl fmt::Display for AnalyzerPolicy {
     }
 }
 
+/// The running average an [`AnalyzerPolicy::Average`] threshold sits
+/// `delta` below: `sum / count`, or the optimistic `1.0` before any
+/// in-phase value was folded in.
+pub(crate) fn running_average(sum: f64, count: u64) -> f64 {
+    if count == 0 {
+        1.0
+    } else {
+        sum / count as f64
+    }
+}
+
 /// The runtime state of an analyzer: the `processValue` /
 /// `updateStats` / `resetStats` trio from Figure 3 of the paper.
 ///
@@ -78,14 +89,7 @@ impl Analyzer {
     pub fn effective_threshold(&self) -> f64 {
         match self.policy {
             AnalyzerPolicy::Threshold(t) => t,
-            AnalyzerPolicy::Average { delta } => {
-                let avg = if self.count == 0 {
-                    1.0
-                } else {
-                    self.sum / self.count as f64
-                };
-                avg - delta
-            }
+            AnalyzerPolicy::Average { delta } => running_average(self.sum, self.count) - delta,
         }
     }
 
@@ -130,6 +134,13 @@ impl Analyzer {
         } else {
             ((similarity - t).abs() / room).clamp(0.0, 1.0)
         }
+    }
+
+    /// The running statistics `(sum, count)` are `stats`: a sweep
+    /// cohort hands its shared statistics to a member leaving it.
+    pub(crate) fn set_stats(&mut self, (sum, count): (f64, u64)) {
+        self.sum = sum;
+        self.count = count;
     }
 
     /// Number of values folded in since the last reset.

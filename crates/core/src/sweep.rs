@@ -50,9 +50,7 @@
 //!   (`consumed < warm_from`). Sleepers wait in a wake queue. Every
 //!   sleep is queued at `consumed + refill`, with `refill = cw + tw −
 //!   skip` constant per unit and `consumed` non-decreasing, so the
-//!   queue is FIFO-ordered and waking is a pop from its front. While
-//!   the FIFO is cold every member sleeps and a step only advances the
-//!   FIFO.
+//!   queue is FIFO-ordered and waking is a pop from its front.
 //! * **Awake.** Warm members in Transition sit per model in descending
 //!   threshold order. The members entering a phase on a step are the
 //!   suffix with `sim >= threshold`, so one comparison against the
@@ -61,14 +59,34 @@
 //!   phase class) in ascending threshold order: leavers are the suffix
 //!   with `!(sim >= threshold)`, and the statistics they would fold in
 //!   are never read by a fixed threshold. Running-average members fold
-//!   every in-phase value into their threshold, so each is judged every
-//!   step.
+//!   every in-phase value into their threshold, but those that entered
+//!   on the same window state (the FIFO, or one phase class) under the
+//!   same model on the same step fold the same values in the same
+//!   order, so their `(sum, count)` are bit-identical. They form one
+//!   *cohort*: one shared `(sum, count)` and the members in ascending
+//!   δ. `fl(avg − δ)` is monotone in δ, so a step's leavers are a
+//!   prefix, and one division and one check per cohort settle the
+//!   usual step where nobody leaves. A leaver copies the cohort's
+//!   statistics into its own analyzer, because its Transition
+//!   threshold and its wake order read them. Cohorts move whole when
+//!   classes coalesce and are never merged.
 //!
 //! Sorting uses the analyzer's own `sim >= threshold` predicate, so
-//! NaN similarities behave exactly as in [`Analyzer::judge`]. Which
-//! list holds a member, and in what order, never affects a result: each
-//! member's outcome depends only on its own analyzer and the window
-//! state it judges.
+//! NaN similarities behave exactly as in [`Analyzer::judge`] (a NaN
+//! makes every in-phase member leave). Which list holds a member, and
+//! in what order, never affects a result: each member's outcome
+//! depends only on its own analyzer statistics and the window state it
+//! judges.
+//!
+//! **The cold prefix in one pass.** No member can judge before the
+//! FIFO first warms, at the first step boundary `n0 ≥ cw + tw` (or at
+//! the trace end, which closes a last partial step). Both scans load
+//! `trace[n0 − cw − tw..n0)` straight into the FIFO's TW and CW
+//! columns and start the step loop there, so the cold steps cost one
+//! pass over the prefix and no per-step work. A unit whose trace is
+//! shorter than `cw + tw` returns every member's empty phase list
+//! without scanning. (The meter's `steps` and `elements` are closed
+//! forms of the trace length and are unaffected.)
 //!
 //! # Adaptive-TW groups: the forking shared scan
 //!
@@ -83,24 +101,41 @@
 //! the refilled state is again bit-identical to the never-flushed
 //! FIFO at the same offset. The engine therefore runs one shared FIFO
 //! per adaptive shape group too, and handles phases by **forking**:
-//! at a member's phase entry the FIFO state is snapshotted
-//! (`SwarWindows::fork`), `anchor_and_resize` is applied to the
-//! snapshot, and the member judges that *phase class* (advanced with
-//! TW growth each step) until its phase ends — at which point the
-//! member sleeps until its refill point, exactly like a Constant-TW
-//! flush.
+//! at a member's phase entry the FIFO state is forked (the kernel's
+//! `ForkedWindows::fork`) with the member's anchor and resize applied,
+//! and the member judges that *phase class* (advanced with TW growth
+//! each step) until its phase ends — at which point the member sleeps
+//! until its refill point, exactly like a Constant-TW flush.
+//!
+//! **Classes own only their TW.** A class's CW is
+//! `trace[b..consumed)`. Whenever it is full, `b = consumed − cw` and
+//! the CW *is* the FIFO's CW. So a class owns only its TW columns and
+//! reads the FIFO's CW counts and bits; each step it adds just the
+//! elements leaving the CW to its own TW (an in-phase adaptive TW
+//! never evicts), instead of the three per-element column updates of
+//! a full window advance. Only a Slide resize, which moves CW elements
+//! into the TW, leaves a class with a short CW: the class keeps a
+//! private CW while that refills, then reads the FIFO's again. A fork
+//! copies only the FIFO's TW columns (plus its CW for a Slide fork
+//! that took CW elements), and in rank mode, where no columns are
+//! materialized, nothing.
 //!
 //! **Boundary-key coalescing.** The windows are always contiguous trace
 //! slices: a class holds TW = `trace[a..b)` and CW =
-//! `trace[b..consumed)`, so its key `(a, b)` (`offset_of_index(0)` and
-//! that plus `tw_len`) determines its whole state and its future. Two
-//! classes with equal keys on a step are bit-identical from then on.
-//! So a phase entrant computes its post-anchor/resize boundaries in
-//! closed form before forking and joins *any* live class with that
-//! key — a fork made on the same step, or an older class that has
-//! grown into the same boundaries. After each step's class advance,
-//! classes whose keys have converged are merged: the survivor takes
-//! the members and the other slot is freed. Convergence is routine: a
+//! `trace[b..consumed)`, so its key `(a, b)` determines its whole
+//! state and its future. Two classes with equal keys on a step are
+//! bit-identical from then on. So a phase entrant computes its
+//! post-anchor/resize boundaries in closed form before forking and
+//! joins *any* live class with that key — a fork made on the same
+//! step, or an older class that has grown into the same boundaries.
+//! The live classes are kept in key order, and the order survives
+//! every advance: in phase `a` is fixed, and an advance maps `b` to
+//! `max(b, consumed − cw)`, which is monotone in `b` (a refilling
+//! class's `b` is never passed by a full one's). So an entrant finds
+//! its class by binary search, a fork is inserted at its key position,
+//! and after each step's class advance one pass over adjacent equal
+//! keys merges the classes that converged: the survivor takes the
+//! members and the other slot is freed. Convergence is routine: a
 //! Slide class whose CW has refilled to capacity meets the Move class
 //! of the same anchor. The four `(anchor, resize)` pairs also often
 //! coincide at entry (both anchors return index 0 when every TW site
@@ -157,20 +192,18 @@
 //! # Ok::<(), opd_core::ConfigError>(())
 //! ```
 
-use std::borrow::BorrowMut;
 use std::collections::{HashMap, VecDeque};
 
 use opd_obs::{MeterObserver, UnitMetrics};
-use opd_trace::PhaseState;
 
-use crate::analyzer::{Analyzer, AnalyzerPolicy};
+use crate::analyzer::{running_average, Analyzer, AnalyzerPolicy};
 use crate::boundary::DetectedPhase;
 use crate::config::{ConfigShape, DetectorConfig};
 use crate::detector::PhaseDetector;
 use crate::intern::InternedTrace;
-use crate::kernel::{SwarKernelState, SwarWindows};
+use crate::kernel::{ForkedWindows, SwarKernelState, SwarWindows};
 use crate::model::ModelPolicy;
-use crate::window::{AnchorPolicy, ResizePolicy};
+use crate::window::AnchorPolicy;
 
 /// Error from the fallible sweep entry points
 /// ([`SweepEngine::try_run_unit`]).
@@ -540,20 +573,16 @@ impl Meter for UnitMetrics {
     }
 }
 
-/// Counts `n` members judging one similarity of `windows` under model
-/// `slot` on one step: the first judgment pays the kernel's full
-/// runtime comparison cost, every further one only the analyzer's
-/// judge overhead, so a shared scan never exceeds the static
-/// per-member bound.
-fn tally_judges<S: BorrowMut<SwarKernelState>>(
-    tally: &mut UnitMetrics,
-    windows: &SwarWindows<'_, S>,
-    slot: usize,
-    n: usize,
-) {
+/// Counts `n` members judging one similarity under model `slot` on one
+/// step, on a window state of the `fifo`'s run (the FIFO itself or one
+/// of its phase classes, which share its runtime cost): the first
+/// judgment pays the kernel's full runtime comparison cost, every
+/// further one only the analyzer's judge overhead, so a shared scan
+/// never exceeds the static per-member bound.
+fn tally_judges(tally: &mut UnitMetrics, fifo: &SwarWindows<'_>, slot: usize, n: usize) {
     if n > 0 {
         tally.judged_steps += n as u64;
-        tally.compare_ops += windows.judge_ops(MODELS[slot]) + 2 * (n as u64 - 1);
+        tally.compare_ops += fifo.judge_ops(MODELS[slot]) + 2 * (n as u64 - 1);
     }
 }
 
@@ -595,9 +624,8 @@ fn anchor_slot(policy: AnchorPolicy) -> usize {
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 struct ScanEvents {
-    /// Steps on which the FIFO was not warm, so nothing but the FIFO
-    /// advanced.
-    cold_steps: u64,
+    /// Elements the cold-prefix pass loaded into a FIFO.
+    prefix_elements: u64,
     /// Members moved from the sleep queue into the judged set.
     wakes: u64,
     /// Phase entries on the very step a member became warm again.
@@ -606,6 +634,11 @@ struct ScanEvents {
     joins: u64,
     /// Classes merged into a class with the same boundaries.
     merges: u64,
+    /// Cohort judgments in which some members left and some stayed.
+    cohort_splits: u64,
+    /// Class judgments that read the FIFO's CW (the class's CW is
+    /// full).
+    shared_cw_steps: u64,
 }
 
 #[cfg(test)]
@@ -613,17 +646,44 @@ thread_local! {
     static SCAN_EVENTS: std::cell::Cell<ScanEvents> = std::cell::Cell::new(ScanEvents::default());
 }
 
-/// Bumps one [`ScanEvents`] counter; compiles to nothing outside
-/// unit tests.
+/// Adds one (or `n`) to a [`ScanEvents`] counter; compiles to nothing
+/// outside unit tests.
 macro_rules! note {
     ($field:ident) => {
+        note!($field, 1)
+    };
+    ($field:ident, $n:expr) => {
         #[cfg(test)]
         SCAN_EVENTS.with(|events| {
             let mut e = events.get();
-            e.$field += 1;
+            e.$field += $n as u64;
             events.set(e);
         });
     };
+}
+
+/// Starts a shared scan at its first warm step. No member can judge
+/// before the FIFO warms, at the first step boundary `n0 ≥ cw + tw`
+/// (the trace end closes a last, partial step), so the cold prefix is
+/// loaded into the FIFO in one pass. Returns the `(start, end)` offsets
+/// of that step, or `None` if the trace is shorter than `cw + tw` and
+/// no member ever judges.
+fn warm_start(
+    fifo: &mut SwarWindows<'_>,
+    config: &DetectorConfig,
+    len: usize,
+) -> Option<(u64, u64)> {
+    let (skip, windows) = (
+        config.skip_factor(),
+        config.current_window() + config.trailing_window(),
+    );
+    let n0 = windows.next_multiple_of(skip).min(len);
+    if n0 < windows {
+        return None;
+    }
+    fifo.warm_start(n0);
+    note!(prefix_elements, n0);
+    Some((((n0 - 1) / skip * skip) as u64, n0 as u64))
 }
 
 /// A member config's cheap residue state within a shared scan.
@@ -639,9 +699,11 @@ struct Member {
 }
 
 impl Member {
-    /// Phase start: resets the analyzer statistics and opens a phase.
+    /// Phase start: opens a phase. The analyzer statistics are not
+    /// reset here: a fixed threshold reads none, and a running-average
+    /// member's statistics restart in the cohort it joins, which hands
+    /// them to the member when it leaves.
     fn open_phase(&mut self, start: u64, anchored_start: u64) {
-        self.analyzer.reset();
         self.phases.push(DetectedPhase {
             start,
             anchored_start,
@@ -827,35 +889,106 @@ struct PhaseJudges {
     /// suffix, and the statistics it would fold in are never read by
     /// a fixed threshold: a step where nobody leaves costs one check.
     fixed: Vec<(f64, usize)>,
-    /// Running-average members: each folds every in-phase value into
-    /// its threshold, so each is judged every step.
-    average: Vec<usize>,
+    /// Running-average members, by cohort.
+    cohorts: Vec<Cohort>,
+}
+
+/// Running-average members that entered a phase on the same window
+/// state under the same model on the same step. They fold the same
+/// similarities in the same order, so their statistics are
+/// bit-identical and they differ only in `delta`: the cohort keeps one
+/// `(sum, count)` for all of them. A cohort moves whole when its class
+/// coalesces and is never merged with another.
+struct Cohort {
+    /// The start offset of the step the members entered on.
+    entered: u64,
+    sum: f64,
+    count: u64,
+    /// `(delta, member)` in ascending delta.
+    members: Vec<(f64, usize)>,
+}
+
+impl Cohort {
+    /// Judges every member against `sim`; returns whether any stays.
+    /// `fl(avg − δ)` is monotone in δ, so in ascending-δ order the
+    /// leavers (`!(sim >= avg − δ)`, the analyzer's own predicate, so a
+    /// NaN similarity makes everyone leave) are a prefix, and one check
+    /// of the first member settles the usual step where nobody leaves.
+    /// A leaver takes the cohort's statistics into its own analyzer:
+    /// its Transition threshold and its wake order read them.
+    fn judge(
+        &mut self,
+        members: &mut [Member],
+        sched: &mut Schedule,
+        sim: f64,
+        step_start: u64,
+        warm_from: u64,
+    ) -> bool {
+        let avg = running_average(self.sum, self.count);
+        if !meets(sim, avg - self.members[0].0) {
+            let leave = self
+                .members
+                .partition_point(|&(delta, _)| !meets(sim, avg - delta));
+            for &(_, i) in &self.members[..leave] {
+                members[i].analyzer.set_stats((self.sum, self.count));
+                sched.exit_phase(members, i, step_start, warm_from);
+            }
+            if leave == self.members.len() {
+                self.members.clear();
+                return false;
+            }
+            note!(cohort_splits);
+            self.members.drain(..leave);
+        }
+        // The same fold as `Analyzer::update`.
+        self.sum += sim;
+        self.count += 1;
+        true
+    }
 }
 
 impl PhaseJudges {
     fn is_empty(&self) -> bool {
-        self.fixed.is_empty() && self.average.is_empty()
+        self.fixed.is_empty() && self.cohorts.is_empty()
     }
 
     fn len(&self) -> usize {
-        self.fixed.len() + self.average.len()
+        self.fixed.len() + self.cohorts.iter().map(|c| c.members.len()).sum::<usize>()
     }
 
-    /// Adds `members[i]`, which has just entered a phase.
-    fn push(&mut self, members: &[Member], i: usize) {
+    /// Adds `members[i]`, which has just entered a phase on the step
+    /// starting at `step_start`. A running-average member joins the
+    /// cohort of this step's earlier entrants, if any.
+    fn push(&mut self, members: &[Member], i: usize, step_start: u64) {
         match members[i].analyzer.policy() {
             AnalyzerPolicy::Threshold(t) => {
                 insert_sorted(&mut self.fixed, (t, i), std::cmp::Ordering::is_le);
             }
-            AnalyzerPolicy::Average { .. } => self.average.push(i),
+            AnalyzerPolicy::Average { delta } => {
+                if self
+                    .cohorts
+                    .last()
+                    .map_or(true, |c| c.entered != step_start)
+                {
+                    self.cohorts.push(Cohort {
+                        entered: step_start,
+                        sum: 0.0,
+                        count: 0,
+                        members: Vec::new(),
+                    });
+                }
+                let cohort = self.cohorts.last_mut().expect("pushed above");
+                insert_sorted(&mut cohort.members, (delta, i), std::cmp::Ordering::is_le);
+            }
         }
     }
 
-    /// Moves every member of `other` here, leaving it empty.
+    /// Moves every member of `other` here, leaving it empty. Cohorts
+    /// move whole.
     fn absorb(&mut self, other: &mut PhaseJudges) {
         self.fixed.append(&mut other.fixed);
         self.fixed.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
-        self.average.append(&mut other.average);
+        self.cohorts.append(&mut other.cohorts);
     }
 
     /// Judges every member against `sim`: members that stay fold the
@@ -880,16 +1013,8 @@ impl PhaseJudges {
             }
             self.fixed.truncate(stay);
         }
-        self.average.retain(|&i| {
-            let m = &mut members[i];
-            if m.analyzer.judge(sim) == PhaseState::Phase {
-                m.analyzer.update(sim);
-                true
-            } else {
-                sched.exit_phase(members, i, step_start, warm_from);
-                false
-            }
-        });
+        self.cohorts
+            .retain_mut(|cohort| cohort.judge(members, sched, sim, step_start, warm_from));
     }
 }
 
@@ -904,26 +1029,22 @@ fn run_shared_group_scan<M: Meter>(
     trace: &InternedTrace,
     meter: &mut M,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &members[0].config;
+    let first = members[0].config;
     let skip = first.skip_factor();
     // After a flush keeps `skip` elements, a private window is full
     // (warm) again `cw + tw - skip` elements later.
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
+    let mut tally = scan_tally(trace, skip);
+    let Some((mut step_start, mut consumed)) = warm_start(windows, &first, trace.len()) else {
+        meter.add(&tally);
+        return finish(members, trace.len() as u64);
+    };
+    let mut steps = trace.ids()[consumed as usize..].chunks(skip);
     let mut sched = Schedule::new(members.len());
     // Members in a phase, per model slot. With a Constant TW their
     // windows are the shared FIFO too.
     let mut in_phase: [PhaseJudges; 3] = Default::default();
-    let mut tally = scan_tally(trace, skip);
-    let mut consumed = 0u64;
-    for chunk in trace.ids().chunks(skip) {
-        windows.advance(chunk, false);
-        let step_start = consumed;
-        consumed += chunk.len() as u64;
-        if !windows.is_warm() {
-            // Every member sleeps: only the FIFO advances.
-            note!(cold_steps);
-            continue;
-        }
+    loop {
         sched.wake(&members, consumed);
         if M::ACTIVE {
             for (slot, judges) in in_phase.iter().enumerate() {
@@ -953,8 +1074,12 @@ fn run_shared_group_scan<M: Meter>(
             let anchor_idx = *anchor_memo[anchor_slot(anchor)]
                 .get_or_insert_with(|| windows.anchor_index(anchor));
             m.open_phase(step_start, windows.offset_of_index(anchor_idx));
-            in_phase[model_slot(m.config.model())].push(&members, i);
+            in_phase[model_slot(m.config.model())].push(&members, i, step_start);
         }
+        let Some(chunk) = steps.next() else { break };
+        windows.advance(chunk, false);
+        step_start = consumed;
+        consumed += chunk.len() as u64;
     }
     meter.add(&tally);
     finish(members, consumed)
@@ -964,34 +1089,39 @@ fn run_shared_group_scan<M: Meter>(
 /// windows have the same boundaries. The windows are contiguous trace
 /// slices — TW = `trace[a..b)`, CW = `trace[b..consumed)` — so the
 /// key `(a, b)` determines the whole state and its future.
-struct PhaseClass<F> {
-    windows: F,
-    /// `(a, b)` as of the current step.
-    key: (u64, u64),
+#[derive(Default)]
+struct PhaseClass {
+    windows: ForkedWindows,
     /// The class's members, per model slot.
     members: [PhaseJudges; 3],
-}
-
-/// The boundary key of a window state.
-fn boundary_key<S: BorrowMut<SwarKernelState>>(windows: &SwarWindows<'_, S>) -> (u64, u64) {
-    let a = windows.offset_of_index(0);
-    (a, a + windows.tw_len() as u64)
+    /// The start offset of the step the class was forked on.
+    #[cfg(test)]
+    forked: u64,
 }
 
 /// Merges classes whose boundaries converged this step (for example
 /// a Slide class whose CW has refilled to capacity, meeting the Move
 /// class of the same anchor): the survivor takes the members, the
 /// other slot is freed. Equal keys mean bit-identical window states.
-fn coalesce_classes<F>(
-    classes: &mut [PhaseClass<F>],
+///
+/// `live` is in key order and stays so across class advances: in phase
+/// `a` is fixed, and an advance maps `b` to `max(b, consumed − cw)`,
+/// which is monotone in `b`. So equal keys sit next to each other.
+fn coalesce_classes(
+    classes: &mut [PhaseClass],
     live: &mut Vec<usize>,
     free: &mut Vec<usize>,
+    fifo: &SwarWindows<'_>,
 ) {
-    live.sort_unstable_by_key(|&c| classes[c].key);
+    let key = |c: usize| classes[c].windows.key(fifo);
+    debug_assert!(
+        live.windows(2).all(|w| key(w[0]) <= key(w[1])),
+        "live classes must stay in key order"
+    );
     let mut kept = 0;
     for r in 0..live.len() {
         let c = live[r];
-        if kept > 0 && classes[live[kept - 1]].key == classes[c].key {
+        if kept > 0 && classes[live[kept - 1]].windows.key(fifo) == classes[c].windows.key(fifo) {
             let into = live[kept - 1];
             for slot in 0..MODELS.len() {
                 let mut moved = std::mem::take(&mut classes[c].members[slot]);
@@ -1013,48 +1143,35 @@ fn coalesce_classes<F>(
 /// One scan of `trace` evaluating every member of a same-shape
 /// Adaptive-TW group against a shared FIFO with copy-on-phase-entry
 /// forks (see the module docs for the exactness argument): one FIFO
-/// advance plus one advance per live phase class per step. Awake members
-/// judge the FIFO, in-phase members their class; sleeping members
-/// are not visited. An active `meter` counts one similarity per window
-/// state and model that some member judges.
-fn run_shared_adaptive_scan<'a, M: Meter>(
-    fifo: &mut SwarWindows<'a>,
+/// advance plus one TW update per live phase class per step. Awake
+/// members judge the FIFO, in-phase members their class; sleeping
+/// members are not visited. An active `meter` counts one similarity
+/// per window state and model that some member judges.
+fn run_shared_adaptive_scan<M: Meter>(
+    fifo: &mut SwarWindows<'_>,
     mut members: Vec<Member>,
     trace: &InternedTrace,
     meter: &mut M,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &members[0].config;
+    let first = members[0].config;
     let skip = first.skip_factor();
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
-    let tw_cap = first.trailing_window() as u64;
+    let mut tally = scan_tally(trace, skip);
+    let Some((mut step_start, mut consumed)) = warm_start(fifo, &first, trace.len()) else {
+        meter.add(&tally);
+        return finish(members, trace.len() as u64);
+    };
+    let mut steps = trace.ids()[consumed as usize..].chunks(skip);
     let mut sched = Schedule::new(members.len());
-    // Phase classes, with freed slots recycled so the table stays at
-    // the peak number of *live* classes.
-    let mut classes: Vec<PhaseClass<SwarWindows<'a, SwarKernelState>>> = Vec::new();
+    // Phase classes, with freed slots recycled (allocations and all)
+    // so the table stays at the peak number of *live* classes. `live`
+    // holds the live slots in key order.
+    let mut classes: Vec<PhaseClass> = Vec::new();
     let mut live: Vec<usize> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    let mut tally = scan_tally(trace, skip);
-    let mut consumed = 0u64;
-    for chunk in trace.ids().chunks(skip) {
-        // Members still in a phase pushed this step's elements with
-        // TW growth (they were in Phase when the step began), so the
-        // class advance precedes judging, as the FIFO advance does.
-        fifo.advance(chunk, false);
-        for &c in &live {
-            let class = &mut classes[c];
-            class.windows.advance(chunk, true);
-            class.key = boundary_key(&class.windows);
-        }
-        let step_start = consumed;
-        consumed += chunk.len() as u64;
-        if !fifo.is_warm() {
-            // Every member sleeps and no class is live: only the FIFO
-            // advances.
-            note!(cold_steps);
-            continue;
-        }
+    loop {
         if live.len() > 1 {
-            coalesce_classes(&mut classes, &mut live, &mut free);
+            coalesce_classes(&mut classes, &mut live, &mut free, fifo);
         }
         sched.wake(&members, consumed);
         if M::ACTIVE {
@@ -1063,15 +1180,18 @@ fn run_shared_adaptive_scan<'a, M: Meter>(
             }
             for &c in &live {
                 for (slot, judges) in classes[c].members.iter().enumerate() {
-                    tally_judges(&mut tally, &classes[c].windows, slot, judges.len());
+                    tally_judges(&mut tally, fifo, slot, judges.len());
                 }
             }
         }
         for &c in &live {
             let class = &mut classes[c];
+            if class.windows.reads_fifo_cw(fifo) {
+                note!(shared_cw_steps);
+            }
             for (slot, judges) in class.members.iter_mut().enumerate() {
                 if !judges.is_empty() {
-                    let sim = class.windows.similarity(MODELS[slot]);
+                    let sim = class.windows.similarity(fifo, MODELS[slot]);
                     judges.judge(&mut members, &mut sched, sim, step_start, consumed + refill);
                 }
             }
@@ -1085,15 +1205,11 @@ fn run_shared_adaptive_scan<'a, M: Meter>(
         sched.judge_awake(&sims);
         // Phase start: fork the FIFO and anchor/resize the fork —
         // unless a live class already has the resulting boundaries,
-        // computed here in closed form. Anchoring pops `anchor_idx`
-        // elements from the TW front; Slide then tops the TW back up
-        // from the CW, whose last element (offset `consumed - 1`)
-        // never moves. The four `(anchor, resize)` pairs routinely
-        // coincide: both anchors return index 0 when every TW site
-        // also occurs in the CW, and Slide equals Move when the
-        // anchored TW is already at capacity.
+        // computed here in closed form. The four `(anchor, resize)`
+        // pairs routinely coincide: both anchors return index 0 when
+        // every TW site also occurs in the CW, and Slide equals Move
+        // when the anchored TW is already at capacity.
         let mut anchor_memo: [Option<usize>; 2] = [None; 2];
-        let live_before = live.len();
         for &i in &sched.entered {
             let m = &mut members[i];
             if m.warm_from == consumed {
@@ -1102,49 +1218,35 @@ fn run_shared_adaptive_scan<'a, M: Meter>(
             let anchor = m.config.anchor();
             let anchor_idx =
                 *anchor_memo[anchor_slot(anchor)].get_or_insert_with(|| fifo.anchor_index(anchor));
-            let (a0, b0) = boundary_key(fifo);
-            let a2 = a0 + anchor_idx as u64;
-            let b2 = if m.config.resize() == ResizePolicy::Slide {
-                b0.max((a2 + tw_cap).min(consumed - 1))
-            } else {
-                b0
-            };
-            let class_idx = match live.iter().position(|&c| classes[c].key == (a2, b2)) {
-                Some(pos) => {
-                    if pos < live_before {
+            let key = fifo.anchored_key(anchor_idx, m.config.resize());
+            let class_idx = match live.binary_search_by_key(&key, |&c| classes[c].windows.key(fifo))
+            {
+                Ok(pos) => {
+                    #[cfg(test)]
+                    if classes[live[pos]].forked < step_start {
                         note!(joins);
                     }
                     live[pos]
                 }
-                None => {
-                    let mut windows = fifo.fork();
-                    let anchored_start = windows.anchor_and_resize(anchor_idx, m.config.resize());
-                    debug_assert_eq!(anchored_start, a2);
-                    debug_assert_eq!(boundary_key(&windows), (a2, b2));
-                    let fresh = PhaseClass {
-                        windows,
-                        key: (a2, b2),
-                        members: Default::default(),
-                    };
-                    let class_idx = match free.pop() {
-                        Some(idx) => {
-                            let mut old = std::mem::replace(&mut classes[idx], fresh);
-                            // Keep the freed slot's member-list allocations.
-                            std::mem::swap(&mut classes[idx].members, &mut old.members);
-                            idx
-                        }
-                        None => {
-                            classes.push(fresh);
-                            classes.len() - 1
-                        }
-                    };
-                    live.push(class_idx);
+                Err(pos) => {
+                    let class_idx = free.pop().unwrap_or_else(|| {
+                        classes.push(PhaseClass::default());
+                        classes.len() - 1
+                    });
+                    let class = &mut classes[class_idx];
+                    class.windows.fork(fifo, anchor_idx, m.config.resize());
+                    debug_assert_eq!(class.windows.key(fifo), key);
+                    #[cfg(test)]
+                    {
+                        class.forked = step_start;
+                    }
+                    live.insert(pos, class_idx);
                     class_idx
                 }
             };
-            m.open_phase(step_start, a2);
+            m.open_phase(step_start, fifo.offset_of_index(anchor_idx));
             let slot = model_slot(m.config.model());
-            classes[class_idx].members[slot].push(&members, i);
+            classes[class_idx].members[slot].push(&members, i, step_start);
         }
         // A class is freed as soon as its last member leaves.
         live.retain(|&c| {
@@ -1154,6 +1256,16 @@ fn run_shared_adaptive_scan<'a, M: Meter>(
             }
             !empty
         });
+        let Some(chunk) = steps.next() else { break };
+        // Members still in a phase push this step's elements with TW
+        // growth (they were in Phase when the step began), so every
+        // class catches up before the next judging, as the FIFO does.
+        fifo.advance(chunk, false);
+        for &c in &live {
+            classes[c].windows.catch_up(fifo);
+        }
+        step_start = consumed;
+        consumed += chunk.len() as u64;
     }
     meter.add(&tally);
     finish(members, consumed)
@@ -1434,16 +1546,86 @@ mod tests {
             .build()
             .unwrap();
         let configs = [constant, adaptive(8, 8, ResizePolicy::Slide, 0.1)];
-        // 15 elements < cw + tw = 16: the FIFO never warms, so every
-        // step of both scans is cold.
+        // 15 elements < cw + tw = 16: the FIFO never warms, so neither
+        // scan loads or steps over anything.
         let short = block_trace(1, 15, 2);
         let events = events_matching_reference(&configs, &short);
         assert_eq!(events.wakes, 0);
-        assert_eq!(events.cold_steps, 2 * 15);
-        // One more element warms the FIFO and wakes both members.
+        assert_eq!(events.prefix_elements, 0);
+        // One more element warms the FIFO and wakes both members: each
+        // scan loads its 16-element cold prefix in one pass.
         let events = events_matching_reference(&configs, &block_trace(1, 16, 2));
         assert_eq!(events.wakes, 2);
-        assert_eq!(events.cold_steps, 2 * 15);
+        assert_eq!(events.prefix_elements, 2 * 16);
+        // With skip 3 the first step boundary past 16 is 18, but a
+        // 17-element trace ends in a partial step that warms the FIFO.
+        let skip3 = DetectorConfig::builder()
+            .current_window(8)
+            .trailing_window(8)
+            .skip_factor(3)
+            .analyzer(AnalyzerPolicy::Threshold(0.1))
+            .build()
+            .unwrap();
+        let events = events_matching_reference(&[skip3], &block_trace(1, 17, 2));
+        assert_eq!(events.prefix_elements, 17);
+        assert_eq!(events.wakes, 1);
+    }
+
+    #[test]
+    fn a_cohort_splits_when_only_its_tight_members_leave() {
+        // A two-site loop keeps the similarity at 1, so both average
+        // members enter on the first warm step, in one cohort. The stray
+        // site `9` then drops the unweighted similarity to 2/3: below
+        // `1 - 0.1` but not below `1 - 0.4`, so the cohort loses only
+        // its first member. Once in each scan.
+        let mut sites: Vec<u32> = (0..40).map(|i| i % 2).collect();
+        sites.push(9);
+        sites.extend((0..40).map(|i| i % 2));
+        let trace = trace_of(&sites);
+        let average = |tw_policy, delta| {
+            DetectorConfig::builder()
+                .current_window(4)
+                .trailing_window(4)
+                .tw_policy(tw_policy)
+                .analyzer(AnalyzerPolicy::Average { delta })
+                .build()
+                .unwrap()
+        };
+        let configs = [
+            average(TwPolicy::Constant, 0.1),
+            average(TwPolicy::Constant, 0.4),
+            average(TwPolicy::Adaptive, 0.1),
+            average(TwPolicy::Adaptive, 0.4),
+        ];
+        let events = events_matching_reference(&configs, &trace);
+        assert_eq!(events.cohort_splits, 2);
+        for config in configs {
+            let delta = match config.analyzer() {
+                AnalyzerPolicy::Average { delta } => delta,
+                AnalyzerPolicy::Threshold(_) => unreachable!(),
+            };
+            let phases = reference(config, &trace);
+            assert_eq!(phases.len(), if delta < 0.2 { 2 } else { 1 }, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn a_slide_class_reads_the_fifo_cw_once_its_own_has_refilled() {
+        // Both members stay in phase from the first warm step on (see
+        // the merge test below for the trace). The Move class keeps a
+        // full CW and reads the FIFO's on every judged step; the Slide
+        // class's resize leaves it a 5-element CW: it reads its own CW
+        // on the next two steps (6 and 7 elements) and the FIFO's from
+        // the third on, when its CW is full again.
+        let mut sites = vec![100, 101, 102];
+        sites.extend((0..80).map(|i| 10 + i % 4));
+        let trace = trace_of(&sites);
+        let slide = events_matching_reference(&[adaptive(8, 8, ResizePolicy::Slide, 0.3)], &trace);
+        let moved = events_matching_reference(&[adaptive(8, 8, ResizePolicy::Move, 0.3)], &trace);
+        // Judged class steps: every step after the entry step.
+        let steps = sites.len() as u64 - 16;
+        assert_eq!(moved.shared_cw_steps, steps);
+        assert_eq!(slide.shared_cw_steps, steps - 2);
     }
 
     #[test]

@@ -78,11 +78,10 @@ fn block_trace(blocks: &[(u32, usize, u32)], noise: &[usize]) -> Vec<u32> {
 }
 
 /// Every (model, analyzer, anchor, resize) combination of one small
-/// adaptive shape: one shared forking scan with many members.
-fn adaptive_grid(
-    cw: usize,
-    tw: usize,
-    skip: usize,
+/// shape under `tw_policy`: one shared scan with many members.
+fn heavy_grid(
+    (cw, tw, skip): (usize, usize, usize),
+    tw_policy: TwPolicy,
     analyzers: &[AnalyzerPolicy],
 ) -> Vec<DetectorConfig> {
     let mut configs = Vec::new();
@@ -95,7 +94,7 @@ fn adaptive_grid(
                             .current_window(cw)
                             .trailing_window(tw)
                             .skip_factor(skip)
-                            .tw_policy(TwPolicy::Adaptive)
+                            .tw_policy(tw_policy)
                             .anchor(anchor)
                             .resize(resize)
                             .model(model)
@@ -108,6 +107,66 @@ fn adaptive_grid(
         }
     }
     configs
+}
+
+/// A small window shape with `skip <= cw`, so it shares a scan.
+fn shareable_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    (2usize..10, 1usize..10, 1usize..4).prop_map(|(cw, tw, skip)| (cw, tw, skip.min(cw)))
+}
+
+/// Fixed thresholds (multiples of 1/20, which include exact similarity
+/// values such as 1/2 and 3/4, exercising the inclusive `sim >=
+/// threshold` edge) followed by up to eight running-average deltas:
+/// random ones and multiples of 1/20, then duplicates and one-ulp
+/// neighbours of those. Members entering on one step form a cohort
+/// ordered by delta, so equal and adjacent deltas probe its leaver
+/// prefix at its tightest.
+fn heavy_analyzers() -> impl Strategy<Value = Vec<AnalyzerPolicy>> {
+    let delta = prop_oneof![0.0f64..0.3, (0u32..7).prop_map(|k| f64::from(k) / 20.0)];
+    (
+        prop::collection::vec((4u32..20).prop_map(|k| f64::from(k) / 20.0), 1..5),
+        prop::collection::vec(delta, 0..5),
+        prop::collection::vec((0usize..4, 0u8..3), 0..4),
+    )
+        .prop_map(|(thresholds, mut deltas, twins)| {
+            for (pick, how) in twins {
+                if let Some(&d) = deltas.get(pick) {
+                    // `d` is finite and non-negative, so its one-ulp
+                    // neighbours are one bit pattern away.
+                    deltas.push(match how {
+                        0 => d,
+                        1 => f64::from_bits(d.to_bits() + 1),
+                        _ => f64::from_bits(d.to_bits().saturating_sub(1)),
+                    });
+                }
+            }
+            thresholds
+                .into_iter()
+                .map(AnalyzerPolicy::Threshold)
+                .chain(
+                    deltas
+                        .into_iter()
+                        .map(|delta| AnalyzerPolicy::Average { delta }),
+                )
+                .collect()
+        })
+}
+
+/// Runs `configs` (one shared unit) over `sites` and checks every
+/// member against the spec.
+fn heavy_group_matches_the_spec(
+    sites: &[u32],
+    configs: &[DetectorConfig],
+) -> Result<(), TestCaseError> {
+    let engine = SweepEngine::new(configs);
+    prop_assert_eq!(engine.units().len(), 1);
+    let all = engine.run_all(&interned(sites));
+    let elements = elements(sites);
+    for (i, &config) in configs.iter().enumerate() {
+        let expected = spec::run(config, &elements).phases;
+        prop_assert_eq!(&all[i], &expected, "config {}: {:?}", i, config);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -181,34 +240,29 @@ proptest! {
 
     /// The event-driven forking scan under load: many members per
     /// adaptive group, entering, leaving and re-entering recurring
-    /// phases, so members sleep and wake, share classes across steps
-    /// and see classes merge — against the spec.
+    /// phases, so members sleep and wake, share classes across steps,
+    /// see classes merge and split cohorts — against the spec.
     #[test]
     fn adaptive_heavy_groups_match_the_spec(
         blocks in prop::collection::vec((0u32..3, 8usize..60, 1u32..5), 1..12),
         noise in prop::collection::vec(0usize..600, 0..6),
-        (cw, tw, skip) in (2usize..10, 1usize..10, 1usize..4)
-            .prop_map(|(cw, tw, skip)| (cw, tw, skip.min(cw))),
-        // Multiples of 1/20 include exact similarity values (1/2,
-        // 3/4, ...), exercising the inclusive `sim >= threshold` edge.
-        thresholds in prop::collection::vec((4u32..20).prop_map(|k| f64::from(k) / 20.0), 1..5),
-        deltas in prop::collection::vec(0.0f64..0.3, 0..3),
+        shape in shareable_shape(),
+        analyzers in heavy_analyzers(),
     ) {
-        let sites = block_trace(&blocks, &noise);
-        let trace = interned(&sites);
-        let elements = elements(&sites);
-        let analyzers: Vec<AnalyzerPolicy> = thresholds
-            .iter()
-            .map(|&t| AnalyzerPolicy::Threshold(t))
-            .chain(deltas.iter().map(|&delta| AnalyzerPolicy::Average { delta }))
-            .collect();
-        let configs = adaptive_grid(cw, tw, skip, &analyzers);
-        let engine = SweepEngine::new(&configs);
-        prop_assert_eq!(engine.units().len(), 1);
-        let all = engine.run_all(&trace);
-        for (i, &config) in configs.iter().enumerate() {
-            let expected = spec::run(config, &elements).phases;
-            prop_assert_eq!(&all[i], &expected, "config {}: {:?}", i, config);
-        }
+        let configs = heavy_grid(shape, TwPolicy::Adaptive, &analyzers);
+        heavy_group_matches_the_spec(&block_trace(&blocks, &noise), &configs)?;
+    }
+
+    /// The Constant-TW scan under the same load: many running-average
+    /// members entering together on the shared FIFO, in cohorts.
+    #[test]
+    fn constant_heavy_groups_match_the_spec(
+        blocks in prop::collection::vec((0u32..3, 8usize..60, 1u32..5), 1..12),
+        noise in prop::collection::vec(0usize..600, 0..6),
+        shape in shareable_shape(),
+        analyzers in heavy_analyzers(),
+    ) {
+        let configs = heavy_grid(shape, TwPolicy::Constant, &analyzers);
+        heavy_group_matches_the_spec(&block_trace(&blocks, &noise), &configs)?;
     }
 }

@@ -43,9 +43,6 @@ pub struct BucketProfile {
     pub workload_index: usize,
     /// Index into the engine's unit list.
     pub unit_index: usize,
-    /// The window kernel the bucket ran on: always `"swar"`, the only
-    /// kernel, recorded per bucket in `BENCH_obs.json`.
-    pub kernel: &'static str,
     /// Whether the unit ran one shared scan for all members.
     pub shared: bool,
     /// Member configs in the unit.
@@ -131,15 +128,14 @@ impl SweepProfile {
         let mut t = Table::new(
             "Sweep profile (per bucket)",
             &[
-                "workload", "unit", "kernel", "kind", "members", "scans", "steps", "judged",
-                "cmp ops", "bound", "cmp/s", "wall ms",
+                "workload", "unit", "kind", "members", "scans", "steps", "judged", "cmp ops",
+                "bound", "cmp/s", "wall ms",
             ],
         );
         for b in &self.buckets {
             t.row(vec![
                 b.workload.to_owned(),
                 b.unit_index.to_string(),
-                b.kernel.to_owned(),
                 if b.shared { "shared" } else { "private" }.to_owned(),
                 b.members.to_string(),
                 b.metrics.scans.to_string(),
@@ -217,7 +213,6 @@ pub fn sweep_many_profiled(
             workload: p.workload().name(),
             workload_index: wi,
             unit_index: ui,
-            kernel: "swar",
             shared: unit.is_shared(),
             members: unit.config_indices().len(),
             metrics,
@@ -355,7 +350,6 @@ pub fn obs_json(
     out.push_str("  \"schema\": \"opd-bench-obs-v2\",\n");
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"fuel\": {fuel},\n"));
-    out.push_str("  \"kernel\": \"swar\",\n");
     out.push_str(&format!("  \"threads\": {},\n", profile.threads));
     out.push_str(&format!("  \"grid_configs\": {grid_configs},\n"));
     out.push_str("  \"overhead\": {\n");
@@ -387,13 +381,12 @@ pub fn obs_json(
     out.push_str("  \"buckets\": [\n");
     for (i, b) in profile.buckets.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"unit\": {}, \"kernel\": \"{}\", \"shared\": {}, \
+            "    {{\"workload\": \"{}\", \"unit\": {}, \"shared\": {}, \
              \"members\": {}, \"scans\": {}, \"steps\": {}, \"judged_steps\": {}, \
              \"compare_ops\": {}, \"elements\": {}, \"static_compare_bound\": {}, \
              \"compare_ops_per_sec\": {:.1}, \"wall_nanos\": {}}}{}\n",
             b.workload,
             b.unit_index,
-            b.kernel,
             b.shared,
             b.members,
             b.metrics.scans,
@@ -495,7 +488,6 @@ mod tests {
         let json = obs_json(1, 10_000, configs.len(), &overhead, &profile);
         for key in [
             "\"schema\": \"opd-bench-obs-v2\"",
-            "\"kernel\": \"swar\"",
             "\"overhead\"",
             "\"ratio\"",
             "\"totals\"",

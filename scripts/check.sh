@@ -10,7 +10,8 @@
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
 # BENCH_cert.json freshness), a release-mode smoke of every run path
-# against the executable spec, a release-mode paper-table digest and
+# against the executable spec, the release-mode sweep-engine property
+# suite against the same spec, a release-mode paper-table digest and
 # thread-count check, the frozen BENCH_kernel.json record's
 # acceptance/freshness tests, a
 # release-mode smoke of all three benchmark workloads checked against
@@ -68,6 +69,11 @@ RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
 # run above exercises the same differential + proptest suite in debug;
 # release is where the SWAR closed forms actually vectorise).
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
+# Sweep-engine property smoke: heavy shared groups of both TW policies
+# against the executable spec under release codegen. Running-average
+# cohorts (leaver prefixes, shared statistics) and phase classes
+# reading the shared FIFO's CW are exercised hardest here.
+RUST_BACKTRACE=1 cargo test -q --release -p opd-core --test sweep_props
 # Paper-table smoke: every deterministic table over all eight workloads
 # at the benchmark's fuel cap must match the benchmark's pinned digests
 # and render the same text at one and at four threads (the only

@@ -178,13 +178,11 @@ fn sweep_stats_json_stdout_is_one_json_document() {
     ]);
     let doc = stdout_json(&out);
     assert_eq!(doc.get("schema").str(), "opd-bench-obs-v2");
-    assert_eq!(doc.get("kernel").str(), "swar");
     assert_eq!(doc.get("grid_configs").as_u64(), 28);
     let buckets = doc.get("buckets").arr();
     assert_eq!(buckets.len(), 8, "one shared bucket per workload");
     for bucket in buckets {
         assert!(bucket.get("shared").boolean());
-        assert_eq!(bucket.get("kernel").str(), "swar");
         assert_eq!(bucket.get("members").as_u64(), 28);
         assert!(
             bucket.get("compare_ops").as_u64() <= bucket.get("static_compare_bound").as_u64(),
