@@ -1,11 +1,9 @@
 //! The committed analysis artifacts (`BENCH_static_bounds.json`,
 //! `BENCH_plan.json`).
 //!
-//! PR 1's sweep benchmark records its machine-readable summary in
-//! `BENCH_sweep.json`; this module renders the companion artifacts so
-//! future changes to the workloads or the analyzer regress-check the
-//! pre-sizing bounds the runtime relies on and the sweep-plan
-//! analysis of the default grid.
+//! They let future changes to the workloads or the analyzer
+//! regress-check the pre-sizing bounds the runtime relies on and the
+//! sweep-plan analysis of the default grid.
 
 use opd_analyze::{Analysis, PlanAnalysis, PlanWorkload};
 use opd_microvm::workloads::Workload;

@@ -8,34 +8,22 @@
 //! latency percentiles in **virtual ticks** (p50/p90/p99 computed by
 //! [`HistogramSnapshot::percentile`] over `FrameIngest` span
 //! durations). Everything in the study is a pure function of the
-//! configuration — the rendered `dash` section of the artifact is
-//! byte-identical across thread counts.
+//! configuration — the rendered artifact is byte-identical across
+//! thread counts.
 //!
 //! [`SloPolicy`] is the declarative service-level-objective layer:
 //! latency, shed, quarantine, and completion floors checked over the
 //! study's windows, surfacing burns as `OPD-O401..O404` diagnostics
 //! through the same lint [`Diagnostic`] machinery as every other
 //! analyzer (so `opd top` inherits the 0/1/2 exit contract).
-//!
-//! [`null_span_overhead`] times the traced engine over
-//! [`NullSpanRecorder`] against [`run_service`], interleaved samples,
-//! median of each — the span-layer counterpart of `obs.rs`'s
-//! NullObserver benchmark. Both arms are now the same instance of one
-//! body, so the ratio only measures noise.
-
-use std::time::Instant;
 
 use opd_analyze::{Code, Diagnostic};
-use opd_obs::{
-    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, NullSpanRecorder, SpanKind, SpanLog,
-};
+use opd_obs::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SpanKind, SpanLog};
 use opd_serve::{
-    keyed_hash, run_service, run_service_traced, BackpressureMode, IngestPolicy, NullSubscriber,
-    SeededHazards, ServeConfig, ServeError, ServiceMetrics, ServiceOptions, SupervisionPolicy,
-    TraceConfig,
+    keyed_hash, run_service_traced, BackpressureMode, IngestPolicy, NullSubscriber, SeededHazards,
+    ServeConfig, ServeError, ServiceMetrics, ServiceOptions, SupervisionPolicy, TraceConfig,
 };
 
-use crate::obs::OverheadReport;
 use crate::report::Table;
 use crate::serve::{WorkloadSource, SERVE_SEED};
 
@@ -60,13 +48,6 @@ pub const DASH_VSHARDS: u32 = 48;
 /// Vshard-range windows the dashboard aggregates over (each window
 /// covers `DASH_VSHARDS / DASH_WINDOWS` consecutive vshards).
 pub const DASH_WINDOWS: u32 = 8;
-
-/// Timing samples per arm of the span overhead benchmark.
-pub const DASH_SAMPLES: usize = 5;
-
-/// Clients in the overhead benchmark's soak (smaller than the study,
-/// since each sample runs the full service twice).
-pub const OVERHEAD_CLIENTS: u32 = 160;
 
 /// The dashboard soak's frame source at the committed shape.
 #[must_use]
@@ -478,89 +459,17 @@ impl SloPolicy {
     }
 }
 
-fn median(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Measures the disabled-span arm against the plain engine: the same
-/// soak through [`run_service`] and through the traced engine over
-/// [`NullSpanRecorder`] (one body, so the same instance), `samples`
-/// interleaved samples per arm, median of each. The ratio is noise
-/// around 1.0; the committed `BENCH_dash.json` records it and the
-/// artifact test holds it under the 2% acceptance line.
+/// Renders `BENCH_dash.json`, hand-built (the vendored serde_json is
+/// an inert shim). Every field is a pure function of the study, so the
+/// artifact is byte-identical across thread counts.
 #[must_use]
-pub fn null_span_overhead(scale: u32, samples: usize) -> OverheadReport {
-    let samples = samples.max(1);
-    let source = dash_source(scale, OVERHEAD_CLIENTS);
-    let config = dash_config();
-    let options = ServiceOptions {
-        threads: 1,
-        ..ServiceOptions::default()
-    };
-
-    // Warm both arms (page in code, fault the source's templates)
-    // before timing anything.
-    let _ = run_service(&config, &source, &options).expect("overhead warm-up runs");
-    let _ = run_service_traced::<NullSpanRecorder>(
-        &config,
-        &source,
-        &options,
-        &NullSubscriber,
-        None,
-        &TraceConfig::default(),
-    )
-    .expect("overhead warm-up runs");
-
-    let mut plain = Vec::with_capacity(samples);
-    let mut instrumented = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        let _ = run_service(&config, &source, &options).expect("overhead sample runs");
-        plain.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-
-        let t = Instant::now();
-        let _ = run_service_traced::<NullSpanRecorder>(
-            &config,
-            &source,
-            &options,
-            &NullSubscriber,
-            None,
-            &TraceConfig::default(),
-        )
-        .expect("overhead sample runs");
-        instrumented.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-    OverheadReport {
-        samples,
-        plain_nanos: median(plain),
-        instrumented_nanos: median(instrumented),
-    }
-}
-
-/// Renders `BENCH_dash.json`: the deterministic dashboard section
-/// (byte-identical across thread counts) plus the overhead
-/// measurement, hand-built (the vendored serde_json is an inert
-/// shim). The overhead numbers are passed in raw so the freshness
-/// test can re-render around the committed timings.
-#[must_use]
-pub fn render_dash_json(
-    study: &DashStudy,
-    samples: usize,
-    plain_nanos: u64,
-    instrumented_nanos: u64,
-) -> String {
+pub fn render_dash_json(study: &DashStudy) -> String {
     let policy = SloPolicy::default();
     let violations = policy.check(study).len();
     let config = dash_config();
-    let overhead = OverheadReport {
-        samples,
-        plain_nanos,
-        instrumented_nanos,
-    };
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
-    out.push_str(" \"schema\": \"opd-bench-dash-v1\",\n");
+    out.push_str(" \"schema\": \"opd-bench-dash-v2\",\n");
     out.push_str(&format!(" \"scale\": {},\n", study.scale));
     out.push_str(&format!(
         " \"clients\": {}, \"frames_per_client\": {DASH_FRAMES}, \
@@ -646,21 +555,13 @@ pub fn render_dash_json(
     out.push_str(&format!(
         " \"slo\": {{\"max_p99_latency_ticks\": {:?}, \"max_shed_fraction\": {:?}, \
          \"max_quarantine_fraction\": {:?}, \"min_completion_fraction\": {:?}, \
-         \"violations\": {violations}}},\n",
+         \"violations\": {violations}}}\n",
         policy.max_p99_latency_ticks,
         policy.max_shed_fraction,
         policy.max_quarantine_fraction,
         policy.min_completion_fraction,
     ));
-    out.push_str(" \"overhead\": {\n");
-    out.push_str(&format!("  \"samples\": {},\n", overhead.samples));
-    out.push_str(&format!("  \"plain_nanos\": {},\n", overhead.plain_nanos));
-    out.push_str(&format!(
-        "  \"instrumented_nanos\": {},\n",
-        overhead.instrumented_nanos
-    ));
-    out.push_str(&format!("  \"ratio\": {:.4}\n", overhead.ratio()));
-    out.push_str(" }\n}\n");
+    out.push_str("}\n");
     out
 }
 
@@ -827,11 +728,8 @@ mod tests {
             assert_eq!(a.latency, b.latency);
             assert_eq!(a.shed_frames, b.shed_frames);
         }
-        // The rendered deterministic sections agree byte-for-byte.
-        assert_eq!(
-            render_dash_json(&one, 3, 100, 101),
-            render_dash_json(&many, 3, 100, 101)
-        );
+        // The rendered artifacts agree byte-for-byte.
+        assert_eq!(render_dash_json(&one), render_dash_json(&many));
     }
 
     #[test]
@@ -885,9 +783,9 @@ mod tests {
     #[test]
     fn dash_json_and_top_views_are_structurally_complete() {
         let study = dash_study(1, 0).expect("study runs");
-        let json = render_dash_json(&study, 3, 100, 101);
+        let json = render_dash_json(&study);
         for key in [
-            "\"schema\": \"opd-bench-dash-v1\"",
+            "\"schema\": \"opd-bench-dash-v2\"",
             "\"service\"",
             "\"latency_ticks\"",
             "\"window_views\"",
@@ -895,8 +793,6 @@ mod tests {
             "\"frame_ingest\"",
             "\"slo\"",
             "\"violations\": 0",
-            "\"overhead\"",
-            "\"ratio\": 1.0100",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -277,6 +277,7 @@ mod tests {
     fn full_grid_exceeds_ten_thousand() {
         let g = full_grid();
         assert!(g.len() > 10_000, "only {} configs", g.len());
+        assert_eq!(g.len(), 13_230);
     }
 
     #[test]

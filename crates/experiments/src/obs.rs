@@ -1,5 +1,5 @@
-//! Sweep self-profiling: metered sweeps, the per-bucket profile, and
-//! the NullObserver overhead benchmark behind `BENCH_obs.json`.
+//! Sweep self-profiling: metered sweeps and the per-bucket profile
+//! behind `BENCH_obs.json`.
 //!
 //! [`sweep_many_profiled`] is [`crate::runner::sweep_many`] with the
 //! meter on: every `(workload, engine unit)` bucket runs through
@@ -9,30 +9,19 @@
 //! are cross-checked at runtime against PR 3's static cost model:
 //! scans and steps are predicted exactly, comparison ops are bounded
 //! above (see `counter_bounds.rs` in the test suite).
-//!
-//! [`null_observer_overhead`] times the detector's observed path with
-//! [`opd_obs::NullObserver`] against `run_interned_phases_only`,
-//! interleaved samples, median of each. Both are now the same
-//! `NullObserver` instance of one body, so the ratio only measures
-//! noise.
 
 use std::convert::Infallible;
 use std::time::Instant;
 
 use opd_analyze::ConfigCost;
-use opd_core::{DetectorConfig, PhaseDetector, SweepEngine, SweepScratch};
-use opd_obs::{MetricsRegistry, MetricsSnapshot, NullObserver, UnitMetrics};
+use opd_core::{DetectorConfig, SweepEngine, SweepScratch};
+use opd_obs::{MetricsRegistry, MetricsSnapshot, UnitMetrics};
 
 use crate::report::Table;
 use crate::runner::{
     calibrated_unit_cost, config_run, filled, max_site_capacity, run_lpt, worker_count, ConfigRun,
     PreparedWorkload,
 };
-
-/// Fuel for the overhead benchmark's workload trace.
-pub const OBS_FUEL: u64 = 60_000;
-/// Timing samples per arm of the overhead benchmark.
-pub const OBS_SAMPLES: usize = 5;
 
 /// What one `(workload, engine unit)` bucket actually did.
 #[derive(Debug, Clone)]
@@ -257,110 +246,18 @@ pub fn sweep_many_profiled(
     (filled(cells), profile)
 }
 
-/// The two arms of the overhead benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct OverheadReport {
-    /// Samples per arm.
-    pub samples: usize,
-    /// Median wall-clock of the uninstrumented sweep arm.
-    pub plain_nanos: u64,
-    /// Median wall-clock of the NullObserver-instrumented arm.
-    pub instrumented_nanos: u64,
-}
-
-impl OverheadReport {
-    /// Instrumented over plain (1.0 = no overhead).
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        if self.plain_nanos == 0 {
-            return 1.0;
-        }
-        self.instrumented_nanos as f64 / self.plain_nanos as f64
-    }
-}
-
-fn median(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Measures the NullObserver arm against the uninstrumented arm:
-/// every config in `configs` run over `prepared`'s trace through one
-/// reused detector, `samples` interleaved samples per arm, median of
-/// each. With a correctly monomorphized observer layer the ratio is
-/// noise around 1.0; the committed `BENCH_obs.json` records it and the
-/// artifact test holds it under the 2% acceptance line.
+/// Renders `BENCH_obs.json`: the sweep profile, hand-built (the
+/// vendored serde_json is an inert shim).
 #[must_use]
-pub fn null_observer_overhead(
-    prepared: &PreparedWorkload,
-    configs: &[DetectorConfig],
-    samples: usize,
-) -> OverheadReport {
-    let samples = samples.max(1);
-    let trace = prepared.interned();
-    let mut detector = PhaseDetector::new(configs[0]);
-    detector.reserve_sites(prepared.site_capacity());
-
-    // Warm both paths once (page in code and site tables) before
-    // timing anything.
-    for &config in configs {
-        detector.reconfigure(config);
-        let _ = detector.run_interned_phases_only(trace);
-        detector.reconfigure(config);
-        let _ = detector.run_interned_phases_observed(trace, &mut NullObserver);
-    }
-
-    let mut plain = Vec::with_capacity(samples);
-    let mut instrumented = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        for &config in configs {
-            detector.reconfigure(config);
-            let _ = detector.run_interned_phases_only(trace);
-        }
-        plain.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-
-        let t = Instant::now();
-        for &config in configs {
-            detector.reconfigure(config);
-            let _ = detector.run_interned_phases_observed(trace, &mut NullObserver);
-        }
-        instrumented.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-    OverheadReport {
-        samples,
-        plain_nanos: median(plain),
-        instrumented_nanos: median(instrumented),
-    }
-}
-
-/// Renders `BENCH_obs.json`: the overhead measurement plus the sweep
-/// profile, hand-built (the vendored serde_json is an inert shim).
-#[must_use]
-pub fn obs_json(
-    scale: u32,
-    fuel: u64,
-    grid_configs: usize,
-    overhead: &OverheadReport,
-    profile: &SweepProfile,
-) -> String {
+pub fn obs_json(scale: u32, fuel: u64, grid_configs: usize, profile: &SweepProfile) -> String {
     let totals = profile.totals();
     let mut out = String::with_capacity(4096);
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"opd-bench-obs-v2\",\n");
+    out.push_str("  \"schema\": \"opd-bench-obs-v3\",\n");
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"fuel\": {fuel},\n"));
     out.push_str(&format!("  \"threads\": {},\n", profile.threads));
     out.push_str(&format!("  \"grid_configs\": {grid_configs},\n"));
-    out.push_str("  \"overhead\": {\n");
-    out.push_str(&format!("    \"samples\": {},\n", overhead.samples));
-    out.push_str(&format!("    \"plain_nanos\": {},\n", overhead.plain_nanos));
-    out.push_str(&format!(
-        "    \"instrumented_nanos\": {},\n",
-        overhead.instrumented_nanos
-    ));
-    out.push_str(&format!("    \"ratio\": {:.4}\n", overhead.ratio()));
-    out.push_str("  },\n");
     out.push_str("  \"totals\": {\n");
     out.push_str(&format!("    \"scans\": {},\n", totals.scans));
     out.push_str(&format!("    \"steps\": {},\n", totals.steps));
@@ -462,34 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn overhead_report_is_sane() {
-        let prepared = &prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000, 1)[0];
-        let configs = &default_plan_grid()[..4];
-        let report = null_observer_overhead(prepared, configs, 3);
-        assert_eq!(report.samples, 3);
-        assert!(report.plain_nanos > 0);
-        assert!(report.instrumented_nanos > 0);
-        // Loose sanity bound (the committed artifact holds the strict
-        // 2% line; this in-test check only guards against gross
-        // monomorphization failures without being timing-flaky).
-        assert!(report.ratio() < 1.5, "ratio {}", report.ratio());
-    }
-
-    #[test]
     fn obs_json_is_structurally_complete() {
         let prepared = prepare_all(&[Workload::Lexgen], 1, &[1_000], 10_000, 1);
         let configs = default_plan_grid();
         let (_, profile) = sweep_many_profiled(&prepared, &configs, 1);
-        let overhead = OverheadReport {
-            samples: 3,
-            plain_nanos: 100,
-            instrumented_nanos: 101,
-        };
-        let json = obs_json(1, 10_000, configs.len(), &overhead, &profile);
+        let json = obs_json(1, 10_000, configs.len(), &profile);
         for key in [
-            "\"schema\": \"opd-bench-obs-v2\"",
-            "\"overhead\"",
-            "\"ratio\"",
+            "\"schema\": \"opd-bench-obs-v3\"",
             "\"totals\"",
             "\"static_compare_bound\"",
             "\"compare_ops_per_sec\"",
@@ -499,6 +375,5 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        assert!((overhead.ratio() - 1.01).abs() < 1e-9);
     }
 }

@@ -8,8 +8,8 @@
 //! Everything here is deterministic: the explorer is seeded DFS over
 //! a serialized runtime, so execution counts, pruning ratios, witness
 //! schedules, and verdicts are bit-identical across runs and hosts —
-//! which is what lets the committed artifact be freshness-tested the
-//! same way as `BENCH_kernel.json`.
+//! which is what lets the committed artifact be freshness-tested
+//! byte for byte.
 
 use opd_analyze::{race_lints, Diagnostic, SubsystemSyncProfile, SyncSite};
 use opd_sched::{models, Explorer, FindingKind, SyncProfile};

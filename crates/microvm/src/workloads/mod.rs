@@ -179,6 +179,11 @@ mod tests {
         let a = Workload::Ruleng.trace(1);
         let b = Workload::Ruleng.trace(1);
         assert_eq!(a, b);
+        // The full-study trace's pinned shape: a change here moves
+        // every recorded full-length result.
+        assert_eq!(a.branches().len(), 429_025);
+        let distinct: std::collections::HashSet<_> = a.branches().iter().collect();
+        assert_eq!(distinct.len(), 36);
     }
 
     #[test]

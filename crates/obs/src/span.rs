@@ -18,7 +18,8 @@
 //! `if R::ACTIVE`, so the [`NullSpanRecorder`] compiles the traced
 //! paths back to the plain machine code — zero allocation, zero
 //! branching on live data (asserted by the repository's span suite
-//! and the `BENCH_dash.json` overhead gate).
+//! and by the compile-time check that `NullSpanRecorder::ACTIVE` is
+//! false).
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -25,9 +25,8 @@
 //!   completed (workload, unit) buckets stream to a crash-safe file
 //!   (with a heartbeat line per bucket on stderr), and `--resume`
 //!   restores them after an interrupted run instead of recomputing.
-//!   `--stats` runs the metered sweep and prints a per-bucket profile
-//!   plus the NullObserver overhead measurement; `--write` updates
-//!   `BENCH_obs.json`.
+//!   `--stats` runs the metered sweep and prints a per-bucket profile;
+//!   `--write` updates `BENCH_obs.json`.
 //! * `opd audit [--json] [--deny-warnings] [--write]` — the
 //!   concurrency audit: exhaustive DPOR exploration of the modeled
 //!   concurrent subsystems (metrics, runner, checkpoint), the
@@ -1005,35 +1004,13 @@ fn sweep(opts: &SweepOpts) -> ExitCode {
     }
 
     if let Some(profile) = profile {
-        // Measure the zero-overhead-when-off claim on the densest
-        // trace at hand (lexgen by convention, first otherwise).
-        let bench = prepared
-            .iter()
-            .find(|p| p.workload().name() == "lexgen")
-            .unwrap_or(&prepared[0]);
-        let overhead = opd_experiments::obs::null_observer_overhead(
-            bench,
-            &configs,
-            opd_experiments::obs::OBS_SAMPLES,
-        );
         reporter.human(profile.table().to_string().trim_end());
         reporter.human(format_args!(
-            "lpt imbalance {:.3} over {} thread(s); null-observer overhead {:.2}% \
-             ({} samples, {:.2} ms plain vs {:.2} ms instrumented)",
+            "lpt imbalance {:.3} over {} thread(s)",
             profile.imbalance(),
             profile.threads,
-            (overhead.ratio() - 1.0) * 100.0,
-            overhead.samples,
-            overhead.plain_nanos as f64 / 1e6,
-            overhead.instrumented_nanos as f64 / 1e6,
         ));
-        let json = opd_experiments::obs::obs_json(
-            opts.scale,
-            opts.fuel,
-            configs.len(),
-            &overhead,
-            &profile,
-        );
+        let json = opd_experiments::obs::obs_json(opts.scale, opts.fuel, configs.len(), &profile);
         if opts.write {
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_obs.json");
             if let Err(e) = std::fs::write(path, &json) {
@@ -1809,22 +1786,11 @@ fn top(opts: &TopOpts) -> ExitCode {
         // committed client count) form the freshness test
         // regenerates, whatever this invocation printed.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_dash.json");
-        let overhead = dash::null_span_overhead(1, dash::DASH_SAMPLES);
         let rendered = if opts.scale == 1 && opts.clients == dash::DASH_CLIENTS {
-            dash::render_dash_json(
-                &study,
-                overhead.samples,
-                overhead.plain_nanos,
-                overhead.instrumented_nanos,
-            )
+            dash::render_dash_json(&study)
         } else {
             match dash::dash_study(1, opts.threads) {
-                Ok(pinned) => dash::render_dash_json(
-                    &pinned,
-                    overhead.samples,
-                    overhead.plain_nanos,
-                    overhead.instrumented_nanos,
-                ),
+                Ok(pinned) => dash::render_dash_json(&pinned),
                 Err(e) => {
                     eprintln!("error: top: {e}");
                     return ExitCode::from(2);

@@ -177,7 +177,7 @@ fn sweep_stats_json_stdout_is_one_json_document() {
         "2",
     ]);
     let doc = stdout_json(&out);
-    assert_eq!(doc.get("schema").str(), "opd-bench-obs-v2");
+    assert_eq!(doc.get("schema").str(), "opd-bench-obs-v3");
     assert_eq!(doc.get("grid_configs").as_u64(), 28);
     let buckets = doc.get("buckets").arr();
     assert_eq!(buckets.len(), 8, "one shared bucket per workload");
@@ -191,10 +191,10 @@ fn sweep_stats_json_stdout_is_one_json_document() {
         assert!(bucket.get("compare_ops_per_sec").num() >= 0.0);
     }
     // In --json mode the human lines (accuracy table, profile table,
-    // overhead line) must all be on stderr.
+    // imbalance line) must all be on stderr.
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("mean combined accuracy"));
-    assert!(stderr.contains("null-observer overhead"));
+    assert!(stderr.contains("lpt imbalance"));
 }
 
 #[test]

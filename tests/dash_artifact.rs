@@ -1,13 +1,8 @@
-//! Freshness and acceptance tests for the committed `BENCH_dash.json`
+//! Freshness tests for the committed `BENCH_dash.json`
 //! artifact and the span layer's determinism claims:
 //!
 //! * the committed artifact regenerates byte-for-byte at thread
-//!   counts 1, 2, and 8 around its committed overhead timings (the
-//!   overhead section is the only non-deterministic part, so the test
-//!   re-renders with the committed numbers — same scheme as
-//!   `BENCH_obs.json`);
-//! * the committed null-span overhead ratio sits under the 2%
-//!   acceptance line;
+//!   counts 1, 2, and 8;
 //! * the raw span log — not just its digest — is byte-identical
 //!   across thread counts.
 
@@ -27,38 +22,17 @@ fn committed() -> String {
 #[test]
 fn committed_dash_artifact_is_current_across_thread_counts() {
     let committed = committed();
-    let doc = parse_json(&committed).expect("committed artifact parses");
-    let overhead = doc.get("overhead");
-    let samples = overhead.get("samples").as_u64() as usize;
-    let plain_nanos = overhead.get("plain_nanos").as_u64();
-    let instrumented_nanos = overhead.get("instrumented_nanos").as_u64();
+    parse_json(&committed).expect("committed artifact parses");
 
     for threads in [1, 2, 8] {
         let study = dash_study(1, threads).expect("dashboard study runs");
-        let regenerated = render_dash_json(&study, samples, plain_nanos, instrumented_nanos);
+        let regenerated = render_dash_json(&study);
         assert_eq!(
             committed, regenerated,
             "BENCH_dash.json is stale or thread-sensitive at {threads} thread(s); \
              regenerate with `opd top --write`"
         );
     }
-}
-
-#[test]
-fn committed_null_span_overhead_is_under_the_gate() {
-    let doc = parse_json(&committed()).expect("committed artifact parses");
-    let overhead = doc.get("overhead");
-    let plain = overhead.get("plain_nanos").num();
-    let instrumented = overhead.get("instrumented_nanos").num();
-    assert!(plain > 0.0 && instrumented > 0.0);
-    let ratio = overhead.get("ratio").num();
-    assert!(
-        ratio <= 1.02,
-        "committed null-span overhead ratio {ratio} exceeds the 2% acceptance line; \
-         re-measure with `opd top --write` on a quiet machine"
-    );
-    // The rendered ratio is the committed timings' quotient.
-    assert!((ratio - instrumented / plain).abs() < 0.001);
 }
 
 #[test]
