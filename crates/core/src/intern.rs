@@ -108,20 +108,58 @@ impl InternedTrace {
     }
 }
 
+/// Slots in an [`IdLog`]'s lookup memo. A serve session of the soak
+/// sees 3 to 33 distinct elements, so 64 slots (1 KiB) hold nearly all
+/// of its working set.
+const MEMO_SLOTS: usize = 64;
+
+/// The key of an empty memo slot. No element's raw form equals it:
+/// the bits of a raw element above its used width are always zero.
+const EMPTY_KEY: u64 = u64::MAX;
+
+/// A memo slot: an element's raw form and its id.
+type MemoSlot = (u64, u32);
+
+/// A memo with every slot empty.
+fn empty_memo() -> Box<[MemoSlot; MEMO_SLOTS]> {
+    Box::new([(EMPTY_KEY, 0); MEMO_SLOTS])
+}
+
+/// The memo slot of `raw`: the top bits of a multiplicative
+/// (Fibonacci) hash, which mix every bit of the packed element.
+fn memo_slot(raw: u64) -> usize {
+    (raw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
 /// The one interning loop: maps each element to its dense id in
 /// `map` — ids are assigned in first-seen order — and hands the ids to
 /// `emit` in input order. Every interner in the crate (batch traces
 /// and [`IdLog`], including the private log of
 /// [`PhaseDetector::process`](crate::PhaseDetector::process)) runs
 /// this body, so all of them assign identical ids to identical inputs.
-fn intern_into<I, F>(map: &mut HashMap<u64, u32>, elements: I, mut emit: F)
-where
+///
+/// `memo` caches recent `(raw, id)` pairs in front of `map`: a hit
+/// costs one key comparison, and a miss looks the element up in `map`
+/// and refills its slot. Every key in `memo` is either
+/// [`EMPTY_KEY`] or in `map` with the id beside it, so the memo never
+/// changes an id.
+fn intern_into<I, F>(
+    map: &mut HashMap<u64, u32>,
+    memo: &mut [MemoSlot; MEMO_SLOTS],
+    elements: I,
+    mut emit: F,
+) where
     I: IntoIterator<Item = ProfileElement>,
     F: FnMut(u32),
 {
     for e in elements {
-        let next = map.len() as u32;
-        emit(*map.entry(e.raw()).or_insert(next));
+        let raw = e.raw();
+        let slot = &mut memo[memo_slot(raw)];
+        if slot.0 != raw {
+            let next = map.len() as u32;
+            *slot = (raw, *map.entry(raw).or_insert(next));
+        }
+        emit(slot.1);
     }
 }
 
@@ -134,10 +172,18 @@ where
 /// streams the SWAR kernel over the log step by step, and
 /// [`as_interned`](IdLog::as_interned) is a zero-copy batch view of
 /// everything logged so far, so a whole-log reference run needs
-/// neither a copy nor a second interning pass. The intern table keeps
-/// std's keyed (randomly seeded) hasher: sessions ingest untrusted
-/// frames, and an unkeyed hash would let a client pick colliding
-/// elements.
+/// neither a copy nor a second interning pass.
+///
+/// A lookup first tries a 64-slot direct-mapped memo of `(raw, id)`
+/// pairs, indexed by a multiplicative hash of
+/// [`ProfileElement::raw`]: a hit costs one key comparison. A miss
+/// falls through to the intern table, which assigns ids in first-seen
+/// order and refills the memo slot. The intern table keeps std's
+/// keyed (randomly seeded) hasher: sessions ingest untrusted frames,
+/// and an unkeyed table would let a client pick colliding elements.
+/// The memo's hash is unkeyed, but a client that makes every element
+/// collide in one memo slot only sends each lookup on to the keyed
+/// table, at the cost of one extra comparison.
 ///
 /// # Examples
 ///
@@ -158,6 +204,9 @@ where
 pub struct IdLog {
     trace: InternedTrace,
     map: HashMap<u64, u32>,
+    /// The lookup memo, allocated by the first `extend` (or by
+    /// `with_capacity`).
+    memo: Option<Box<[MemoSlot; MEMO_SLOTS]>>,
 }
 
 impl IdLog {
@@ -177,6 +226,7 @@ impl IdLog {
                 ..InternedTrace::default()
             },
             map: HashMap::with_capacity(distinct),
+            memo: Some(empty_memo()),
         }
     }
 
@@ -222,19 +272,24 @@ impl IdLog {
         self.map.reserve(distinct.saturating_sub(self.map.len()));
     }
 
-    /// Drops the first `n` logged ids in place. The intern table is
-    /// kept, so later elements get the ids they would have got anyway.
+    /// Drops the first `n` logged ids in place. The intern table and
+    /// its memo are kept, so later elements get the ids they would have
+    /// got anyway.
     pub(crate) fn drop_prefix(&mut self, n: usize) {
         self.trace.site_index.take();
         self.trace.ids.drain(..n);
     }
 
-    /// Empties the log and its intern table, keeping both allocations.
+    /// Empties the log, its intern table and its memo, keeping their
+    /// allocations.
     pub(crate) fn clear(&mut self) {
         self.trace.site_index.take();
         self.trace.ids.clear();
         self.trace.distinct = 0;
         self.map.clear();
+        if let Some(memo) = &mut self.memo {
+            memo.fill((EMPTY_KEY, 0));
+        }
     }
 }
 
@@ -243,8 +298,9 @@ impl Extend<ProfileElement> for IdLog {
         // A rank index cached through the batch view covers only the
         // old prefix.
         self.trace.site_index.take();
+        let memo = self.memo.get_or_insert_with(empty_memo);
         let ids = &mut self.trace.ids;
-        intern_into(&mut self.map, elements, |id| ids.push(id));
+        intern_into(&mut self.map, memo, elements, |id| ids.push(id));
         self.trace.distinct = self.map.len() as u32;
     }
 }
@@ -415,5 +471,196 @@ mod tests {
         let t = InternedTrace::from(&bt);
         assert_eq!(t.len(), 10);
         assert_eq!(t.distinct_count(), 3);
+    }
+}
+
+/// Property tests: memoised interning assigns exactly the ids of a
+/// plain first-seen-order table, on random streams, on streams whose
+/// distinct elements all share one memo slot, and across `clear`,
+/// `drop_prefix` and a reconfigured detector's `process`.
+#[cfg(test)]
+mod props {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::{spec, AnalyzerPolicy, DetectorConfig, ModelPolicy, PhaseDetector, TwPolicy};
+    use opd_trace::{MethodId, StateSeq};
+
+    /// A distinct element per code.
+    fn element(code: u32) -> ProfileElement {
+        let site = code >> 1;
+        ProfileElement::new(MethodId::new(site % 3), site / 3, code & 1 == 1)
+    }
+
+    /// Interning by a `BTreeMap` in first-seen order.
+    #[derive(Default)]
+    struct Reference {
+        map: BTreeMap<ProfileElement, u32>,
+        ids: Vec<u32>,
+    }
+
+    impl Reference {
+        fn push(&mut self, e: ProfileElement) {
+            let next = self.map.len() as u32;
+            self.ids.push(*self.map.entry(e).or_insert(next));
+        }
+
+        fn of(elements: &[ProfileElement]) -> Reference {
+            let mut r = Reference::default();
+            elements.iter().for_each(|&e| r.push(e));
+            r
+        }
+    }
+
+    /// The first `n` distinct elements whose memo slot is `slot`.
+    fn colliding(slot: usize, n: usize) -> Vec<ProfileElement> {
+        (0..)
+            .map(element)
+            .filter(|e| memo_slot(e.raw()) == slot)
+            .take(n)
+            .collect()
+    }
+
+    /// Checks both batch interners and an `IdLog` fed in one call and
+    /// element by element against the reference.
+    fn check_stream(elements: &[ProfileElement], hint: usize) -> Result<(), TestCaseError> {
+        let expected = Reference::of(elements);
+        let distinct = expected.map.len() as u32;
+        let batch = InternedTrace::from_elements(elements.iter().copied());
+        prop_assert_eq!(batch.ids(), &expected.ids[..]);
+        prop_assert_eq!(batch.distinct_count(), distinct);
+        let sized = InternedTrace::from_elements_with_capacity(elements.iter().copied(), hint);
+        prop_assert_eq!(&sized, &batch);
+        let mut log = IdLog::new();
+        for (&e, &id) in elements.iter().zip(&expected.ids) {
+            prop_assert_eq!(log.push(e), id);
+        }
+        prop_assert_eq!(log.as_interned(), &batch);
+        Ok(())
+    }
+
+    /// A trace of blocks, each cycling over `width` sites from `base`:
+    /// phases for the detector to find, over many distinct elements.
+    fn blocks() -> impl Strategy<Value = Vec<ProfileElement>> {
+        prop::collection::vec((0u32..160, 1u32..8, 10usize..80), 1..12).prop_map(|blocks| {
+            blocks
+                .iter()
+                .flat_map(|&(base, width, len)| {
+                    (0..len as u32).map(move |i| element(base + i % width))
+                })
+                .collect()
+        })
+    }
+
+    fn configs() -> impl Strategy<Value = DetectorConfig> {
+        (
+            2usize..12,
+            1usize..12,
+            1usize..4,
+            0u8..3,
+            any::<bool>(),
+            30u32..90,
+        )
+            .prop_map(|(cw, tw, skip, model, adaptive, x)| {
+                DetectorConfig::builder()
+                    .current_window(cw)
+                    .trailing_window(tw)
+                    .skip_factor(skip.min(cw))
+                    .tw_policy(if adaptive {
+                        TwPolicy::Adaptive
+                    } else {
+                        TwPolicy::Constant
+                    })
+                    .model(match model {
+                        0 => ModelPolicy::UnweightedSet,
+                        1 => ModelPolicy::WeightedSet,
+                        _ => ModelPolicy::Pearson,
+                    })
+                    .analyzer(AnalyzerPolicy::Threshold(f64::from(x) / 100.0))
+                    .build()
+                    .expect("valid config")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_streams_intern_in_first_seen_order(
+            codes in prop::collection::vec(0u32..400, 0..600),
+            hint in 0usize..200,
+        ) {
+            let elements: Vec<_> = codes.into_iter().map(element).collect();
+            check_stream(&elements, hint)?;
+        }
+
+        #[test]
+        fn streams_colliding_in_one_memo_slot_intern_in_first_seen_order(
+            slot in 0usize..MEMO_SLOTS,
+            distinct in 2usize..40,
+            picks in prop::collection::vec(0usize..40, 1..400),
+        ) {
+            let pool = colliding(slot, distinct);
+            let elements: Vec<_> = picks.iter().map(|&i| pool[i % distinct]).collect();
+            check_stream(&elements, 0)?;
+        }
+
+        #[test]
+        fn logs_intern_in_first_seen_order_across_clear_and_drop_prefix(
+            ops in prop::collection::vec((0u8..10, prop::collection::vec(0u32..300, 0..90)), 1..24),
+        ) {
+            let mut log = IdLog::new();
+            let mut expected = Reference::default();
+            for (op, codes) in ops {
+                let elements = codes.iter().map(|&c| element(c));
+                match op {
+                    0..=5 => {
+                        log.extend(elements.clone());
+                        elements.for_each(|e| expected.push(e));
+                    }
+                    6 | 7 => {
+                        for e in elements {
+                            expected.push(e);
+                            prop_assert_eq!(log.push(e), expected.ids[expected.ids.len() - 1]);
+                        }
+                    }
+                    8 => {
+                        let n = codes.len().min(log.len());
+                        log.drop_prefix(n);
+                        expected.ids.drain(..n);
+                    }
+                    _ => {
+                        log.clear();
+                        expected = Reference::default();
+                    }
+                }
+                prop_assert_eq!(log.ids(), &expected.ids[..]);
+                prop_assert_eq!(log.distinct_count() as usize, expected.map.len());
+            }
+        }
+
+        #[test]
+        fn a_reconfigured_detector_processes_like_the_spec(
+            first in blocks(),
+            second in blocks(),
+            config_a in configs(),
+            config_b in configs(),
+        ) {
+            let mut detector = PhaseDetector::new(config_a);
+            for step in first.chunks(config_a.skip_factor()) {
+                detector.process(step);
+            }
+            detector.reconfigure(config_b);
+            let mut states = StateSeq::with_capacity(second.len());
+            for step in second.chunks(config_b.skip_factor()) {
+                states.push_n(detector.process(step), step.len());
+            }
+            detector.close_open_phase();
+            let expected = spec::run(config_b, &second);
+            prop_assert_eq!(&states, &expected.states);
+            prop_assert_eq!(detector.detected_phases(), &expected.phases[..]);
+        }
     }
 }

@@ -177,7 +177,11 @@ impl fmt::Display for BranchSite {
 /// assert_eq!(ProfileElement::try_from(raw).unwrap(), e);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(
+    feature = "serde",
+    derive(serde::Serialize, serde::Deserialize),
+    serde(try_from = "u64", into = "u64")
+)]
 pub struct ProfileElement(u64);
 
 const TAKEN_BITS: u32 = 1;

@@ -11,13 +11,14 @@
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
 # BENCH_cert.json freshness), a release-mode smoke of every run path
 # against the executable spec, the release-mode sweep-engine property
-# suite against the same spec, a release-mode paper-table digest and
-# thread-count check, a release-mode smoke of all three benchmark
-# workloads checked against their reference outputs, a guard that
-# every committed BENCH_*.json artifact is read by some test, the
-# feature-gate guard keeping opd-obs free of opd-sched when `sched` is
-# off, plus an optional ThreadSanitizer pass when a nightly toolchain
-# is available.
+# suite against the same spec, the release-mode interning property
+# suite (memoised ids against a first-seen-order table), a
+# release-mode paper-table digest and thread-count check, a
+# release-mode smoke of all three benchmark workloads checked against
+# their reference outputs, a guard that every committed BENCH_*.json
+# artifact is read by some test, the feature-gate guard keeping
+# opd-obs free of opd-sched when `sched` is off, plus an optional
+# ThreadSanitizer pass when a nightly toolchain is available.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,6 +74,11 @@ RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernel
 # cohorts (leaver prefixes, shared statistics) and phase classes
 # reading the shared FIFO's CW are exercised hardest here.
 RUST_BACKTRACE=1 cargo test -q --release -p opd-core --test sweep_props
+# Interning property smoke: the intern loop's direct-mapped memo must
+# assign exactly the ids of a plain first-seen-order table, on random
+# streams, on streams colliding in one memo slot, and across log
+# clears, prefix drops and reconfigured detectors.
+RUST_BACKTRACE=1 cargo test -q --release -p opd-core --lib intern::props
 # Paper-table smoke: every deterministic table over all eight workloads
 # at the benchmark's fuel cap must match the benchmark's pinned digests
 # and render the same text at one and at four threads (the only

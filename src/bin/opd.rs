@@ -1,6 +1,10 @@
 //! The `opd` command-line tool.
 //!
-//! Currently one subcommand family around the static analyzer:
+//! Thirteen subcommands: the static analyzer (`lint`, `bounds`, `plan`,
+//! `certify`), sweeps and fault studies (`sweep`, `faults`), the
+//! concurrency audit (`audit`), the streaming service (`serve`,
+//! `loadgen`), and observability (`trace`, `top`, `flight`,
+//! `metrics-dump`):
 //!
 //! * `opd lint [--json] [--deny-warnings] [--scale N] [TARGET...]` —
 //!   lint the built-in workloads (default: all eight) or a dumped
