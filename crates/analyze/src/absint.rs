@@ -1,34 +1,40 @@
-//! Interval abstract interpretation over the MicroVM IR.
+//! Interval abstract interpretation over the MicroVM IR — the
+//! analyzer's one evaluator of program executions.
 //!
-//! [`StaticBounds`](crate::StaticBounds) answers "how much, at most":
-//! a single worst-case number per quantity. Resource *certification*
-//! needs both ends — a detector that provably never fires is as
-//! important a fact as one that fires at most `k` times — and it needs
-//! the answers *per branch site*, because the interned alphabet (and
-//! therefore the kernel's memory footprint) is a sum of per-site
-//! outcome counts, not a single trip product.
+//! [`AbsInt`] answers both ends of every question a run can raise:
+//! how many profile elements and call-loop events it emits, how deep
+//! its call stack and its call-loop tree grow, and how often it visits
+//! each static branch site. Resource *certification* needs both ends —
+//! a detector that provably never fires is as important a fact as one
+//! that fires at most `k` times — and it needs the answers *per branch
+//! site*, because the interned alphabet (and therefore the kernel's
+//! memory footprint) is a sum of per-site outcome counts, not a single
+//! trip product. The worst-case whole-run figures the lints and the
+//! runtime read are its [`bounds`](AbsInt::bounds) view.
 //!
-//! [`AbsInt`] runs the IR through an interval domain with a
-//! congruence (stride) refinement:
+//! The IR runs through an interval domain with a congruence (stride)
+//! refinement:
 //!
-//! * Every abstract value is a [`StrideInterval`]: the set
+//! * Every abstract count is a [`StrideInterval`]: the set
 //!   `{ lo, lo + s, lo + 2s, … } ∩ [lo, hi]`. Loop multiplication is
 //!   where the stride earns its keep — a `Fixed(3)` loop over a
 //!   2-element body yields element counts in `{6k}`, and joining two
 //!   `If` arms recovers `gcd(|lo₁ − lo₂|, s₁, s₂)` instead of
-//!   collapsing to stride 1.
-//! * Function summaries ([`elements`](AbsInt::elements) plus one
-//!   visit-count interval per static branch site) are memoized per
+//!   collapsing to stride 1. Depths are plain maxima.
+//! * Function summaries (elements, events, call and nest depth, plus
+//!   one visit-count interval per static branch site) are memoized per
 //!   `(function, argument-interval)` key and composed through the call
-//!   graph exactly like the interpreter composes frames.
+//!   graph exactly like the interpreter composes frames. An `If` whose
+//!   branch can go only one way contributes only its live arm.
 //! * **Widening** is saturation: re-entering an in-progress
 //!   `(function, argument)` key (an abstract cycle the argument
 //!   refinement cannot break) or exceeding [`DEPTH_CAP`] jumps the
 //!   summary to ⊤ (`[0, u64::MAX]` everywhere) and latches
-//!   [`overflowed`](AbsInt::overflowed). Argument-decreasing recursion
+//!   [`overflowed`](AbsInt::overflowed), as does any `u64` overflow of
+//!   an element or event count. Argument-decreasing recursion
 //!   (`Dec`, `Half`) never cycles — each recursive step shrinks the
 //!   argument interval, so the chain bottoms out like the concrete
-//!   evaluation does.
+//!   execution does.
 //!
 //! Lower bounds lean on one interpreter fact: element emission does
 //! not depend on branch *outcomes* (a branch emits exactly one profile
@@ -39,8 +45,13 @@ use std::collections::{HashMap, HashSet};
 
 use opd_microvm::{ArgExpr, FuncId, Program, Stmt, TakenDist, Trip};
 
-/// Recursion guard for the abstract evaluation, mirroring the concrete
-/// evaluator in `bounds.rs`.
+use crate::bounds::StaticBounds;
+use crate::flow::{taken_set, TakenSet};
+
+/// Evaluation recursion cap. Deeper chains (a long `arg-1` ladder from
+/// a huge entry argument) saturate instead of recursing; such programs
+/// exceed the interpreter's 512-frame limit long before this cap, so
+/// precision there has no value.
 const DEPTH_CAP: usize = 1024;
 
 /// Greatest common divisor (`gcd(0, x) = x`).
@@ -252,11 +263,19 @@ pub struct SiteVisits {
     pub visits: StrideInterval,
 }
 
-/// One function summary: total emitted elements plus one visit-count
-/// interval per static site (dense, indexed like `AbsInt::sites`).
+/// One function summary (exclusive of the invocation's own enter/exit
+/// events and stack frame): total emitted elements and call-loop
+/// events, the deepest call chain and construct chain the body opens,
+/// plus one visit-count interval per static site (dense, indexed like
+/// `AbsInt::sites`).
 #[derive(Debug, Clone)]
 struct Summary {
     elements: StrideInterval,
+    events: StrideInterval,
+    /// Additional call frames the body can stack on top of its own.
+    call_depth: u64,
+    /// Deepest construct chain the body opens inside its method node.
+    nest: u64,
     visits: Vec<StrideInterval>,
     saturated: bool,
 }
@@ -265,6 +284,9 @@ impl Summary {
     fn zero(n_sites: usize) -> Self {
         Summary {
             elements: StrideInterval::point(0),
+            events: StrideInterval::point(0),
+            call_depth: 0,
+            nest: 0,
             visits: vec![StrideInterval::point(0); n_sites],
             saturated: false,
         }
@@ -273,13 +295,20 @@ impl Summary {
     fn top(n_sites: usize) -> Self {
         Summary {
             elements: StrideInterval::top(),
+            events: StrideInterval::top(),
+            call_depth: u64::MAX,
+            nest: u64::MAX,
             visits: vec![StrideInterval::top(); n_sites],
             saturated: true,
         }
     }
 
+    /// Sequential composition: counts add, depths take the maximum.
     fn add(&mut self, other: &Summary, overflowed: &mut bool) {
         self.elements = self.elements.add(other.elements, overflowed);
+        self.events = self.events.add(other.events, overflowed);
+        self.call_depth = self.call_depth.max(other.call_depth);
+        self.nest = self.nest.max(other.nest);
         for (mine, theirs) in self.visits.iter_mut().zip(&other.visits) {
             *mine = mine.add(*theirs, overflowed);
         }
@@ -289,6 +318,9 @@ impl Summary {
     fn scale(&self, trips: StrideInterval, overflowed: &mut bool) -> Summary {
         Summary {
             elements: self.elements.mul(trips, overflowed),
+            events: self.events.mul(trips, overflowed),
+            call_depth: self.call_depth,
+            nest: self.nest,
             visits: self
                 .visits
                 .iter()
@@ -301,6 +333,9 @@ impl Summary {
     fn join(&self, other: &Summary) -> Summary {
         Summary {
             elements: self.elements.join(other.elements),
+            events: self.events.join(other.events),
+            call_depth: self.call_depth.max(other.call_depth),
+            nest: self.nest.max(other.nest),
             visits: self
                 .visits
                 .iter()
@@ -310,13 +345,27 @@ impl Summary {
             saturated: self.saturated || other.saturated,
         }
     }
+
+    /// Wraps the summary in one call-loop node: its enter and exit
+    /// events and one nesting level. Depths saturate without raising
+    /// the overflow flag: a saturated depth still reads correctly as
+    /// "deeper than any limit".
+    fn framed(mut self, overflowed: &mut bool) -> Summary {
+        self.events = self.events.add(StrideInterval::point(2), overflowed);
+        self.nest = self.nest.saturating_add(1);
+        self
+    }
 }
 
-/// The interval abstract interpretation of one program: element-count
-/// and per-site visit-count intervals for the entry invocation.
+/// The interval abstract interpretation of one program: element, event
+/// and per-site visit-count intervals and call/nest depth maxima for
+/// the entry invocation.
 #[derive(Debug, Clone)]
 pub struct AbsInt {
     elements: StrideInterval,
+    events: StrideInterval,
+    call_depth: u64,
+    nest: u64,
     sites: Vec<SiteVisits>,
     overflowed: bool,
 }
@@ -366,6 +415,9 @@ impl AbsInt {
         }
         AbsInt {
             elements: summary.elements,
+            events: summary.events,
+            call_depth: summary.call_depth,
+            nest: summary.nest,
             sites,
             overflowed,
         }
@@ -376,6 +428,26 @@ impl AbsInt {
     #[must_use]
     pub fn elements(&self) -> StrideInterval {
         self.elements
+    }
+
+    /// The worst-case bounds of one whole run: the entry invocation
+    /// adds its own enter/exit events and one level each of call and
+    /// nest depth. An overflowed evaluation reports its branch and
+    /// event counts as exactly `u64::MAX`.
+    #[must_use]
+    pub fn bounds(&self) -> StaticBounds {
+        let (branches, events) = if self.overflowed {
+            (u64::MAX, u64::MAX)
+        } else {
+            (self.elements.hi(), self.events.hi().saturating_add(2))
+        };
+        StaticBounds {
+            branches,
+            events,
+            call_depth: self.call_depth.saturating_add(1),
+            nest_depth: self.nest.saturating_add(1),
+            overflowed: self.overflowed,
+        }
     }
 
     /// Per-site visit-count intervals, in program order.
@@ -523,39 +595,6 @@ fn collect_sites(
     }
 }
 
-/// Which way a branch can go, statically.
-enum Taken {
-    Always,
-    Never,
-    Both,
-}
-
-fn taken_lattice(dist: TakenDist) -> Taken {
-    match dist {
-        TakenDist::Always => Taken::Always,
-        TakenDist::Never => Taken::Never,
-        TakenDist::Bernoulli(p) => {
-            if p <= 0.0 {
-                Taken::Never
-            } else if p >= 1.0 {
-                Taken::Always
-            } else {
-                Taken::Both
-            }
-        }
-        // The interpreter increments the counter before comparing, so
-        // period 0 and 1 both fire on every visit.
-        TakenDist::Periodic(period) => {
-            if period <= 1 {
-                Taken::Always
-            } else {
-                Taken::Both
-            }
-        }
-        TakenDist::Alternating => Taken::Both,
-    }
-}
-
 impl Eval<'_> {
     fn func(&mut self, func: u32, arg: StrideInterval) -> Summary {
         let key = (func, arg);
@@ -583,21 +622,10 @@ impl Eval<'_> {
         let mut total = Summary::zero(self.n_sites);
         for stmt in stmts {
             match stmt {
-                Stmt::Branch(b) => {
-                    self.visit_site(&mut total, func, b.offset());
-                }
-                Stmt::Loop { trip, body, .. } => {
-                    let trips = self.trip_interval(*trip, arg);
-                    if trips.hi() > 0 {
-                        let one = self.block(func, arg, body);
-                        let scaled = one.scale(trips, &mut self.overflowed);
-                        total.add(&scaled, &mut self.overflowed);
-                    }
-                }
+                Stmt::Branch(b) => self.visit_site(&mut total, func, b.offset()),
+                Stmt::Loop { trip, body, .. } => self.looped(&mut total, func, arg, *trip, body),
                 Stmt::Call { callee, arg: expr } => {
-                    let callee_arg = arg_interval(*expr, arg);
-                    let summary = self.func(callee.index(), callee_arg);
-                    total.add(&summary, &mut self.overflowed);
+                    self.call(&mut total, callee.index(), arg_interval(*expr, arg));
                 }
                 Stmt::If {
                     branch,
@@ -605,33 +633,85 @@ impl Eval<'_> {
                     else_body,
                 } => {
                     self.visit_site(&mut total, func, branch.offset());
-                    let arm = match taken_lattice(branch.dist()) {
-                        Taken::Always => self.block(func, arg, then_body),
-                        Taken::Never => self.block(func, arg, else_body),
-                        Taken::Both => {
-                            let then_s = self.block(func, arg, then_body);
-                            let else_s = self.block(func, arg, else_body);
-                            then_s.join(&else_s)
-                        }
-                    };
-                    total.add(&arm, &mut self.overflowed);
+                    self.cond(&mut total, func, arg, branch.dist(), then_body, else_body);
                 }
                 Stmt::IfArgPositive { body } => {
-                    if arg.hi() == 0 {
-                        continue;
-                    }
-                    let positive = self.block(func, arg.at_least(1), body);
-                    if arg.lo() >= 1 {
-                        total.add(&positive, &mut self.overflowed);
-                    } else {
-                        // The guard may skip the body entirely.
-                        let skipped = Summary::zero(self.n_sites);
-                        total.add(&positive.join(&skipped), &mut self.overflowed);
+                    if arg.hi() > 0 {
+                        self.guarded(&mut total, func, arg, body);
                     }
                 }
             }
         }
         total
+    }
+
+    // One out-of-line function per statement rule, each adding its
+    // part to the block's running total: a level of a deep recursion
+    // then holds only the frames of the rules it passes through, so
+    // `DEPTH_CAP` levels fit a 2 MiB thread stack.
+
+    #[inline(never)]
+    fn looped(
+        &mut self,
+        total: &mut Summary,
+        func: u32,
+        arg: StrideInterval,
+        trip: Trip,
+        body: &[Stmt],
+    ) {
+        let trips = self.trip_interval(trip, arg);
+        // Zero-trip loops still emit enter/exit and still open a
+        // construct node; their body never runs.
+        let iterations = if trips.hi() > 0 {
+            self.block(func, arg, body)
+                .scale(trips, &mut self.overflowed)
+        } else {
+            Summary::zero(self.n_sites)
+        };
+        total.add(
+            &iterations.framed(&mut self.overflowed),
+            &mut self.overflowed,
+        );
+    }
+
+    #[inline(never)]
+    fn call(&mut self, total: &mut Summary, callee: u32, arg: StrideInterval) {
+        let mut call = self.func(callee, arg).framed(&mut self.overflowed);
+        call.call_depth = call.call_depth.saturating_add(1);
+        total.add(&call, &mut self.overflowed);
+    }
+
+    #[inline(never)]
+    fn cond(
+        &mut self,
+        total: &mut Summary,
+        func: u32,
+        arg: StrideInterval,
+        dist: TakenDist,
+        then_body: &[Stmt],
+        else_body: &[Stmt],
+    ) {
+        let arm = match taken_set(dist) {
+            TakenSet::AlwaysTaken => self.block(func, arg, then_body),
+            TakenSet::NeverTaken => self.block(func, arg, else_body),
+            TakenSet::Both => {
+                let then_s = self.block(func, arg, then_body);
+                then_s.join(&self.block(func, arg, else_body))
+            }
+        };
+        total.add(&arm, &mut self.overflowed);
+    }
+
+    #[inline(never)]
+    fn guarded(&mut self, total: &mut Summary, func: u32, arg: StrideInterval, body: &[Stmt]) {
+        let positive = self.block(func, arg.at_least(1), body);
+        if arg.lo() >= 1 {
+            total.add(&positive, &mut self.overflowed);
+        } else {
+            // The guard may skip the body entirely.
+            let skipped = Summary::zero(self.n_sites);
+            total.add(&positive.join(&skipped), &mut self.overflowed);
+        }
     }
 
     fn visit_site(&mut self, total: &mut Summary, func: u32, offset: u32) {
@@ -771,6 +851,24 @@ mod tests {
         assert_eq!(a.elements().hi(), u64::MAX);
         // The lower bound stays sound (and finite).
         assert!(a.elements().lo() < u64::MAX);
+    }
+
+    #[test]
+    fn ladders_past_the_depth_cap_saturate_within_a_test_stack() {
+        // `arg-1` recursion from 5,000 would recurse 5,001 levels; the
+        // evaluation stops at `DEPTH_CAP` on the test thread's stack.
+        let mut b = ProgramBuilder::new();
+        let rec = b.declare("rec");
+        b.define(rec, |f| {
+            f.branch(TakenDist::Always);
+            f.if_arg_positive(|g| {
+                g.call(rec, ArgExpr::Dec);
+            });
+        });
+        let a = AbsInt::of(&b.entry_arg(5_000).build().unwrap());
+        assert!(a.overflowed());
+        assert_eq!(a.bounds().branches(), u64::MAX);
+        assert!(a.bounds().exceeds_depth_limit());
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! Exact worst-case bounds of one program execution, computed by a
-//! memoized abstract interpretation of the IR over maximum argument
-//! values.
+//! Exact worst-case bounds of one program execution: the upper ends
+//! of the abstract interpretation's intervals, read through
+//! [`AbsInt::bounds`](crate::AbsInt::bounds).
 //!
 //! All arithmetic is checked: if any bound exceeds `u64`, the result is
 //! saturated and flagged ([`StaticBounds::overflowed`]), which the lint
 //! engine reports as `OPD-E004`.
 
-use std::collections::{HashMap, HashSet};
-
-use opd_microvm::{Interpreter, Program, Stmt};
-
-use crate::flow::arg_upper_bound;
+use opd_microvm::Interpreter;
 
 /// Worst-case bounds for a whole program execution.
 ///
@@ -20,35 +16,14 @@ use crate::flow::arg_upper_bound;
 /// dynamic call-loop forest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticBounds {
-    branches: u64,
-    events: u64,
-    call_depth: u64,
-    nest_depth: u64,
-    overflowed: bool,
+    pub(crate) branches: u64,
+    pub(crate) events: u64,
+    pub(crate) call_depth: u64,
+    pub(crate) nest_depth: u64,
+    pub(crate) overflowed: bool,
 }
 
 impl StaticBounds {
-    /// Computes the bounds for `program`.
-    #[must_use]
-    pub fn compute(program: &Program) -> Self {
-        let mut eval = Evaluator {
-            program,
-            memo: HashMap::new(),
-            in_progress: HashSet::new(),
-            depth: 0,
-            overflowed: false,
-        };
-        let entry = eval.func(program.entry().index() as usize, program.entry_arg());
-        StaticBounds {
-            branches: entry.branches,
-            // The entry invocation itself emits method enter/exit.
-            events: entry.events.saturating_add(2),
-            call_depth: entry.call_depth.saturating_add(1),
-            nest_depth: entry.nest.saturating_add(1),
-            overflowed: eval.overflowed,
-        }
-    }
-
     /// Maximum number of profile elements any run can emit.
     #[must_use]
     pub fn branches(self) -> u64 {
@@ -92,165 +67,15 @@ impl StaticBounds {
     }
 }
 
-/// Worst case of one function invocation (exclusive of the invocation's
-/// own enter/exit events and stack frame).
-#[derive(Debug, Clone, Copy, Default)]
-struct FnBound {
-    branches: u64,
-    events: u64,
-    /// Additional call frames the body can stack on top of its own.
-    call_depth: u64,
-    /// Deepest construct chain the body opens inside its method node.
-    nest: u64,
-}
-
-const SATURATED: FnBound = FnBound {
-    branches: u64::MAX,
-    events: u64::MAX,
-    call_depth: u64::MAX,
-    nest: u64::MAX,
-};
-
-struct Evaluator<'p> {
-    program: &'p Program,
-    memo: HashMap<(usize, u32), FnBound>,
-    in_progress: HashSet<(usize, u32)>,
-    depth: usize,
-    overflowed: bool,
-}
-
-impl Evaluator<'_> {
-    /// Evaluation recursion cap. Deeper chains (a long `arg-1` ladder
-    /// from a huge entry argument) saturate instead of recursing; such
-    /// programs exceed the interpreter's 512-frame limit long before
-    /// this cap, so precision there has no value.
-    const DEPTH_CAP: usize = 1024;
-
-    fn func(&mut self, f: usize, arg: u32) -> FnBound {
-        let key = (f, arg);
-        if let Some(&cached) = self.memo.get(&key) {
-            return cached;
-        }
-        // Re-entering an in-progress (function, argument) pair means a
-        // call cycle that does not decrease its argument: unbounded.
-        if !self.in_progress.insert(key) {
-            self.overflowed = true;
-            return SATURATED;
-        }
-        if self.depth >= Self::DEPTH_CAP {
-            self.in_progress.remove(&key);
-            self.overflowed = true;
-            return SATURATED;
-        }
-        self.depth += 1;
-        let body = self.program.function(self.program.func_id(f)).body();
-        let bound = self.block(body, arg);
-        self.depth -= 1;
-        self.in_progress.remove(&key);
-        self.memo.insert(key, bound);
-        bound
-    }
-
-    fn block(&mut self, stmts: &[Stmt], arg: u32) -> FnBound {
-        let mut total = FnBound::default();
-        for stmt in stmts {
-            let s = self.stmt(stmt, arg);
-            total.branches = self.add(total.branches, s.branches);
-            total.events = self.add(total.events, s.events);
-            total.call_depth = total.call_depth.max(s.call_depth);
-            total.nest = total.nest.max(s.nest);
-        }
-        total
-    }
-
-    fn stmt(&mut self, stmt: &Stmt, arg: u32) -> FnBound {
-        match stmt {
-            Stmt::Branch(_) => FnBound {
-                branches: 1,
-                ..FnBound::default()
-            },
-            Stmt::Loop { trip, body, .. } => {
-                let t = u64::from(trip.max_trip(arg));
-                // Zero-trip loops still emit enter/exit and still open
-                // a construct node; their body never runs.
-                let b = if t == 0 {
-                    FnBound::default()
-                } else {
-                    self.block(body, arg)
-                };
-                let body_events = self.mul(t, b.events);
-                FnBound {
-                    branches: self.mul(t, b.branches),
-                    events: self.add(2, body_events),
-                    call_depth: b.call_depth,
-                    nest: self.add_depth(1, b.nest),
-                }
-            }
-            Stmt::Call { callee, arg: expr } => {
-                let callee_arg = arg_upper_bound(*expr, arg);
-                let c = self.func(callee.index() as usize, callee_arg);
-                FnBound {
-                    branches: c.branches,
-                    events: self.add(2, c.events),
-                    call_depth: self.add_depth(1, c.call_depth),
-                    nest: self.add_depth(1, c.nest),
-                }
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                let t = self.block(then_body, arg);
-                let e = self.block(else_body, arg);
-                FnBound {
-                    branches: self.add(1, t.branches.max(e.branches)),
-                    events: t.events.max(e.events),
-                    call_depth: t.call_depth.max(e.call_depth),
-                    nest: t.nest.max(e.nest),
-                }
-            }
-            Stmt::IfArgPositive { body } => {
-                if arg == 0 {
-                    FnBound::default()
-                } else {
-                    self.block(body, arg)
-                }
-            }
-        }
-    }
-
-    fn add(&mut self, a: u64, b: u64) -> u64 {
-        a.checked_add(b).unwrap_or_else(|| {
-            self.overflowed = true;
-            u64::MAX
-        })
-    }
-
-    fn mul(&mut self, a: u64, b: u64) -> u64 {
-        a.checked_mul(b).unwrap_or_else(|| {
-            self.overflowed = true;
-            u64::MAX
-        })
-    }
-
-    /// Depth metrics saturate without raising the overflow flag: the
-    /// flag means "event/branch counts are meaningless", while a
-    /// saturated depth still reports correctly as "deeper than any
-    /// limit".
-    fn add_depth(&mut self, a: u64, b: u64) -> u64 {
-        a.saturating_add(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AbsInt;
     use opd_microvm::{ArgExpr, ProgramBuilder, TakenDist, Trip};
     use opd_trace::ExecutionTrace;
 
     fn bounds_of(b: &mut ProgramBuilder) -> StaticBounds {
-        StaticBounds::compute(&b.build().unwrap())
+        AbsInt::of(&b.build().unwrap()).bounds()
     }
 
     #[test]
@@ -287,7 +112,7 @@ mod tests {
             });
         });
         let p = b.entry(main).build().unwrap();
-        let s = StaticBounds::compute(&p);
+        let s = AbsInt::of(&p).bounds();
         let mut t = ExecutionTrace::new();
         let run = Interpreter::new(&p, 1).run(&mut t).unwrap();
         // Fully deterministic control flow: bounds are equalities.

@@ -14,13 +14,15 @@ use opd_trace::LoopId;
 
 /// Which way a branch can go, statically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TakenSet {
+pub(crate) enum TakenSet {
     AlwaysTaken,
     NeverTaken,
     Both,
 }
 
-fn taken_set(dist: TakenDist) -> TakenSet {
+/// The directions a site with distribution `dist` can take. (The
+/// builder rejects `Periodic(0)`, so every period ≥ 2 goes both ways.)
+pub(crate) fn taken_set(dist: TakenDist) -> TakenSet {
     match dist {
         TakenDist::Always | TakenDist::Periodic(1) => TakenSet::AlwaysTaken,
         TakenDist::Never => TakenSet::NeverTaken,
@@ -40,7 +42,7 @@ fn outcomes(dist: TakenDist) -> u64 {
 }
 
 /// Upper bound of an argument expression given the caller's bound.
-pub(crate) fn arg_upper_bound(expr: ArgExpr, caller_max: u32) -> u32 {
+fn arg_upper_bound(expr: ArgExpr, caller_max: u32) -> u32 {
     match expr {
         ArgExpr::Const(v) => v,
         ArgExpr::Dec => caller_max.saturating_sub(1),

@@ -11,8 +11,12 @@
 //!   executable branch-site alphabet, and dead code
 //! * [`NestingTree`] — the static call-loop nesting relation, a
 //!   supergraph of every dynamic tree the oracle can build
-//! * [`StaticBounds`] — exact worst-case branch counts, event counts,
-//!   call depth, and phase-nesting depth, with checked arithmetic
+//! * [`AbsInt`] — the one abstract interpreter: a stride-interval
+//!   evaluation of the IR through the call graph, giving element,
+//!   event and per-site visit intervals and call/nest depth maxima
+//! * [`StaticBounds`] — its worst-case view ([`AbsInt::bounds`]):
+//!   exact worst-case branch counts, event counts, call depth, and
+//!   phase-nesting depth, with checked arithmetic
 //! * [`Analysis`] — all of the above plus a lint pass with stable
 //!   diagnostic codes (`OPD-W001` … `OPD-W007`)
 //!
@@ -27,10 +31,8 @@
 //! sweep engine's exact scan count ([`predicted_scans`]), and lints
 //! the grid with codes `OPD-C101` … `OPD-C106`.
 //!
-//! A third family certifies *resources*: [`AbsInt`] runs the IR
-//! through a stride-interval abstract domain (congruence-refined
-//! intervals propagated through the call graph), and
-//! [`ResourceCertificate`] composes the per-site visit intervals with
+//! A third family certifies *resources*: [`ResourceCertificate`]
+//! composes the abstract interpreter's per-site visit intervals with
 //! one detector config's window semantics into sound two-sided bounds
 //! on phase transitions, window occupancy, interned sites, kernel
 //! memory, and compare-op cost — with [`ResourceCertificate::admits`]
@@ -88,7 +90,7 @@ pub struct Analysis {
     call_graph: CallGraph,
     flow: FlowInfo,
     nesting: NestingTree,
-    bounds: StaticBounds,
+    absint: AbsInt,
     diagnostics: Vec<Diagnostic>,
 }
 
@@ -99,13 +101,13 @@ impl Analysis {
         let call_graph = CallGraph::build(program);
         let flow = FlowInfo::compute(program);
         let nesting = NestingTree::build(program);
-        let bounds = StaticBounds::compute(program);
-        let diagnostics = lint::collect(program, &call_graph, &flow, &bounds);
+        let absint = AbsInt::of(program);
+        let diagnostics = lint::collect(program, &call_graph, &flow, &absint.bounds());
         Analysis {
             call_graph,
             flow,
             nesting,
-            bounds,
+            absint,
             diagnostics,
         }
     }
@@ -128,10 +130,17 @@ impl Analysis {
         &self.nesting
     }
 
-    /// The worst-case execution bounds.
+    /// The abstract interpretation: element, event and per-site visit
+    /// intervals, the source of every bound.
+    #[must_use]
+    pub fn absint(&self) -> &AbsInt {
+        &self.absint
+    }
+
+    /// The worst-case execution bounds (a view of [`Analysis::absint`]).
     #[must_use]
     pub fn bounds(&self) -> StaticBounds {
-        self.bounds
+        self.absint.bounds()
     }
 
     /// Every lint finding, in a stable order.
@@ -166,6 +175,7 @@ impl Analysis {
     /// as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let bounds = self.bounds();
         format!(
             concat!(
                 "{{\"alphabet_bound\":{},\"executable_sites\":{},",
@@ -176,11 +186,11 @@ impl Analysis {
             ),
             self.flow.alphabet_bound(),
             self.flow.executable_sites(),
-            self.bounds.branches(),
-            self.bounds.events(),
-            self.bounds.call_depth(),
-            self.bounds.nest_depth(),
-            self.bounds.overflowed(),
+            bounds.branches(),
+            bounds.events(),
+            bounds.call_depth(),
+            bounds.nest_depth(),
+            bounds.overflowed(),
             self.nesting.edges().len(),
             self.call_graph.cycles().len(),
             lint::diagnostics_json(&self.diagnostics),

@@ -12,22 +12,27 @@ use opd_trace::ExecutionTrace;
 
 /// A recipe for one statement, interpreted into builder calls with
 /// bounded nesting (mirrors the generator in `opd-microvm`'s property
-/// tests, with variable trips and draw arguments added).
+/// tests, with variable trips, draw arguments, halving recursion and
+/// one-sided conditionals added).
 #[derive(Debug, Clone)]
 enum StmtSpec {
     Branch(u8),
     Loop(u8, Vec<StmtSpec>),
     VarLoop(u8, Vec<StmtSpec>),
-    Cond(Vec<StmtSpec>, Vec<StmtSpec>),
+    Cond(u8, Vec<StmtSpec>, Vec<StmtSpec>),
     CallHelper(u8),
-    Recurse,
+    /// A helper call with a `Draw(lo, lo + span)` argument.
+    DrawHelper(u8, u8),
+    /// Guarded self-recursion by `Half` (`true`) or `Dec` (`false`).
+    Recurse(bool),
 }
 
 fn arb_stmt(depth: u32) -> impl Strategy<Value = StmtSpec> {
     let leaf = prop_oneof![
         (0u8..=4).prop_map(StmtSpec::Branch),
         (0u8..=5).prop_map(StmtSpec::CallHelper),
-        Just(StmtSpec::Recurse),
+        ((0u8..=3), (0u8..=3)).prop_map(|(lo, span)| StmtSpec::DrawHelper(lo, span)),
+        any::<bool>().prop_map(StmtSpec::Recurse),
     ];
     leaf.prop_recursive(depth, 20, 4, |inner| {
         prop_oneof![
@@ -36,10 +41,11 @@ fn arb_stmt(depth: u32) -> impl Strategy<Value = StmtSpec> {
             ((1u8..4), prop::collection::vec(inner.clone(), 1..3))
                 .prop_map(|(n, body)| StmtSpec::VarLoop(n, body)),
             (
+                0u8..=4,
                 prop::collection::vec(inner.clone(), 0..3),
                 prop::collection::vec(inner, 0..3)
             )
-                .prop_map(|(t, e)| StmtSpec::Cond(t, e)),
+                .prop_map(|(tag, t, e)| StmtSpec::Cond(tag, t, e)),
         ]
     })
 }
@@ -72,9 +78,9 @@ fn emit(
                 let hi = u32::from(*n);
                 b.repeat(Trip::Uniform(1, hi.max(1)), |l| emit(body, l, helper, me));
             }
-            StmtSpec::Cond(t, e) => {
+            StmtSpec::Cond(tag, t, e) => {
                 b.cond(
-                    TakenDist::Bernoulli(0.5),
+                    dist_of(*tag),
                     |tb| emit(t, tb, helper, me),
                     |eb| emit(e, eb, helper, me),
                 );
@@ -82,9 +88,14 @@ fn emit(
             StmtSpec::CallHelper(arg) => {
                 b.call(helper, ArgExpr::Const(u32::from(*arg)));
             }
-            StmtSpec::Recurse => {
+            StmtSpec::DrawHelper(lo, span) => {
+                let lo = u32::from(*lo);
+                b.call(helper, ArgExpr::Draw(lo, lo + u32::from(*span)));
+            }
+            StmtSpec::Recurse(half) => {
+                let arg = if *half { ArgExpr::Half } else { ArgExpr::Dec };
                 b.if_arg_positive(|g| {
-                    g.call(me, ArgExpr::Dec);
+                    g.call(me, arg);
                 });
             }
         }

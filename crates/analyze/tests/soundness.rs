@@ -3,7 +3,7 @@
 //! dynamically, for every built-in workload — plus one deliberately
 //! broken program per error diagnostic code.
 
-use opd_analyze::{Analysis, Code, Diagnostic, Severity};
+use opd_analyze::{Analysis, Code, DeadKind, Diagnostic, Severity};
 use opd_baseline::CallLoopForest;
 use opd_core::InternedTrace;
 use opd_microvm::workloads::Workload;
@@ -119,6 +119,44 @@ fn u64_overflowing_loop_nest_is_rejected_with_e004() {
     assert!(codes.contains(&Code::BoundOverflow), "{codes:?}");
     assert_eq!(Code::BoundOverflow.severity(), Severity::Error);
     assert!(a.bounds().overflowed());
+}
+
+#[test]
+fn overflow_confined_to_a_dead_arm_is_not_reported() {
+    // The same u64-overflowing nest, but in the taken arm of a branch
+    // that is never taken: the abstract interpreter follows only the
+    // live arm, so the bounds stay finite and exact, while the flow
+    // analysis still reports the arm as dead code.
+    let mut b = ProgramBuilder::new();
+    let f = b.declare("guarded_huge");
+    b.define(f, |body| {
+        body.cond(
+            TakenDist::Never,
+            |dead| {
+                dead.repeat(Trip::Fixed(4_000_000_000), |l1| {
+                    l1.repeat(Trip::Fixed(4_000_000_000), |l2| {
+                        l2.repeat(Trip::Fixed(4_000_000_000), |l3| {
+                            l3.branch(TakenDist::Alternating);
+                        });
+                    });
+                });
+            },
+            |live| {
+                live.branch(TakenDist::Always);
+            },
+        );
+    });
+    let a = Analysis::of(&b.build().unwrap());
+    let codes: Vec<Code> = a.diagnostics().iter().map(Diagnostic::code).collect();
+    assert!(!codes.contains(&Code::BoundOverflow), "{codes:?}");
+    assert!(codes.contains(&Code::DeadCode), "{codes:?}");
+    let dead: Vec<DeadKind> = a.flow().dead_sites().iter().map(|d| d.kind).collect();
+    assert_eq!(dead, [DeadKind::DeadThenArm(0)]); // the guard is site @0
+    let bounds = a.bounds();
+    assert!(!bounds.overflowed());
+    assert_eq!(bounds.branches(), 2); // the guard and the live arm's site
+    assert_eq!(bounds.events(), 2); // the entry method's enter/exit
+    assert_eq!(bounds.nest_depth(), 1);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 
-use opd_analyze::{AbsInt, Analysis, ResourceCertificate};
+use opd_analyze::{Analysis, ResourceCertificate};
 use opd_baseline::{BaselineSolution, CallLoopForest};
 use opd_core::{
     anchored_intervals, detected_intervals, DetectedPhase, DetectorConfig, InternedTrace,
@@ -24,7 +24,6 @@ pub struct PreparedWorkload {
     total: u64,
     oracles: BTreeMap<u64, BaselineSolution>,
     analysis: Analysis,
-    absint: AbsInt,
     fuel: u64,
     probe_density: f64,
 }
@@ -80,7 +79,6 @@ impl PreparedWorkload {
     pub fn prepare_with_fuel(workload: Workload, scale: u32, mpls: &[u64], fuel: u64) -> Self {
         let program = workload.program(scale);
         let analysis = Analysis::of(&program);
-        let absint = AbsInt::of(&program);
         let mut trace = opd_trace::ExecutionTrace::new();
         opd_microvm::Interpreter::new(&program, workload.default_seed())
             .with_fuel(fuel)
@@ -109,7 +107,6 @@ impl PreparedWorkload {
             total,
             oracles,
             analysis,
-            absint,
             fuel,
             probe_density,
         }
@@ -165,7 +162,8 @@ impl PreparedWorkload {
     }
 
     /// The static analysis of the workload's program: lint findings,
-    /// call graph, nesting tree, and worst-case bounds.
+    /// call graph, nesting tree, and the abstract interpretation that
+    /// gives the worst-case bounds and the resource certificates.
     #[must_use]
     pub fn analysis(&self) -> &Analysis {
         &self.analysis
@@ -187,13 +185,6 @@ impl PreparedWorkload {
         self.probe_density
     }
 
-    /// The abstract interpretation of the workload's program — the
-    /// per-site visit intervals resource certificates are issued from.
-    #[must_use]
-    pub fn absint(&self) -> &AbsInt {
-        &self.absint
-    }
-
     /// The fuel limit the trace was prepared under (`u64::MAX` =
     /// complete run).
     #[must_use]
@@ -210,7 +201,7 @@ impl PreparedWorkload {
         let flow = self.analysis.flow();
         let certs: Vec<ResourceCertificate> = configs
             .iter()
-            .map(|c| ResourceCertificate::from_parts(&self.absint, flow, c, self.fuel))
+            .map(|c| ResourceCertificate::from_parts(self.analysis.absint(), flow, c, self.fuel))
             .collect();
         if certs.iter().any(ResourceCertificate::vacuous) {
             None

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# The full local gate: release build, every workspace test suite, warning-free clippy across the
-# whole workspace, formatting, warning-free rustdoc, a deny-warnings
+# The full local gate: release build, every workspace test suite, a
+# shuffled Tier-1 run under a clock-derived seed, a one-thread run of
+# the suites that share process-wide state, warning-free clippy across
+# the whole workspace, formatting, warning-free rustdoc, a deny-warnings
 # static lint of every built-in workload, an `opd plan` smoke run on
 # the default grid, the fault-injection smoke pass (injector ledgers
 # vs decoder reports), an `opd trace` smoke run, an `opd audit` smoke
@@ -24,6 +26,19 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 RUST_BACKTRACE=1 cargo test -q --workspace
+# Tier-1 must pass under any test ordering: one shuffled run, seeded
+# from the clock and echoed so a failing order can be replayed.
+# `--shuffle` permutes the tests within each test binary only; the
+# binaries themselves still run one after another.
+seed="$(date +%s)"
+echo "check.sh: shuffled Tier-1 run with --shuffle-seed $seed"
+RUSTC_BOOTSTRAP=1 cargo test -q -- -Z unstable-options --shuffle --shuffle-seed "$seed"
+# Suites sharing process-wide state run one test at a time as well:
+# the counting allocator of tests/common/alloc.rs (kernel_alloc,
+# obs_alloc, span_alloc, record_log), and temp files or spawned `opd`
+# processes (serve_resume, cli_errors, flight_recorder).
+cargo test -q --test kernel_alloc --test obs_alloc --test span_alloc --test record_log \
+    --test serve_resume --test cli_errors --test flight_recorder -- --test-threads=1
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # Rustdoc is part of the API surface: broken intra-doc links and bad
