@@ -34,7 +34,8 @@
 //!   an element or event count. Argument-decreasing recursion
 //!   (`Dec`, `Half`) never cycles — each recursive step shrinks the
 //!   argument interval, so the chain bottoms out like the concrete
-//!   execution does.
+//!   execution does, unless it is deeper than [`DEPTH_CAP`], which
+//!   [`StaticBounds::depth_capped`] also records on its own.
 //!
 //! Lower bounds lean on one interpreter fact: element emission does
 //! not depend on branch *outcomes* (a branch emits exactly one profile
@@ -52,7 +53,7 @@ use crate::flow::{taken_set, TakenSet};
 /// a huge entry argument) saturate instead of recursing; such programs
 /// exceed the interpreter's 512-frame limit long before this cap, so
 /// precision there has no value.
-const DEPTH_CAP: usize = 1024;
+pub(crate) const DEPTH_CAP: usize = 1024;
 
 /// Greatest common divisor (`gcd(0, x) = x`).
 fn gcd(a: u64, b: u64) -> u64 {
@@ -368,6 +369,7 @@ pub struct AbsInt {
     nest: u64,
     sites: Vec<SiteVisits>,
     overflowed: bool,
+    depth_capped: bool,
 }
 
 struct Eval<'p> {
@@ -379,6 +381,7 @@ struct Eval<'p> {
     in_progress: HashSet<(u32, StrideInterval)>,
     depth: usize,
     overflowed: bool,
+    depth_capped: bool,
 }
 
 impl AbsInt {
@@ -404,6 +407,7 @@ impl AbsInt {
             in_progress: HashSet::new(),
             depth: 0,
             overflowed: false,
+            depth_capped: false,
         };
         let summary = eval.func(
             program.entry().index(),
@@ -420,6 +424,7 @@ impl AbsInt {
             nest: summary.nest,
             sites,
             overflowed,
+            depth_capped: eval.depth_capped,
         }
     }
 
@@ -447,6 +452,7 @@ impl AbsInt {
             call_depth: self.call_depth.saturating_add(1),
             nest_depth: self.nest.saturating_add(1),
             overflowed: self.overflowed,
+            depth_capped: self.depth_capped,
         }
     }
 
@@ -457,8 +463,9 @@ impl AbsInt {
     }
 
     /// `true` if any bound saturated — an abstract cycle the argument
-    /// refinement could not break, or a `u64` overflow. Upper bounds
-    /// are then `u64::MAX` (vacuous); lower bounds remain sound.
+    /// refinement could not break, a `u64` overflow, or a chain deeper
+    /// than the 1,024-level depth cap. Upper bounds are then `u64::MAX`
+    /// (vacuous); lower bounds remain sound.
     #[must_use]
     pub fn overflowed(&self) -> bool {
         self.overflowed
@@ -601,11 +608,13 @@ impl Eval<'_> {
         if let Some(cached) = self.memo.get(&key) {
             return cached.clone();
         }
-        if self.in_progress.contains(&key) || self.depth >= DEPTH_CAP {
+        let cycle = self.in_progress.contains(&key);
+        if cycle || self.depth >= DEPTH_CAP {
             // Widening: an abstract cycle (or a pathological chain)
             // jumps straight to ⊤ rather than iterating to a fixpoint
             // the interval domain may never reach.
             self.overflowed = true;
+            self.depth_capped |= !cycle;
             return Summary::top(self.n_sites);
         }
         self.in_progress.insert(key);
@@ -867,6 +876,7 @@ mod tests {
         });
         let a = AbsInt::of(&b.entry_arg(5_000).build().unwrap());
         assert!(a.overflowed());
+        assert!(a.bounds().depth_capped());
         assert_eq!(a.bounds().branches(), u64::MAX);
         assert!(a.bounds().exceeds_depth_limit());
     }

@@ -4,7 +4,8 @@
 //!
 //! All arithmetic is checked: if any bound exceeds `u64`, the result is
 //! saturated and flagged ([`StaticBounds::overflowed`]), which the lint
-//! engine reports as `OPD-E004`.
+//! engine reports as `OPD-E004`, or as `OPD-W007` when a call chain
+//! was merely too deep to follow ([`StaticBounds::depth_capped`]).
 
 use opd_microvm::Interpreter;
 
@@ -21,6 +22,7 @@ pub struct StaticBounds {
     pub(crate) call_depth: u64,
     pub(crate) nest_depth: u64,
     pub(crate) overflowed: bool,
+    pub(crate) depth_capped: bool,
 }
 
 impl StaticBounds {
@@ -52,11 +54,19 @@ impl StaticBounds {
     }
 
     /// `true` if any bound overflowed `u64` (or the evaluation had to
-    /// bail out of an unboundedly deep chain); overflowed bounds are
-    /// saturated to `u64::MAX` and reported as `OPD-E004`.
+    /// bail out of a cycle or of a too-deep chain); overflowed bounds
+    /// are saturated to `u64::MAX`.
     #[must_use]
     pub fn overflowed(self) -> bool {
         self.overflowed
+    }
+
+    /// `true` if a call chain was too deep to follow (1,024 calls): the
+    /// call depth is at least that, and the counts are unknown rather
+    /// than overflowing (`OPD-W007`, not `OPD-E004`).
+    #[must_use]
+    pub fn depth_capped(self) -> bool {
+        self.depth_capped
     }
 
     /// `true` if the worst-case call depth exceeds the interpreter's

@@ -160,9 +160,9 @@ pub fn unit_cost(
 
 /// [`unit_cost`] split into its `(window maintenance, comparison)`
 /// parts. The comparison part is a worst case assuming *every* step is
-/// judged; a scheduler with a measured judged-step density for the
-/// trace at hand can scale it before summing (the experiment runner's
-/// calibrated LPT pricing does exactly that).
+/// judged; a scheduler that knows a judged-step density for the trace
+/// at hand can scale it before summing (the experiment runner's
+/// certified LPT pricing scales it by certificate midpoints).
 #[must_use]
 pub fn unit_cost_parts(
     configs: &[DetectorConfig],

@@ -114,21 +114,28 @@ pub(crate) fn collect(
         ));
     }
 
-    // OPD-E004: the worst case is too large to bound.
-    if bounds.overflowed() {
+    // OPD-E004: the worst case is too large to bound. A call chain too
+    // deep to follow never reached its counts, so they are not known
+    // to overflow: it gets OPD-W007 with the depth the analysis saw.
+    if bounds.overflowed() && !bounds.depth_capped() {
         out.push(Diagnostic::new(
             Code::BoundOverflow,
             "program".to_owned(),
             "worst-case branch/event bounds overflow u64; no meaningful static bound exists",
         ));
     } else if bounds.exceeds_depth_limit() {
-        // OPD-W007 — only meaningful when the bound itself is finite.
+        // OPD-W007 — only meaningful when the depth is finite or capped.
+        const _: () = assert!(crate::absint::DEPTH_CAP == 1024, "the message quotes it");
+        let depth = if bounds.depth_capped() {
+            "at least 1,024".to_owned()
+        } else {
+            bounds.call_depth().to_string()
+        };
         out.push(Diagnostic::new(
             Code::CallDepthBound,
             "program".to_owned(),
             format!(
-                "worst-case call depth {} exceeds the interpreter's default limit of {}; runs would abort with CallDepthExceeded",
-                bounds.call_depth(),
+                "worst-case call depth {depth} exceeds the interpreter's default limit of {}; runs would abort with CallDepthExceeded",
                 opd_microvm::Interpreter::DEFAULT_DEPTH_LIMIT
             ),
         ));

@@ -206,3 +206,35 @@ fn depth_limit_breach_warns_w007() {
     assert!(!a.bounds().overflowed());
     assert_eq!(a.bounds().call_depth(), 701);
 }
+
+#[test]
+fn ladders_past_the_analysis_depth_cap_warn_w007_not_e004() {
+    // The same ladder from entry argument 5,000 terminates after 5,001
+    // calls, deeper than the abstract interpreter follows (1,024): the
+    // lint reports the depth, not an overflow, and the certificates
+    // stay vacuous because no count was ever bounded.
+    let mut b = ProgramBuilder::new();
+    let f = b.declare("ladder");
+    b.define(f, |body| {
+        body.branch(TakenDist::Always);
+        body.if_arg_positive(|g| {
+            g.call(f, ArgExpr::Dec);
+        });
+    });
+    b.entry_arg(5_000);
+    let a = Analysis::of(&b.build().unwrap());
+    let codes: Vec<Code> = a.diagnostics().iter().map(Diagnostic::code).collect();
+    assert_eq!(codes, [Code::CallDepthBound]);
+    let message = a.diagnostics()[0].message();
+    assert!(message.contains("call depth at least 1,024"), "{message}");
+    let bounds = a.bounds();
+    assert!(bounds.depth_capped());
+    assert!(bounds.overflowed());
+    assert!(a.absint().overflowed());
+    let config = opd_core::DetectorConfig::builder()
+        .current_window(50)
+        .build()
+        .expect("valid config");
+    let cert = opd_analyze::ResourceCertificate::from_parts(a.absint(), a.flow(), &config, 1_000);
+    assert!(cert.vacuous());
+}

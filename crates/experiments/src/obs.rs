@@ -5,10 +5,11 @@
 //! meter on: every `(workload, engine unit)` bucket runs through
 //! [`SweepEngine::run_unit_metered`], recording scans, steps, judged
 //! steps, comparison ops, elements, and wall-clock into a lock-free
-//! [`MetricsRegistry`] shared by the workers. The per-bucket numbers
-//! are cross-checked at runtime against PR 3's static cost model:
-//! scans and steps are predicted exactly, comparison ops are bounded
-//! above (see `counter_bounds.rs` in the test suite).
+//! [`MetricsRegistry`] shared by the workers. Buckets are planned from
+//! the same LPT prices as the plain sweep. The per-bucket numbers are
+//! cross-checked at runtime against the static cost model: scans and
+//! steps are predicted exactly, comparison ops are bounded above (see
+//! `counter_bounds.rs` in the test suite).
 
 use std::convert::Infallible;
 use std::time::Instant;
@@ -19,7 +20,7 @@ use opd_obs::{MetricsRegistry, MetricsSnapshot, UnitMetrics};
 
 use crate::report::Table;
 use crate::runner::{
-    calibrated_unit_cost, config_run, filled, max_site_capacity, run_lpt, worker_count, ConfigRun,
+    config_run, filled, max_site_capacity, run_lpt, unit_prices, worker_count, ConfigRun,
     PreparedWorkload,
 };
 
@@ -38,8 +39,6 @@ pub struct BucketProfile {
     pub members: usize,
     /// Runtime accounting from the metered engine.
     pub metrics: UnitMetrics,
-    /// The calibrated cost model's LPT weight for this bucket.
-    pub static_cost: u64,
     /// Static upper bound on the bucket's comparison ops (`None` if
     /// the checked arithmetic overflowed).
     pub static_compare_bound: Option<u64>,
@@ -164,20 +163,14 @@ pub fn sweep_many_profiled(
     let h_compare = registry.histogram("sweep.bucket_compare_ops");
     let registry = &registry;
 
-    // The profile reports every bucket's calibrated price, so items
-    // are priced even at one thread.
-    let mut items: Vec<(usize, usize, u64)> =
-        Vec::with_capacity(prepared.len() * engine.units().len());
-    for (wi, p) in prepared.iter().enumerate() {
-        for (ui, unit) in engine.units().iter().enumerate() {
-            items.push((wi, ui, calibrated_unit_cost(configs, unit, p)));
-        }
-    }
+    let items: Vec<(usize, usize)> = (0..prepared.len())
+        .flat_map(|wi| (0..engine.units().len()).map(move |ui| (wi, ui)))
+        .collect();
     let threads = worker_count(threads, items.len());
 
     // One worker's run of one bucket: metered engine call, registry
     // recording, and the per-bucket profile entry.
-    let run_bucket = |&(wi, ui, static_cost): &(usize, usize, u64), scratch: &mut SweepScratch| {
+    let run_bucket = |&(wi, ui): &(usize, usize), scratch: &mut SweepScratch| {
         let p = &prepared[wi];
         let unit = &engine.units()[ui];
         let total = p.interned().len() as u64;
@@ -205,7 +198,6 @@ pub fn sweep_many_profiled(
             shared: unit.is_shared(),
             members: unit.config_indices().len(),
             metrics,
-            static_cost,
             static_compare_bound,
             wall_nanos,
         };
@@ -223,7 +215,7 @@ pub fn sweep_many_profiled(
         &items,
         threads,
         max_site_capacity(prepared),
-        |items| items.iter().map(|&(_, _, cost)| cost).collect(),
+        |items| unit_prices(prepared, configs, &engine, items),
         run_bucket,
         |t, (wi, local, profile)| {
             thread_busy_nanos[t] += profile.wall_nanos;

@@ -21,38 +21,9 @@ pub struct PreparedWorkload {
     stats: TraceStats,
     branches: BranchTrace,
     interned: InternedTrace,
-    total: u64,
     oracles: BTreeMap<u64, BaselineSolution>,
     analysis: Analysis,
     fuel: u64,
-    probe_density: f64,
-}
-
-/// The detector configuration one calibration probe runs at prepare
-/// time: the default shape of the shared plan grid, so the measured
-/// judged-step density reflects the sweeps it will price.
-fn probe_config() -> DetectorConfig {
-    DetectorConfig::builder()
-        .current_window(500)
-        .build()
-        .expect("probe config is valid")
-}
-
-/// Measured judged-step density of `trace`: the fraction of detector
-/// steps the probe config actually judged (windows warm and refilled).
-/// The static cost model assumes every step is judged; this one cheap
-/// metered run at prepare time tells the LPT scheduler how far below
-/// that ceiling the workload really sits. Falls back to `1.0`
-/// (worst case) for degenerate traces.
-fn measure_probe_density(trace: &InternedTrace) -> f64 {
-    let mut detector = PhaseDetector::new(probe_config());
-    let mut meter = opd_obs::MeterObserver::new();
-    let _ = detector.run_interned_phases_observed(trace, &mut meter);
-    let m = &meter.metrics;
-    if m.steps == 0 {
-        return 1.0;
-    }
-    (m.judged_steps as f64 / m.steps as f64).clamp(0.0, 1.0)
 }
 
 impl PreparedWorkload {
@@ -96,19 +67,15 @@ impl PreparedWorkload {
             analysis.flow().alphabet_bound() as usize,
         );
         debug_assert!(u64::from(interned.distinct_count()) <= analysis.flow().alphabet_bound());
-        let probe_density = measure_probe_density(&interned);
-        let total = trace.branches().len() as u64;
         let (branches, _) = trace.into_parts();
         PreparedWorkload {
             workload,
             stats,
             branches,
             interned,
-            total,
             oracles,
             analysis,
             fuel,
-            probe_density,
         }
     }
 
@@ -140,7 +107,7 @@ impl PreparedWorkload {
     /// Number of profile elements in the trace.
     #[must_use]
     pub fn total_elements(&self) -> u64 {
-        self.total
+        self.interned.len() as u64
     }
 
     /// The baseline solution for one of the prepared MPL values.
@@ -176,15 +143,6 @@ impl PreparedWorkload {
         self.analysis.flow().alphabet_bound() as usize
     }
 
-    /// Measured judged-step density (judged steps / total steps) of
-    /// the calibration probe run over this trace, in `0.0..=1.0`. The
-    /// sweep scheduler scales the static comparison-op bound by this
-    /// factor when pricing LPT buckets.
-    #[must_use]
-    pub fn probe_density(&self) -> f64 {
-        self.probe_density
-    }
-
     /// The fuel limit the trace was prepared under (`u64::MAX` =
     /// complete run).
     #[must_use]
@@ -194,8 +152,8 @@ impl PreparedWorkload {
 
     /// Issues one [`ResourceCertificate`] per config for this
     /// prepared workload (at the preparation fuel), or `None` if any
-    /// certificate is vacuous — callers then fall back to measured
-    /// calibration.
+    /// certificate is vacuous — callers then price at the static face
+    /// value ([`calibrated_unit_cost`]).
     #[must_use]
     pub fn certificates(&self, configs: &[DetectorConfig]) -> Option<Vec<ResourceCertificate>> {
         let flow = self.analysis.flow();
@@ -211,37 +169,32 @@ impl PreparedWorkload {
     }
 }
 
-/// The calibrated LPT price of one sweep unit on one prepared
-/// workload: the static window-maintenance part at face value (every
-/// element is always consumed) plus the static comparison part scaled
-/// by the workload's measured judged-step density. Uses the *measured*
-/// distinct-site count — not the static alphabet bound — so two
-/// workloads with identical bounds but different live alphabets price
-/// differently.
+/// The uncertified LPT price of one sweep unit: the static cost model
+/// at face value (every step judged) over the workload's length and
+/// *measured* distinct-site count, as derived streams are priced. The
+/// sweeps fall back to it on vacuous certificates. The name is from a
+/// deleted probe run that scaled this price; the benchmark still calls
+/// it by that name.
 #[must_use]
 pub fn calibrated_unit_cost(
     configs: &[DetectorConfig],
     unit: &SweepUnit,
     prepared: &PreparedWorkload,
 ) -> u64 {
-    let (window, compare) = opd_analyze::unit_cost_parts(
+    opd_analyze::unit_cost(
         configs,
         unit,
         prepared.total_elements(),
         u64::from(prepared.interned().distinct_count()),
-    );
-    let scaled = (compare as f64 * prepared.probe_density()).round() as u64;
-    window.saturating_add(scaled)
+    )
 }
 
 /// The certificate-priced LPT cost of one sweep unit: the static
 /// window-maintenance part at face value plus the static comparison
 /// part scaled by the unit's *certified* judged-step density — the
 /// midpoint of each member's judged-step interval over the midpoint
-/// of its step interval. Replaces the probe-measured density with a
-/// statically derived one when certificates are available (they are
-/// for every built-in workload), making LPT pricing independent of
-/// the calibration run.
+/// of its step interval. Every built-in workload certifies, so this
+/// is the price every prepared sweep schedules from.
 #[must_use]
 pub fn certified_unit_cost(
     configs: &[DetectorConfig],
@@ -475,9 +428,9 @@ pub(crate) fn sweep_streams(
 
 /// LPT prices of `(workload, unit)` items: the static
 /// window-maintenance and comparison-op bounds of the unit's members,
-/// with the comparison part scaled by a judged-step density — the
-/// certificate midpoints when every member certifies non-vacuously
-/// (the normal case), else the probe density measured at prepare time.
+/// with the comparison part scaled by the certified judged-step
+/// density when every member certifies non-vacuously (the normal
+/// case), else at face value.
 pub(crate) fn unit_prices(
     prepared: &[PreparedWorkload],
     configs: &[DetectorConfig],
@@ -657,16 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_density_is_a_measured_fraction() {
-        let p = small_prepared();
-        let d = p.probe_density();
-        assert!((0.0..=1.0).contains(&d), "{d}");
-        // A real trace at 60k elements warms the probe's windows and
-        // judges at least some steps.
-        assert!(d > 0.0, "{d}");
-    }
-
-    #[test]
     #[should_panic(expected = "was not prepared")]
     fn missing_mpl_panics() {
         let p = small_prepared();
@@ -794,84 +737,16 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_lpt_imbalance_stays_small_under_measured_load() {
-        // Satellite check for the calibrated scheduler: build the LPT
-        // plan from the *calibrated* unit prices (static bounds ×
-        // measured judged-step density, measured alphabet), then
-        // re-weigh every bucket with what the units actually cost when
-        // run — metered comparison ops plus the static
-        // window-maintenance part. The heaviest bucket may exceed the
-        // mean by at most 20%. The uncalibrated static plan fails this
-        // measure (BENCH_obs recorded 1.28 before calibration).
-        let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000, 2);
-        let configs = crate::grid::default_plan_grid();
-        let engine = SweepEngine::new(&configs);
-        let mut items = Vec::new();
-        let mut calibrated = Vec::new();
-        for (wi, p) in prepared.iter().enumerate() {
-            for (ui, unit) in engine.units().iter().enumerate() {
-                items.push((wi, ui));
-                calibrated.push(calibrated_unit_cost(&configs, unit, p));
-            }
-        }
-        assert_eq!(items.len(), 8, "one shared unit per workload");
-        // Deterministic measured proxy per item.
-        let measured: Vec<u64> = items
-            .iter()
-            .map(|&(wi, ui)| {
-                let p = &prepared[wi];
-                let mut scratch = SweepScratch::with_site_capacity(p.site_capacity());
-                let mut metrics = opd_obs::UnitMetrics::new();
-                let _ = engine.run_unit_metered(ui, p.interned(), &mut scratch, &mut metrics);
-                let (window, _) = opd_analyze::unit_cost_parts(
-                    &configs,
-                    &engine.units()[ui],
-                    p.total_elements(),
-                    u64::from(p.interned().distinct_count()),
-                );
-                window + metrics.compare_ops
-            })
-            .collect();
-        let threads = 4;
-        let plan = lpt_plan(&calibrated, threads);
-        let loads: Vec<u64> = plan
-            .iter()
-            .map(|bucket| bucket.iter().map(|&i| measured[i]).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap() as f64;
-        let mean = loads.iter().sum::<u64>() as f64 / threads as f64;
-        assert!(
-            max <= mean * 1.20,
-            "calibrated LPT imbalance {:.1}% exceeds 20% (loads {loads:?})",
-            (max / mean - 1.0) * 100.0
-        );
-        // And the calibrated prices must themselves track the measured
-        // loads: a plan built directly from the measured proxy should
-        // not beat the calibrated plan by much on its heaviest bucket.
-        let ideal = lpt_plan(&measured, threads);
-        let ideal_max = ideal
-            .iter()
-            .map(|bucket| bucket.iter().map(|&i| measured[i]).sum::<u64>())
-            .max()
-            .unwrap() as f64;
-        assert!(
-            max <= ideal_max * 1.20,
-            "calibrated plan max {max} vs measured-optimal max {ideal_max}"
-        );
-    }
-
-    #[test]
     fn certificates_issue_for_every_workload_and_price_the_sweep() {
-        // Certificate-midpoint LPT pricing (the density the parallel
-        // sweep now schedules from) must track the measured load as
-        // well as the probe calibration does: plan from certified
-        // prices, re-weigh with metered costs, max bucket within 20%
-        // of the mean and of the measured-optimal plan.
+        // The prices the parallel sweep schedules from (certificate
+        // midpoints, as every workload certifies) must track the
+        // measured load: plan from `unit_prices`, re-weigh with
+        // metered costs, max bucket within 20% of the mean and of the
+        // measured-optimal plan.
         let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000, 2);
         let configs = crate::grid::default_plan_grid();
         let engine = SweepEngine::new(&configs);
         let mut items = Vec::new();
-        let mut certified = Vec::new();
         for (wi, p) in prepared.iter().enumerate() {
             let certs = p
                 .certificates(&configs)
@@ -881,11 +756,9 @@ mod tests {
                 assert!(!cert.truncated() || p.fuel() < u64::MAX);
                 assert!(cert.judged_steps().hi() <= cert.steps().hi());
             }
-            for (ui, unit) in engine.units().iter().enumerate() {
-                items.push((wi, ui));
-                certified.push(certified_unit_cost(&configs, unit, p, &certs));
-            }
+            items.extend((0..engine.units().len()).map(|ui| (wi, ui)));
         }
+        let certified = unit_prices(&prepared, &configs, &engine, &items);
         let measured: Vec<u64> = items
             .iter()
             .map(|&(wi, ui)| {

@@ -45,43 +45,49 @@ impl MatchOutcome {
 /// and the baseline solution).
 #[must_use]
 pub fn match_phases(detected: &[PhaseInterval], baseline: &[PhaseInterval]) -> MatchOutcome {
-    // For each detected phase, find the unique baseline phase whose
-    // span contains the detected start (constraint 1), then check
-    // constraint 2; among candidates for one baseline phase, keep the
-    // closest (constraint 3).
-    let mut best: Vec<Option<(usize, u64)>> = vec![None; baseline.len()];
-
-    for (di, d) in detected.iter().enumerate() {
-        // Baseline phase containing d.start.
-        let bi = match baseline.partition_point(|b| b.end() <= d.start()) {
-            i if i < baseline.len() && baseline[i].contains(d.start()) => i,
-            _ => continue,
-        };
-        let b = baseline[bi];
-        // Constraint 2: end at/after b.end and before the next
-        // baseline phase's start.
-        let next_start = baseline.get(bi + 1).map_or(u64::MAX, |n| n.start());
-        if d.end() < b.end() || d.end() >= next_start {
-            continue;
-        }
-        // Constraint 3: closest boundaries win.
-        let distance = (d.start() - b.start()) + (d.end() - b.end());
-        match best[bi] {
-            Some((_, prev)) if prev <= distance => {}
-            _ => best[bi] = Some((di, distance)),
-        }
-    }
-
-    let pairs = best
-        .iter()
-        .enumerate()
-        .filter_map(|(bi, slot)| slot.map(|(di, _)| (di, bi)))
-        .collect();
-
+    let mut pairs = Vec::new();
+    for_each_match(detected, baseline, |di, bi| pairs.push((di, bi)));
     MatchOutcome {
         pairs,
         detected_count: detected.len(),
         baseline_count: baseline.len(),
+    }
+}
+
+/// The one walk behind [`match_phases`] and the scorer's count: calls
+/// `matched(detected index, baseline index)` once per matched pair, in
+/// baseline order, without allocating. Detected starts ascend, so the
+/// candidates for one baseline phase are consecutive: one merge pointer
+/// finds each start's baseline phase, and a run's closest candidate
+/// (the first among equals) is reported when the run ends.
+pub(crate) fn for_each_match(
+    detected: &[PhaseInterval],
+    baseline: &[PhaseInterval],
+    mut matched: impl FnMut(usize, usize),
+) {
+    let (mut bi, mut best) = (0, None::<(usize, u64)>);
+    for (di, d) in detected.iter().enumerate() {
+        while bi < baseline.len() && baseline[bi].end() <= d.start() {
+            if let Some((best_di, _)) = best.take() {
+                matched(best_di, bi);
+            }
+            bi += 1;
+        }
+        let Some(&b) = baseline.get(bi) else { break };
+        // Constraint 1: d starts inside b. Constraint 2: d ends at or
+        // after b's end and before the next baseline phase starts.
+        let next_start = baseline.get(bi + 1).map_or(u64::MAX, |n| n.start());
+        if !b.contains(d.start()) || d.end() < b.end() || d.end() >= next_start {
+            continue;
+        }
+        // Constraint 3: the closest candidate wins.
+        let distance = (d.start() - b.start()) + (d.end() - b.end());
+        if !matches!(best, Some((_, prev)) if prev <= distance) {
+            best = Some((di, distance));
+        }
+    }
+    if let Some((best_di, _)) = best {
+        matched(best_di, bi);
     }
 }
 

@@ -3,7 +3,7 @@
 use opd_baseline::BaselineSolution;
 use opd_trace::{intervals_of, PhaseInterval, StateSeq};
 
-use crate::matching::match_phases;
+use crate::matching::for_each_match;
 use crate::score::AccuracyScore;
 
 /// Fraction of the `total` profile elements labelled identically by
@@ -60,17 +60,20 @@ fn overlap(a: &[PhaseInterval], b: &[PhaseInterval]) -> u64 {
 /// solution.
 ///
 /// This is the core metric; [`score_states`] is the convenience
-/// wrapper for detector state sequences. Degenerate cases follow the
-/// natural conventions: with no baseline boundaries sensitivity is 1,
-/// and with no detected boundaries there are no false positives.
+/// wrapper for detector state sequences. It counts matched boundaries
+/// through the same walk as [`match_phases`](crate::match_phases) and
+/// allocates nothing. Degenerate cases follow the natural conventions:
+/// with no baseline boundaries sensitivity is 1, and with no detected
+/// boundaries there are no false positives.
 #[must_use]
 pub fn score_intervals(detected: &[PhaseInterval], baseline: &BaselineSolution) -> AccuracyScore {
     let total = baseline.total_elements();
     let corr = correlation(detected, baseline.phases(), total);
-    let outcome = match_phases(detected, baseline.phases());
-    let matched = outcome.matched_boundaries();
-    let baseline_boundaries = outcome.baseline_count * 2;
-    let detected_boundaries = outcome.detected_count * 2;
+    let mut pairs = 0;
+    for_each_match(detected, baseline.phases(), |_, _| pairs += 1);
+    let matched = pairs * 2;
+    let baseline_boundaries = baseline.phases().len() * 2;
+    let detected_boundaries = detected.len() * 2;
     let sensitivity = if baseline_boundaries == 0 {
         1.0
     } else {

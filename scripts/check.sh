@@ -4,9 +4,11 @@
 # the suites that share process-wide state, warning-free clippy across
 # the whole workspace, formatting, warning-free rustdoc, a deny-warnings
 # static lint of every built-in workload, an `opd plan` smoke run on
-# the default grid, the fault-injection smoke pass (injector ledgers
-# vs decoder reports), an `opd trace` smoke run, an `opd audit` smoke
-# run (DPOR exploration + mutant suite + OPD-R lints), an
+# the default grid, a two-thread profiled `opd sweep --stats` run
+# (the metered sweep planned from the plain sweep's LPT prices), the
+# fault-injection smoke pass (injector ledgers vs decoder reports), an
+# `opd trace` smoke run, an `opd audit` smoke run (DPOR exploration +
+# mutant suite + OPD-R lints), an
 # `opd serve` smoke run (supervised multi-tenant streaming under
 # aggressive hazards), an observability smoke pass (`opd top`,
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
@@ -34,9 +36,10 @@ seed="$(date +%s)"
 echo "check.sh: shuffled Tier-1 run with --shuffle-seed $seed"
 RUSTC_BOOTSTRAP=1 cargo test -q -- -Z unstable-options --shuffle --shuffle-seed "$seed"
 # Suites sharing process-wide state run one test at a time as well:
-# the counting allocator of tests/common/alloc.rs (kernel_alloc,
-# obs_alloc, span_alloc, record_log), and temp files or spawned `opd`
-# processes (serve_resume, cli_errors, flight_recorder).
+# the counting allocator of tests/common/alloc.rs (kernel_alloc, which
+# also pins scoring at zero allocations, obs_alloc, span_alloc,
+# record_log), and temp files or spawned `opd` processes
+# (serve_resume, cli_errors, flight_recorder).
 cargo test -q --test kernel_alloc --test obs_alloc --test span_alloc --test record_log \
     --test serve_resume --test cli_errors --test flight_recorder -- --test-threads=1
 cargo clippy --workspace --all-targets -- -D warnings
@@ -46,6 +49,10 @@ cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 cargo run --release -q --bin opd -- lint --deny-warnings
 cargo run --release -q --bin opd -- plan --json > /dev/null
+# The profiled sweep above one thread: it plans its buckets from the
+# same certificate-priced LPT prices as `sweep_many`, and no other step
+# of the gate runs it on more than one thread in release.
+cargo run --release -q --bin opd -- sweep --stats --threads 2 > /dev/null
 cargo run --release -q --bin opd -- faults --smoke > /dev/null
 cargo run --release -q --bin opd -- trace lexgen --limit 5 --fuel 20000 > /dev/null
 # Serve smoke: the multi-tenant streaming layer under aggressive

@@ -5,8 +5,9 @@
 //! a serve session's `process_log` over an `IdLog` reserved up front —
 //! and pre-sizing the site tables from the static alphabet bound
 //! (`reserve_sites`) moves every site-table growth out of the first
-//! run. A counting global allocator wraps the system one and counts
-//! per thread, so the tests run in parallel safely.
+//! run. Scoring a run against its oracle allocates nothing either. A
+//! counting global allocator wraps the system one and counts per
+//! thread, so the tests run in parallel safely.
 
 #[path = "common/alloc.rs"]
 mod alloc;
@@ -166,4 +167,30 @@ fn interned_first_runs_size_their_tables_in_one_shot() {
         cold <= 16,
         "cold interned run allocated {cold} times; site tables are growing incrementally"
     );
+}
+
+#[test]
+fn scoring_a_run_allocates_nothing() {
+    // `score_intervals` counts matched boundaries in one pass over the
+    // detected list, so every one of a sweep's scoring calls is free of
+    // the allocator, with detection-point and anchored starts alike.
+    let prepared = opd_experiments::runner::PreparedWorkload::prepare_with_fuel(
+        Workload::Lexgen,
+        1,
+        &[1_000],
+        20_000,
+    );
+    let oracle = prepared.oracle(1_000);
+    let run = opd_experiments::runner::run_detector(
+        config_for(ModelPolicy::UnweightedSet),
+        prepared.interned(),
+    );
+    assert!(!run.detected.is_empty() && oracle.phase_count() > 0);
+    for intervals in [&run.detected, &run.anchored] {
+        let (combined, allocations) = alloc::thread_allocations_during(|| {
+            std::hint::black_box(opd_scoring::score_intervals(intervals, oracle).combined())
+        });
+        assert!(combined > 0.0);
+        assert_eq!(allocations, 0, "scoring allocated");
+    }
 }

@@ -93,6 +93,68 @@ fn arb_interval_pair() -> impl Strategy<Value = (u64, Vec<PhaseInterval>, Vec<Ph
     (50u64..400).prop_flat_map(|total| (Just(total), arb_intervals(total), arb_intervals(total)))
 }
 
+/// A trace length, baseline intervals, and detected intervals whose
+/// boundaries cluster within one element of the baseline boundaries
+/// or fall anywhere. Both lists are sorted and disjoint; several
+/// detected phases often start inside one baseline phase and compete
+/// for it, and others start in the gaps between baseline phases.
+fn arb_competing_pair() -> impl Strategy<Value = (u64, Vec<PhaseInterval>, Vec<PhaseInterval>)> {
+    (50u64..400)
+        .prop_flat_map(|total| {
+            (
+                Just(total),
+                arb_intervals(total),
+                prop::collection::vec((0u64..total, 0u64..8), 0..24),
+            )
+        })
+        .prop_map(|(total, baseline, raw)| {
+            let mut points: Vec<u64> = raw
+                .iter()
+                .map(|&(at, jitter)| {
+                    let anchor = match baseline.get(at as usize % baseline.len().max(1)) {
+                        Some(b) if jitter < 6 => {
+                            if at % 2 == 0 {
+                                b.start()
+                            } else {
+                                b.end()
+                            }
+                        }
+                        _ => at,
+                    };
+                    (anchor + jitter % 3).saturating_sub(1).min(total)
+                })
+                .collect();
+            points.sort_unstable();
+            points.dedup();
+            let detected = points
+                .chunks_exact(2)
+                .map(|p| PhaseInterval::new(p[0], p[1]))
+                .collect();
+            (total, baseline, detected)
+        })
+}
+
+/// A baseline solution whose phases are exactly `phases`, built from a
+/// synthetic trace with one top-level loop per phase.
+fn oracle_of(total: u64, phases: &[PhaseInterval]) -> opd::baseline::BaselineSolution {
+    let mut t = ExecutionTrace::new();
+    let mut off = 0u64;
+    let mut pad = |t: &mut ExecutionTrace, upto: u64| {
+        while off < upto {
+            t.record_branch(site((off % 7) as u32));
+            off += 1;
+        }
+    };
+    for (i, p) in phases.iter().enumerate() {
+        pad(&mut t, p.start());
+        t.record_loop_enter(opd::trace::LoopId::new(i as u32));
+        pad(&mut t, p.end());
+        t.record_loop_exit(opd::trace::LoopId::new(i as u32));
+    }
+    pad(&mut t, total);
+    opd::baseline::BaselineSolution::compute(&t, 1).expect("well nested")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -204,31 +266,42 @@ proptest! {
     fn scores_are_always_in_unit_range(
         (total, detected, baseline_iv) in arb_interval_pair(),
     ) {
-        // Build a real BaselineSolution through a synthetic trace.
-        let mut t = ExecutionTrace::new();
-        let mut off = 0u64;
-        for (i, p) in baseline_iv.iter().enumerate() {
-            while off < p.start() {
-                t.record_branch(ProfileElement::new(MethodId::new(0), (off % 7) as u32, true));
-                off += 1;
-            }
-            t.record_loop_enter(opd::trace::LoopId::new(i as u32));
-            while off < p.end() {
-                t.record_branch(ProfileElement::new(MethodId::new(0), (off % 7) as u32, true));
-                off += 1;
-            }
-            t.record_loop_exit(opd::trace::LoopId::new(i as u32));
-        }
-        while off < total {
-            t.record_branch(ProfileElement::new(MethodId::new(0), (off % 7) as u32, true));
-            off += 1;
-        }
-        let oracle = opd::baseline::BaselineSolution::compute(&t, 1).expect("well nested");
+        let oracle = oracle_of(total, &baseline_iv);
         let score = score_intervals(&detected, &oracle);
         prop_assert!((0.0..=1.0).contains(&score.combined()), "{}", score);
         prop_assert!((0.0..=1.0).contains(&score.correlation));
         prop_assert!((0.0..=1.0).contains(&score.sensitivity));
         prop_assert!((0.0..=1.0).contains(&score.false_positives));
+    }
+
+    #[test]
+    fn score_counts_agree_with_the_matched_pairs(
+        (total, detected, baseline_iv) in arb_competing_pair(),
+    ) {
+        let oracle = oracle_of(total, &baseline_iv);
+        prop_assert_eq!(oracle.phases(), baseline_iv.as_slice());
+        let score = score_intervals(&detected, &oracle);
+        let outcome = match_phases(&detected, oracle.phases());
+        // Independently: a baseline phase is matched iff some detected
+        // phase meets constraints 1 and 2 for it.
+        let matchable = baseline_iv
+            .iter()
+            .enumerate()
+            .filter(|&(bi, b)| {
+                let next_start = baseline_iv.get(bi + 1).map_or(u64::MAX, |n| n.start());
+                detected.iter().any(|d| {
+                    b.contains(d.start()) && d.end() >= b.end() && d.end() < next_start
+                })
+            })
+            .count();
+        prop_assert_eq!(outcome.pairs.len(), matchable);
+        prop_assert_eq!(score.matched_boundaries, outcome.matched_boundaries());
+        prop_assert_eq!(score.detected_boundaries, 2 * outcome.detected_count);
+        prop_assert_eq!(score.baseline_boundaries, 2 * outcome.baseline_count);
+        prop_assert_eq!(
+            score.detected_boundaries - score.matched_boundaries,
+            outcome.unmatched_detected_boundaries()
+        );
     }
 
     #[test]
