@@ -148,7 +148,7 @@ impl FaultKind {
     #[must_use]
     pub fn apply(self, clean: &ExecutionTrace, rate: f64, seed: u64) -> FaultOutcome {
         if self.is_byte_level() {
-            let mut buf = encode_trace(clean).to_vec();
+            let mut buf = Vec::from(encode_trace(clean));
             let ledger = match self {
                 FaultKind::BitFlip => bytes::flip_element_bits(&mut buf, rate, seed),
                 FaultKind::EventSwap => bytes::swap_adjacent_events(&mut buf, rate, seed),

@@ -61,7 +61,10 @@ pub trait FrameSource: Sync {
     }
 
     /// A stable fingerprint of everything that determines the
-    /// streams, folded into the checkpoint fingerprint.
+    /// streams, including each client's detector configuration,
+    /// folded into the checkpoint fingerprint. Only runs that write or
+    /// resume a checkpoint call it, so a source may compute it on
+    /// demand.
     fn fingerprint(&self) -> u64;
 }
 
@@ -256,13 +259,13 @@ impl ServiceMetrics {
 }
 
 /// The full outcome of a service run: one terminal report per
-/// session, in client order.
+/// session, in client order. It carries no fingerprint: only a
+/// checkpointing run computes one, and it lives in the checkpoint's
+/// header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceReport {
     /// Virtual shards the run was partitioned into.
     pub vshards: u32,
-    /// The run's fingerprint (configuration × source).
-    pub fingerprint: u64,
     /// Vshards restored from a checkpoint instead of recomputed.
     pub restored_vshards: u32,
     /// Terminal session reports, ascending by client.
@@ -517,11 +520,10 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         ));
     }
 
-    let fingerprint = config.fingerprint(source);
     let mut restored: BTreeMap<u32, VshardTrace> = BTreeMap::new();
     let writer = match &options.checkpoint {
         Some(path) if options.resume && path.exists() => {
-            let (w, map) = ServeCheckpointWriter::resume(path, fingerprint)?;
+            let (w, map) = ServeCheckpointWriter::resume(path, config.fingerprint(source))?;
             restored = map
                 .into_iter()
                 .map(|(vshard, reports)| (vshard, (reports, Vec::new(), Vec::new())))
@@ -530,7 +532,7 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         }
         Some(path) => Some(Mutex::new(ServeCheckpointWriter::create(
             path,
-            fingerprint,
+            config.fingerprint(source),
         )?)),
         None => None,
     };
@@ -600,7 +602,6 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
     Ok((
         ServiceReport {
             vshards: config.vshards,
-            fingerprint,
             restored_vshards,
             sessions,
         },
@@ -723,10 +724,13 @@ fn run_vshard<R: SpanRecorder + Default>(
 
 /// An in-memory [`FrameSource`] — the unit-test and property-test
 /// harness, and the shape external ingest adapters materialize into.
+///
+/// Its [`fingerprint`](FrameSource::fingerprint) hashes every frame
+/// byte and every client's detector configuration each time it is
+/// called; building the source hashes nothing.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySource {
     streams: Vec<(DetectorConfig, Vec<Vec<u8>>)>,
-    fingerprint: u64,
 }
 
 impl MemorySource {
@@ -734,20 +738,11 @@ impl MemorySource {
     /// [`push_client`](MemorySource::push_client).
     #[must_use]
     pub fn new() -> MemorySource {
-        MemorySource {
-            streams: Vec::new(),
-            fingerprint: 0,
-        }
+        MemorySource::default()
     }
 
     /// Appends one client's stream and returns its client id.
     pub fn push_client(&mut self, config: DetectorConfig, frames: Vec<Vec<u8>>) -> u32 {
-        let mut words = vec![self.fingerprint, frames.len() as u64];
-        for f in &frames {
-            words.push(keyed_hash(&[f.len() as u64]));
-            words.push(opd_trace::fnv64(f));
-        }
-        self.fingerprint = keyed_hash(&words);
         self.streams.push((config, frames));
         (self.streams.len() - 1) as u32
     }
@@ -781,7 +776,7 @@ impl MemorySource {
                     let site = (regime * 11 + u64::from(i % 4)) as u32;
                     t.record_branch(ProfileElement::new(MethodId::new(1), site, i % 2 == 0));
                 }
-                stream.push(encode_trace(&t).to_vec());
+                stream.push(Vec::from(encode_trace(&t)));
             }
             source.push_client(config, stream);
         }
@@ -812,8 +807,24 @@ impl FrameSource for MemorySource {
         self.config_of(client)
     }
 
+    /// Folds, per client in order: the previous value, the frame
+    /// count, FNV-1a of the config's `Debug` text, then each frame's
+    /// length and FNV-1a of its bytes.
     fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.streams
+            .iter()
+            .fold(0, |fingerprint, (config, frames)| {
+                let mut words = vec![
+                    fingerprint,
+                    frames.len() as u64,
+                    opd_trace::fnv64(format!("{config:?}").as_bytes()),
+                ];
+                for f in frames {
+                    words.push(keyed_hash(&[f.len() as u64]));
+                    words.push(opd_trace::fnv64(f));
+                }
+                keyed_hash(&words)
+            })
     }
 }
 

@@ -18,7 +18,7 @@
 
 use core::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::{
     BranchTrace, CallLoopEvent, CallLoopEventKind, CallLoopTrace, ExecutionTrace, LoopId, MethodId,
@@ -100,27 +100,27 @@ impl std::error::Error for CodecError {}
 pub fn encode_trace(trace: &ExecutionTrace) -> Bytes {
     let branches = trace.branches();
     let events = trace.events();
-    let mut buf = BytesMut::with_capacity(
+    let mut buf = Vec::with_capacity(
         HEADER_LEN
             + EVENT_COUNT_LEN
             + branches.len() * BRANCH_RECORD_LEN
             + events.len() * EVENT_RECORD_LEN,
     );
 
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(branches.len() as u64);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(branches.len() as u64).to_le_bytes());
     for e in branches {
-        buf.put_u64_le(e.raw());
+        buf.extend_from_slice(&e.raw().to_le_bytes());
     }
-    buf.put_u64_le(events.len() as u64);
+    buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
     for ev in events {
         let (tag, id) = encode_event_kind(ev.kind());
-        buf.put_u8(tag);
-        buf.put_u32_le(id);
-        buf.put_u64_le(ev.offset());
+        buf.push(tag);
+        buf.extend_from_slice(&id.to_le_bytes());
+        buf.extend_from_slice(&ev.offset().to_le_bytes());
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 pub(crate) fn encode_event_kind(kind: CallLoopEventKind) -> (u8, u32) {

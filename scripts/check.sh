@@ -10,7 +10,9 @@
 # `opd trace` smoke run, an `opd audit` smoke run (DPOR exploration +
 # mutant suite + OPD-R lints), an
 # `opd serve` smoke run (supervised multi-tenant streaming under
-# aggressive hazards), an observability smoke pass (`opd top`,
+# aggressive hazards), a release `opd serve` checkpoint round trip
+# (resume restores vshards and reprints the digest), an observability
+# smoke pass (`opd top`,
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
 # BENCH_cert.json freshness), a release-mode smoke of every run path
@@ -62,6 +64,24 @@ cargo run --release -q --bin opd -- trace lexgen --limit 5 --fuel 20000 > /dev/n
 # (The BENCH_serve.json freshness test runs in the workspace suite
 # above.)
 cargo run --release -q --bin opd -- serve --smoke > /dev/null
+# Serve checkpoint round trip: a checkpointed soak, then the same
+# command resumed from its whole checkpoint, must print the same
+# digest and restore at least one vshard instead of recomputing it.
+ckpt_dir="$(mktemp -d)"
+serve_ckpt=(cargo run --release -q --bin opd -- serve --clients 2000
+    --checkpoint "$ckpt_dir/serve.opdk" --json)
+written="$("${serve_ckpt[@]}")"
+resumed="$("${serve_ckpt[@]}" --resume)"
+rm -rf "$ckpt_dir"
+if [ "$(grep '"digest"' <<<"$written")" != "$(grep '"digest"' <<<"$resumed")" ]; then
+    echo "check.sh: resumed serve digest differs: $resumed" >&2
+    exit 1
+fi
+restored="$(sed -n 's/.*"restored_vshards": \([0-9]*\).*/\1/p' <<<"$resumed")"
+if [ "${restored:-0}" -eq 0 ]; then
+    echo "check.sh: serve --resume restored no vshard: $resumed" >&2
+    exit 1
+fi
 # Observability smoke: the dashboard renders one service view with
 # every SLO met (exit 0), the Prometheus exposition emits, and a
 # traced smoke soak dumps post-mortems that `opd flight` replays.

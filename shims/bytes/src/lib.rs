@@ -1,125 +1,9 @@
-//! Offline stand-in for the `bytes` crate: just enough of `Buf`,
-//! `BufMut`, `Bytes`, and `BytesMut` for little-endian length-prefixed
-//! codecs over contiguous buffers.
+//! Offline stand-in for the `bytes` crate: just enough of `Bytes` for
+//! an immutable encoded buffer that converts to and from `Vec<u8>`.
 
 #![forbid(unsafe_code)]
 
 use std::ops::Deref;
-
-/// Read access to a contiguous buffer, consuming from the front.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// Drops `cnt` bytes from the front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cnt > self.remaining()`.
-    fn advance(&mut self, cnt: usize);
-    /// The unconsumed bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// Consumes one byte.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-    /// Consumes a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let v = u16::from_le_bytes(self.chunk()[..2].try_into().expect("2 bytes"));
-        self.advance(2);
-        v
-    }
-    /// Consumes a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.chunk()[..4].try_into().expect("4 bytes"));
-        self.advance(4);
-        v
-    }
-    /// Consumes a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.chunk()[..8].try_into().expect("8 bytes"));
-        self.advance(8);
-        v
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-}
-
-/// Append-only write access to a growable buffer.
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-    /// Appends a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-/// A growable byte buffer (thin wrapper over `Vec<u8>`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    vec: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// An empty buffer with `cap` bytes preallocated.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            vec: Vec::with_capacity(cap),
-        }
-    }
-    /// Buffer length in bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-    /// Freezes into an immutable [`Bytes`].
-    #[must_use]
-    pub fn freeze(self) -> Bytes {
-        Bytes { vec: self.vec }
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.vec.extend_from_slice(src);
-    }
-}
 
 /// An immutable byte buffer; dereferences to `[u8]`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -146,26 +30,8 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_le() {
-        let mut b = BytesMut::with_capacity(32);
-        b.put_slice(b"OPDT");
-        b.put_u8(7);
-        b.put_u16_le(0x1234);
-        b.put_u32_le(0xdead_beef);
-        b.put_u64_le(0x0102_0304_0506_0708);
-        let frozen = b.freeze();
-        let mut r: &[u8] = &frozen;
-        assert_eq!(&frozen[..4], b"OPDT");
-        r.advance(4);
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u16_le(), 0x1234);
-        assert_eq!(r.get_u32_le(), 0xdead_beef);
-        assert_eq!(r.get_u64_le(), 0x0102_0304_0506_0708);
-        assert_eq!(r.remaining(), 0);
+impl From<Bytes> for Vec<u8> {
+    fn from(bytes: Bytes) -> Self {
+        bytes.vec
     }
 }

@@ -8,8 +8,9 @@
 //! - Golden images assembled byte by byte from the documented layouts
 //!   (not by the writer) pin both formats.
 //! - File-level tests cover roundtrip, torn tail, checksum flip,
-//!   oversized length, header refusal, strict bucket decoding, and
-//!   resuming from an empty file on the sweep and the serve path.
+//!   oversized length, header refusal, strict bucket decoding,
+//!   resuming from an empty file on the sweep and the serve path, and
+//!   serve checkpoints refusing a source with other frames or configs.
 
 #[path = "common/alloc.rs"]
 mod alloc;
@@ -17,7 +18,7 @@ mod alloc;
 use std::fmt::Debug;
 use std::path::PathBuf;
 
-use opd::core::DetectedPhase;
+use opd::core::{DetectedPhase, DetectorConfig};
 use opd::experiments::checkpoint::{
     decode_bucket, encode_bucket, parse_checkpoint, run_fingerprint, sweep_many_checkpointed,
     BucketRuns, CheckpointWriter, CHECKPOINT_VERSION,
@@ -28,8 +29,8 @@ use opd::serve::checkpoint::{
     decode_vshard, encode_vshard, ServeCheckpointWriter, SERVE_CHECKPOINT_VERSION,
 };
 use opd::serve::{
-    run_service, MemorySource, ServeConfig, ServiceOptions, SessionReport, SessionStats,
-    SessionStatus,
+    run_service, FrameSource, MemorySource, ServeConfig, ServeError, ServiceOptions, SessionReport,
+    SessionStats, SessionStatus,
 };
 use opd::trace::fnv64;
 use opd::trace::record::{
@@ -612,4 +613,90 @@ fn serve_resume_from_an_empty_file_starts_fresh() {
     let again = run_service(&config, &source, &options).unwrap();
     assert_eq!(again.restored_vshards, again.vshards);
     assert_eq!(again.sessions, reference.sessions);
+}
+
+/// `source`'s clients and frames, with `edit` applied to the frame list
+/// of each client before it is pushed.
+fn rebuilt(
+    source: &MemorySource,
+    config: impl Fn(u32) -> DetectorConfig,
+    edit: impl Fn(u32, &mut Vec<Vec<u8>>),
+) -> MemorySource {
+    let mut out = MemorySource::new();
+    for client in 0..source.clients() {
+        let mut frames: Vec<Vec<u8>> = (0..source.frames(client))
+            .map(|i| source.frame(client, i))
+            .collect();
+        edit(client, &mut frames);
+        out.push_client(config(client), frames);
+    }
+    out
+}
+
+#[test]
+fn serve_checkpoints_bind_their_source() {
+    let config = ServeConfig::default();
+    let source = MemorySource::synthetic(6, 6, 40);
+    let path = tmp("bound_serve");
+    let _ = std::fs::remove_file(&path);
+    let options = ServiceOptions {
+        checkpoint: Some(path.clone()),
+        resume: true,
+        ..ServiceOptions::default()
+    };
+    let written = run_service(&config, &source, &options).unwrap();
+    assert_eq!(written.restored_vshards, 0);
+
+    let other_config = DetectorConfig::builder()
+        .current_window(8)
+        .trailing_window(8)
+        .skip_factor(2)
+        .build()
+        .unwrap();
+    let foreign = [
+        (
+            "other config",
+            rebuilt(&source, |_| other_config, |_, _| {}),
+        ),
+        (
+            "one byte flipped",
+            rebuilt(
+                &source,
+                |c| source.config_of(c),
+                |c, frames| {
+                    if c == 3 {
+                        frames[2][20] ^= 0x10;
+                    }
+                },
+            ),
+        ),
+        (
+            "one extra frame",
+            rebuilt(
+                &source,
+                |c| source.config_of(c),
+                |c, frames| {
+                    if c == 5 {
+                        frames.push(frames[0].clone());
+                    }
+                },
+            ),
+        ),
+    ];
+    for (what, other) in &foreign {
+        assert!(
+            matches!(
+                run_service(&config, other, &options),
+                Err(ServeError::Checkpoint(
+                    CheckpointError::FingerprintMismatch { .. }
+                ))
+            ),
+            "{what}: resuming over another source must be refused"
+        );
+    }
+
+    let same = rebuilt(&source, |c| source.config_of(c), |_, _| {});
+    let resumed = run_service(&config, &same, &options).unwrap();
+    assert_eq!(resumed.restored_vshards, resumed.vshards);
+    assert_eq!(resumed.sessions, written.sessions);
 }
