@@ -19,6 +19,8 @@
 //! [`PhaseDetector`] is the runtime of Figure 3 of the paper, on the
 //! SWAR window kernel, and [`spec`] is an executable transliteration
 //! of the same figure that every run path is checked against.
+//! [`lpt`] is the one parallel work loop that configuration sweeps and
+//! the streaming service run on.
 //!
 //! # Examples
 //!
@@ -51,6 +53,7 @@ mod config;
 mod detector;
 mod intern;
 mod kernel;
+pub mod lpt;
 mod model;
 mod predict;
 mod recur;

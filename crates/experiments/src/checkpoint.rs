@@ -30,13 +30,14 @@ use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
-use opd_core::{DetectedPhase, DetectorConfig, SweepEngine};
+use opd_core::lpt::run_lpt;
+use opd_core::{DetectedPhase, DetectorConfig, SweepEngine, SweepScratch};
 use opd_microvm::workloads::Workload;
 pub use opd_trace::record::CheckpointError;
 use opd_trace::record::{read_log, Cursor, RecordWriter};
 
 use crate::runner::{
-    config_run, filled, max_site_capacity, run_lpt, unit_prices, ConfigRun, PreparedWorkload,
+    config_run, filled, max_site_capacity, unit_prices, ConfigRun, PreparedWorkload,
 };
 
 /// The OPDK payload version of sweep checkpoints (serve checkpoints
@@ -277,10 +278,11 @@ pub fn sweep_many_checkpointed_with_progress(
     // Appends, and the completed count behind the progress callback,
     // go under one lock; each worker stops at its first I/O error.
     let writer = Mutex::new((writer, restored_buckets));
+    let sites = max_site_capacity(prepared);
     run_lpt(
         &items,
         threads,
-        max_site_capacity(prepared),
+        || SweepScratch::with_site_capacity(sites),
         |items| unit_prices(prepared, configs, &engine, items),
         |&(wi, ui), scratch| {
             let key = (wi as u32, ui as u32);

@@ -3,9 +3,8 @@
 
 use core::fmt;
 
+use opd_core::lpt::default_threads;
 use opd_core::{AnalyzerPolicy, AnchorPolicy, DetectorConfig, ModelPolicy, ResizePolicy, TwPolicy};
-
-use crate::runner::default_threads;
 
 /// Routes CLI output so machines and humans never share a stream: in
 /// `--json` mode, stdout carries exactly one JSON document

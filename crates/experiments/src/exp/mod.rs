@@ -13,10 +13,11 @@
 
 use core::ops::Range;
 
+use opd_core::lpt::default_threads;
 use opd_core::DetectorConfig;
 use opd_microvm::workloads::Workload;
 
-use crate::runner::{best_combined, default_threads, ConfigRun, PreparedWorkload};
+use crate::runner::{best_combined, ConfigRun, PreparedWorkload};
 
 pub mod client;
 pub mod fig4;

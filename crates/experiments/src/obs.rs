@@ -15,13 +15,13 @@ use std::convert::Infallible;
 use std::time::Instant;
 
 use opd_analyze::ConfigCost;
+use opd_core::lpt::{run_lpt, worker_count};
 use opd_core::{DetectorConfig, SweepEngine, SweepScratch};
 use opd_obs::{MetricsRegistry, MetricsSnapshot, UnitMetrics};
 
 use crate::report::Table;
 use crate::runner::{
-    config_run, filled, max_site_capacity, run_lpt, unit_prices, worker_count, ConfigRun,
-    PreparedWorkload,
+    config_run, filled, max_site_capacity, unit_prices, ConfigRun, PreparedWorkload,
 };
 
 /// What one `(workload, engine unit)` bucket actually did.
@@ -211,10 +211,11 @@ pub fn sweep_many_profiled(
     let mut cells = vec![vec![None; configs.len()]; prepared.len()];
     let mut buckets: Vec<BucketProfile> = Vec::with_capacity(items.len());
     let mut thread_busy_nanos = vec![0u64; threads];
+    let sites = max_site_capacity(prepared);
     run_lpt(
         &items,
         threads,
-        max_site_capacity(prepared),
+        || SweepScratch::with_site_capacity(sites),
         |items| unit_prices(prepared, configs, &engine, items),
         run_bucket,
         |t, (wi, local, profile)| {

@@ -5,6 +5,7 @@ use std::convert::Infallible;
 
 use opd_analyze::{Analysis, ResourceCertificate};
 use opd_baseline::{BaselineSolution, CallLoopForest};
+use opd_core::lpt::run_lpt;
 use opd_core::{
     anchored_intervals, detected_intervals, DetectedPhase, DetectorConfig, InternedTrace,
     PhaseDetector, SweepEngine, SweepScratch, SweepUnit,
@@ -240,7 +241,7 @@ pub fn prepare_all(
     run_lpt(
         &items,
         threads,
-        0,
+        || (),
         |items| vec![1; items.len()],
         |&i, _| {
             let prepared = PreparedWorkload::prepare_with_fuel(workloads[i], scale, mpls, fuel);
@@ -338,10 +339,11 @@ pub fn sweep_many(
         .flat_map(|wi| (0..engine.units().len()).map(move |ui| (wi, ui)))
         .collect();
     let mut cells = vec![vec![None; configs.len()]; prepared.len()];
+    let sites = max_site_capacity(prepared);
     run_lpt(
         &items,
         threads,
-        max_site_capacity(prepared),
+        || SweepScratch::with_site_capacity(sites),
         |items| unit_prices(prepared, configs, &engine, items),
         |&(wi, ui), scratch| {
             let p = &prepared[wi];
@@ -391,7 +393,7 @@ pub(crate) fn sweep_streams(
     run_lpt(
         &items,
         threads,
-        sites,
+        || SweepScratch::with_site_capacity(sites),
         |items| {
             items
                 .iter()
@@ -461,66 +463,6 @@ pub(crate) fn max_site_capacity(prepared: &[PreparedWorkload]) -> usize {
         .unwrap_or(0)
 }
 
-/// The worker count a sweep of `items` work items runs on.
-pub(crate) fn worker_count(threads: usize, items: usize) -> usize {
-    threads.max(1).min(items.max(1))
-}
-
-/// The one work loop under every sweep and under [`prepare_all`]. Runs
-/// `work` on each item with a [`SweepScratch`] reused across the items
-/// of one worker, and hands each output, with its worker's index, to
-/// `collect` on the calling thread.
-///
-/// On one worker the items run in order on the calling thread,
-/// unpriced, and each output is collected as it is made. On more,
-/// `price` costs the items once, [`lpt_plan`] spreads them over scoped
-/// workers (no locks on the hot path), and outputs are collected
-/// worker by worker after the join. A worker stops at its first error;
-/// the loop then returns the error of the first worker that failed.
-pub(crate) fn run_lpt<I: Sync, T: Send, E: Send>(
-    items: &[I],
-    threads: usize,
-    site_capacity: usize,
-    price: impl FnOnce(&[I]) -> Vec<u64>,
-    work: impl Fn(&I, &mut SweepScratch) -> Result<T, E> + Sync,
-    mut collect: impl FnMut(usize, T),
-) -> Result<(), E> {
-    let threads = worker_count(threads, items.len());
-    if threads <= 1 {
-        let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-        for item in items {
-            collect(0, work(item, &mut scratch)?);
-        }
-        return Ok(());
-    }
-    let plan = lpt_plan(&price(items), threads);
-    let work = &work;
-    let filled: Vec<Result<Vec<T>, E>> = std::thread::scope(|s| {
-        let handles: Vec<_> = plan
-            .into_iter()
-            .map(|bucket| {
-                s.spawn(move || {
-                    let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-                    bucket
-                        .into_iter()
-                        .map(|i| work(&items[i], &mut scratch))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    for (t, outputs) in filled.into_iter().enumerate() {
-        for output in outputs? {
-            collect(t, output);
-        }
-    }
-    Ok(())
-}
-
 /// Unwraps a sweep's `(workload, config)` grid once every cell is set.
 pub(crate) fn filled(cells: Vec<Vec<Option<ConfigRun>>>) -> Vec<Vec<ConfigRun>> {
     cells
@@ -531,32 +473,6 @@ pub(crate) fn filled(cells: Vec<Vec<Option<ConfigRun>>>) -> Vec<Vec<ConfigRun>> 
                 .collect()
         })
         .collect()
-}
-
-/// Longest-processing-time-first planning: places each item (heaviest
-/// first, index-stable among ties) onto the least-loaded bucket.
-/// Returns the item indices per bucket; [`sweep_many`] schedules from
-/// this plan, and the scheduling regression tests measure its load
-/// imbalance.
-///
-/// # Panics
-///
-/// Panics if `buckets` is zero.
-#[must_use]
-pub fn lpt_plan(costs: &[u64], buckets: usize) -> Vec<Vec<usize>> {
-    assert!(buckets > 0, "at least one bucket");
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
-    let mut plan: Vec<Vec<usize>> = vec![Vec::new(); buckets];
-    let mut loads = vec![0u64; buckets];
-    for i in order {
-        let t = (0..buckets)
-            .min_by_key(|&t| loads[t])
-            .expect("at least one bucket");
-        loads[t] = loads[t].saturating_add(costs[i]);
-        plan[t].push(i);
-    }
-    plan
 }
 
 /// The best combined score among `runs` against one oracle.
@@ -575,17 +491,11 @@ pub fn best_combined_anchored(runs: &[ConfigRun], oracle: &BaselineSolution) -> 
         .fold(0.0, f64::max)
 }
 
-/// A sensible default worker count: the machine's available
-/// parallelism.
-#[must_use]
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::{policy_grid, TwKind};
+    use opd_core::lpt::lpt_plan;
 
     fn small_prepared() -> PreparedWorkload {
         PreparedWorkload::prepare_with_fuel(Workload::Lexgen, 1, &[1_000, 10_000], 60_000)
@@ -798,20 +708,6 @@ mod tests {
             max <= ideal_max * 1.20,
             "certified plan max {max} vs measured-optimal max {ideal_max}"
         );
-    }
-
-    #[test]
-    fn lpt_plan_covers_every_item_once() {
-        let costs = [5u64, 3, 8, 1, 1, 6];
-        let plan = lpt_plan(&costs, 3);
-        let mut seen: Vec<usize> = plan.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-        // The heaviest item goes to an otherwise-light bucket: no
-        // bucket holds both of the two heaviest items.
-        for bucket in &plan {
-            assert!(!(bucket.contains(&2) && bucket.contains(&5)));
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The `opd audit` implementation: exhaustive DPOR exploration of the
-//! three modeled concurrent subsystems (metrics registry, sweep
-//! runner, checkpoint protocol), the seeded-bug mutant suite proving
-//! the detector catches real bugs, the `OPD-R` race lints over the
-//! observed synchronization profiles, and the `BENCH_sched.json`
-//! artifact recording all of it.
+//! one modeled concurrent subsystem, the metrics registry, through its
+//! real code; the seeded-bug mutant proving the detector catches a
+//! real bug; the `OPD-R` race lints over the observed synchronization
+//! profile; and the `BENCH_sched.json` artifact recording all of it.
 //!
 //! Everything here is deterministic: the explorer is seeded DFS over
 //! a serialized runtime, so execution counts, pruning ratios, witness
@@ -12,7 +11,7 @@
 //! byte for byte.
 
 use opd_analyze::{race_lints, Diagnostic, SubsystemSyncProfile, SyncSite};
-use opd_sched::{models, Explorer, FindingKind, SyncProfile};
+use opd_sched::{Explorer, FindingKind, SyncProfile};
 
 /// The audit's explorer seed: fixed so artifacts are reproducible.
 pub const AUDIT_SEED: u64 = 0;
@@ -20,7 +19,7 @@ pub const AUDIT_SEED: u64 = 0;
 /// One audited subsystem's exploration results.
 #[derive(Debug)]
 pub struct SubsystemAudit {
-    /// Subsystem name (`metrics`, `runner`, `checkpoint`).
+    /// Subsystem name (`metrics`).
     pub name: &'static str,
     /// Schedules explored with DPOR.
     pub executions: u64,
@@ -115,27 +114,15 @@ fn audit_one(name: &'static str, model: fn(), expected: Vec<String>) -> Subsyste
     }
 }
 
-/// Explores all three modeled subsystems exhaustively (DPOR and
-/// naive) and returns their audits, in fixed order.
+/// Explores every modeled subsystem exhaustively (DPOR and naive)
+/// and returns their audits, in fixed order.
 #[must_use]
 pub fn audit_subsystems() -> Vec<SubsystemAudit> {
-    vec![
-        audit_one(
-            "metrics",
-            opd_obs::sched_model::writers_then_snapshot,
-            opd_obs::sched_model::expected_objects(),
-        ),
-        audit_one(
-            "runner",
-            models::runner_disjoint_buckets,
-            models::runner_expected_objects(),
-        ),
-        audit_one(
-            "checkpoint",
-            models::checkpoint_writer_reader,
-            models::checkpoint_expected_objects(),
-        ),
-    ]
+    vec![audit_one(
+        "metrics",
+        opd_obs::sched_model::writers_then_snapshot,
+        opd_obs::sched_model::expected_objects(),
+    )]
 }
 
 fn mutant_one(
@@ -169,36 +156,16 @@ fn mutant_one(
 }
 
 /// Runs the seeded-bug mutation suite: every intentionally broken
-/// variant of the three protocols must be caught with the expected
+/// variant of a modeled protocol must be caught with the expected
 /// finding on the expected object.
 #[must_use]
 pub fn mutant_audits() -> Vec<MutantAudit> {
-    vec![
-        mutant_one(
-            "metrics_lost_update",
-            models::metrics_lost_update,
-            "lost_update",
-            "hits",
-        ),
-        mutant_one(
-            "runner_overlapping_buckets",
-            models::runner_overlapping_buckets,
-            "data_race",
-            "results[1]",
-        ),
-        mutant_one(
-            "runner_dropped_join",
-            models::runner_dropped_join,
-            "data_race",
-            "results[0]",
-        ),
-        mutant_one(
-            "checkpoint_relaxed_publish",
-            models::checkpoint_relaxed_publish,
-            "data_race",
-            "record[0]",
-        ),
-    ]
+    vec![mutant_one(
+        "metrics_lost_update",
+        opd_obs::sched_model::metrics_lost_update,
+        "lost_update",
+        "hits",
+    )]
 }
 
 /// Runs the `OPD-R` lints over every subsystem audit, in order.
@@ -270,7 +237,7 @@ mod tests {
     #[test]
     fn subsystems_audit_clean_and_cover_expected_objects() {
         let audits = audit_subsystems();
-        assert_eq!(audits.len(), 3);
+        assert_eq!(audits.len(), 1);
         for a in &audits {
             assert_eq!(a.verdict(), "clean", "{}: {:?}", a.name, a.finding);
             assert!(a.executions > 0);
@@ -317,8 +284,6 @@ mod tests {
         for needle in [
             "\"schema\": \"opd-bench-sched-v1\"",
             "\"name\": \"metrics\"",
-            "\"name\": \"runner\"",
-            "\"name\": \"checkpoint\"",
             "\"verdict\": \"clean\"",
             "\"caught\": true",
             "\"lint_warnings\": 0",
@@ -330,7 +295,7 @@ mod tests {
     #[test]
     fn r201_fires_when_coverage_is_missing() {
         let mut audits = audit_subsystems();
-        audits[1].profile.expected.push("uncovered_flag".to_owned());
+        audits[0].profile.expected.push("uncovered_flag".to_owned());
         let lints = audit_lints(&audits);
         assert_eq!(lints.len(), 1);
         assert_eq!(lints[0].code().as_str(), "OPD-R201");

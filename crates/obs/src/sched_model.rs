@@ -17,10 +17,15 @@
 //! known shards, which keeps the state space small and the expected
 //! object set exact; the untagged paths go through the same code with
 //! a tag that is itself deterministic under the explorer.
+//!
+//! [`metrics_lost_update`] is the seeded-bug mutant that shows the
+//! auditor is not vacuous on this protocol: a shard cell incremented
+//! the way the registry must not do it.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use opd_sched::{check, thread};
+use opd_sched::{check, thread, SyncAtomicU64};
 
 use crate::MetricsRegistry;
 
@@ -85,6 +90,27 @@ pub fn live_snapshot_monotone() {
         r.snapshot().counter("ops") == Some(3),
         "quiesced total is exact",
     );
+}
+
+/// Seeded bug: a counter cell updated with `load` + `store` instead
+/// of the registry's `fetch_add`. Two writers each "increment" once;
+/// one increment can vanish. The auditor reports a
+/// [`opd_sched::FindingKind::LostUpdate`] on `hits`, the exact failure
+/// `fetch_add` exists to prevent.
+pub fn metrics_lost_update() {
+    let hits = Arc::new(SyncAtomicU64::labeled(0, "hits"));
+    let workers: Vec<thread::JoinHandle> = (0..2)
+        .map(|_| {
+            let hits = Arc::clone(&hits);
+            thread::spawn(move || {
+                let v = hits.load(Ordering::Relaxed);
+                hits.store(v + 1, Ordering::Relaxed);
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join();
+    }
 }
 
 /// The shard-cell labels [`writers_then_snapshot`] must touch — the

@@ -1,9 +1,9 @@
 //! Deterministic schedule exploration and vector-clock race auditing.
 //!
-//! The concurrent pieces of this repository — the sharded metrics
-//! registry, the LPT bucket runner, the checkpoint writer — were
-//! historically verified by "it passed under one OS schedule". This
-//! crate makes concurrency correctness a checked, repeatable analysis:
+//! The repository's one lock-free shared-state protocol, the sharded
+//! metrics registry, was once verified by "it passed under one OS
+//! schedule". This crate makes concurrency correctness a checked,
+//! repeatable analysis:
 //!
 //! - **Instrumented sync layer** ([`SyncAtomicU64`], [`SyncCell`],
 //!   [`thread`], [`check`]): model code written against these runs as
@@ -31,15 +31,15 @@
 //! simplifications only drop happens-before edges, which can produce
 //! false positives, never false negatives.
 //!
-//! [`models`] ports the runner and checkpoint protocols; the metrics
-//! registry model lives in `opd-obs` behind its `sched` feature, where
-//! it drives the real registry code.
+//! This crate is a pure explorer and holds no models: the metrics
+//! registry's models live in `opd-obs` behind its `sched` feature,
+//! where they drive the real registry code, and the explorer's own
+//! tests carry small fixtures of their own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod explore;
-pub mod models;
 mod profile;
 mod runtime;
 mod sync;

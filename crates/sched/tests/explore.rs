@@ -1,11 +1,166 @@
 //! Explorer correctness: schedule counts on toy models, DPOR/naive
-//! agreement, replay determinism, and the seeded-bug mutants each
-//! caught with the specific expected witness.
+//! agreement, replay determinism, and seeded bugs each caught with
+//! the specific expected finding.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use opd_sched::{check, models, thread, Explorer, FindingKind, SyncAtomicU64, SyncCell};
+use opd_sched::{check, thread, Explorer, FindingKind, SyncAtomicU64, SyncCell};
+
+// -- fixtures --
+
+/// Labelled plain cells `name[0]`, `name[1]`, ...
+fn cells(name: &str, n: usize) -> Arc<Vec<SyncCell<u64>>> {
+    Arc::new(
+        (0..n)
+            .map(|i| SyncCell::labeled(0u64, format!("{name}[{i}]")))
+            .collect(),
+    )
+}
+
+/// Two workers write `slots[i]` for the items of their own bucket,
+/// ticking a shared `Relaxed` counter per item; the main thread checks
+/// every slot and the counter after both joins. Clean: the buckets are
+/// disjoint and the joins are the only edges needed. With `buckets`
+/// sharing an item it races on that item's slot.
+fn bucket_writers(buckets: [&'static [usize]; 2], counter: bool) {
+    let slots = cells("slots", 3);
+    let progress = Arc::new(SyncAtomicU64::labeled(0, "progress"));
+    let workers: Vec<thread::JoinHandle> = buckets
+        .iter()
+        .map(|&bucket| {
+            let slots = Arc::clone(&slots);
+            let progress = Arc::clone(&progress);
+            thread::spawn(move || {
+                for &item in bucket {
+                    slots[item].write(item as u64 + 10);
+                    if counter {
+                        progress.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join();
+    }
+    for (i, slot) in slots.iter().enumerate() {
+        check(slot.read() == i as u64 + 10, "every slot written");
+    }
+    if counter {
+        check(
+            progress.load(Ordering::Relaxed) == 3,
+            "the counter counts every item",
+        );
+    }
+}
+
+fn disjoint_buckets_with_relaxed_counter() {
+    bucket_writers([&[0], &[1, 2]], true);
+}
+
+fn overlapping_writes() {
+    bucket_writers([&[0, 1], &[1, 2]], false);
+}
+
+/// The main thread reads a slot before joining the worker that writes
+/// it: without the join edge the read races the write.
+fn dropped_join() {
+    let slots = cells("slots", 1);
+    let worker = {
+        let slots = Arc::clone(&slots);
+        thread::spawn(move || slots[0].write(10))
+    };
+    let _ = slots[0].read();
+    worker.join();
+}
+
+/// A writer fills `record[i]` and publishes the prefix length with a
+/// `Release` store; a reader takes an `Acquire` snapshot of the length
+/// and must see every record of that prefix written.
+fn release_acquire_prefix() {
+    const RECORDS: u64 = 2;
+    let records = cells("record", RECORDS as usize);
+    let committed = Arc::new(SyncAtomicU64::labeled(0, "committed"));
+    let writer = {
+        let (records, committed) = (Arc::clone(&records), Arc::clone(&committed));
+        thread::spawn(move || {
+            for i in 0..RECORDS {
+                records[i as usize].write(100 + i);
+                committed.store(i + 1, Ordering::Release);
+            }
+        })
+    };
+    let reader = {
+        let (records, committed) = (Arc::clone(&records), Arc::clone(&committed));
+        thread::spawn(move || {
+            let prefix = committed.load(Ordering::Acquire);
+            check(prefix <= RECORDS, "prefix never exceeds written records");
+            for i in 0..prefix {
+                check(
+                    records[i as usize].read() == 100 + i,
+                    "the published prefix is written",
+                );
+            }
+        })
+    };
+    writer.join();
+    reader.join();
+}
+
+/// The publish of [`release_acquire_prefix`] weakened to a `Relaxed`
+/// read-modify-write: no edge covers the record, so the reader's read
+/// races the writer's write.
+fn relaxed_rmw_publish() {
+    let record = Arc::new(SyncCell::labeled(0u64, "record[0]"));
+    let committed = Arc::new(SyncAtomicU64::labeled(0, "committed"));
+    let writer = {
+        let (record, committed) = (Arc::clone(&record), Arc::clone(&committed));
+        thread::spawn(move || {
+            record.write(100);
+            committed.fetch_add(1, Ordering::Relaxed);
+        })
+    };
+    let reader = {
+        let (record, committed) = (Arc::clone(&record), Arc::clone(&committed));
+        thread::spawn(move || {
+            if committed.load(Ordering::Acquire) == 1 {
+                check(record.read() == 100, "the published record is written");
+            }
+        })
+    };
+    writer.join();
+    reader.join();
+}
+
+/// Two writers "increment" one counter with `load` + `store`: one
+/// increment can vanish.
+fn load_store_increment() {
+    let hits = Arc::new(SyncAtomicU64::labeled(0, "hits"));
+    let workers: Vec<thread::JoinHandle> = (0..2)
+        .map(|_| {
+            let hits = Arc::clone(&hits);
+            thread::spawn(move || {
+                let v = hits.load(Ordering::Relaxed);
+                hits.store(v + 1, Ordering::Relaxed);
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join();
+    }
+}
+
+/// The finding of an exhaustive exploration of `model`, which must
+/// have one.
+fn finding_of(model: fn()) -> opd_sched::Finding {
+    Explorer::new()
+        .explore(model)
+        .finding
+        .expect("the seeded bug must be caught")
+}
+
+// -- explorer behaviour --
 
 /// Two threads doing one independent (distinct-object) write each:
 /// naive DFS sees both interleavings, DPOR sees the operations
@@ -78,7 +233,7 @@ fn seeds_agree_and_witnesses_replay() {
         .map(|seed| {
             let mut e = Explorer::new();
             e.seed = seed;
-            e.explore(models::metrics_lost_update)
+            e.explore(load_store_increment)
         })
         .collect();
     for r in &reports {
@@ -90,8 +245,7 @@ fn seeds_agree_and_witnesses_replay() {
         );
         // Replay is deterministic: the recorded schedule reproduces
         // the exact same finding kind and trace.
-        let replayed =
-            Explorer::new().replay(models::metrics_lost_update, &finding.witness.choices);
+        let replayed = Explorer::new().replay(load_store_increment, &finding.witness.choices);
         assert_eq!(replayed.executions, 1);
         let again = replayed.finding.expect("replay reproduces the finding");
         assert_eq!(again.witness.trace, finding.witness.trace);
@@ -102,10 +256,10 @@ fn seeds_agree_and_witnesses_replay() {
 /// on a clean model).
 #[test]
 fn preemption_bound_restricts_search() {
-    let unbounded = Explorer::new().explore(models::runner_disjoint_buckets);
+    let unbounded = Explorer::new().explore(disjoint_buckets_with_relaxed_counter);
     let mut bounded = Explorer::new();
     bounded.preemption_bound = Some(0);
-    let bounded = bounded.explore(models::runner_disjoint_buckets);
+    let bounded = bounded.explore(disjoint_buckets_with_relaxed_counter);
     assert!(unbounded.is_clean(), "{:?}", unbounded.finding);
     assert!(bounded.finding.is_none(), "{:?}", bounded.finding);
     assert!(
@@ -144,47 +298,45 @@ fn check_failure_carries_trace_witness() {
     assert!(rendered.contains("check failed"), "{rendered}");
 }
 
-// -- clean subsystem models --
+// -- clean models --
 
 #[test]
-fn runner_model_explores_clean() {
-    let report = Explorer::new().explore(models::runner_disjoint_buckets);
+fn relaxed_counter_is_concurrent_and_disjoint_slots_are_not() {
+    let report = Explorer::new().explore(disjoint_buckets_with_relaxed_counter);
     assert!(report.is_clean(), "{:?}", report.finding);
-    for label in models::runner_expected_objects() {
+    for label in ["slots[0]", "slots[1]", "slots[2]", "progress"] {
         assert!(
-            report.profile.site(&label).is_some(),
-            "expected object `{label}` unexplored"
+            report.profile.site(label).is_some(),
+            "object `{label}` unexplored"
         );
     }
-    // The Relaxed progress counter is genuinely concurrent — that is
-    // the documented contract, not a bug.
+    // The Relaxed counter is genuinely concurrent, which is legal for
+    // an atomic; disjoint slots never race and never interleave.
     assert!(report.profile.site("progress").unwrap().concurrent_rw);
-    // Disjoint slots never race and never interleave.
-    assert!(!report.profile.site("results[0]").unwrap().concurrent_rw);
+    assert!(!report.profile.site("slots[0]").unwrap().concurrent_rw);
 }
 
 #[test]
-fn checkpoint_model_explores_clean() {
-    let report = Explorer::new().explore(models::checkpoint_writer_reader);
+fn reads_from_reversal_explores_every_published_prefix() {
+    let report = Explorer::new().explore(release_acquire_prefix);
     assert!(report.is_clean(), "{:?}", report.finding);
     // One schedule per observable prefix (0, 1, 2 records): the
     // reads-from edge between the Release publish and the Acquire
     // snapshot must not suppress its own reversal.
     assert_eq!(report.executions, 3);
-    for label in models::checkpoint_expected_objects() {
+    for label in ["record[0]", "record[1]", "committed"] {
         assert!(
-            report.profile.site(&label).is_some(),
-            "expected object `{label}` unexplored"
+            report.profile.site(label).is_some(),
+            "object `{label}` unexplored"
         );
     }
 }
 
-// -- seeded-bug mutants: the detector is not vacuous --
+// -- seeded bugs: the detector is not vacuous --
 
 #[test]
-fn mutant_lost_update_is_caught() {
-    let report = Explorer::new().explore(models::metrics_lost_update);
-    let finding = report.finding.expect("mutant must be caught");
+fn lost_update_is_caught() {
+    let finding = finding_of(load_store_increment);
     assert!(
         matches!(&finding.kind, FindingKind::LostUpdate { object, .. } if object == "hits"),
         "wrong finding: {}",
@@ -194,37 +346,35 @@ fn mutant_lost_update_is_caught() {
 }
 
 #[test]
-fn mutant_overlapping_buckets_is_caught() {
-    let report = Explorer::new().explore(models::runner_overlapping_buckets);
-    let finding = report.finding.expect("mutant must be caught");
+fn overlapping_writes_race() {
+    let finding = finding_of(overlapping_writes);
     assert!(
-        matches!(&finding.kind, FindingKind::DataRace { object, .. } if object == "results[1]"),
+        matches!(&finding.kind, FindingKind::DataRace { object, .. } if object == "slots[1]"),
         "wrong finding: {}",
         finding.kind
     );
 }
 
 #[test]
-fn mutant_dropped_join_is_caught() {
-    let report = Explorer::new().explore(models::runner_dropped_join);
-    let finding = report.finding.expect("mutant must be caught");
+fn dropped_join_races() {
+    let finding = finding_of(dropped_join);
     assert!(
-        matches!(&finding.kind, FindingKind::DataRace { object, .. } if object == "results[0]"),
+        matches!(&finding.kind, FindingKind::DataRace { object, .. } if object == "slots[0]"),
         "wrong finding: {}",
         finding.kind
     );
 }
 
 #[test]
-fn mutant_relaxed_publish_is_caught() {
-    let report = Explorer::new().explore(models::checkpoint_relaxed_publish);
-    let finding = report.finding.expect("mutant must be caught");
+fn relaxed_rmw_publish_races() {
+    let report = Explorer::new().explore(relaxed_rmw_publish);
+    let finding = report.finding.expect("the seeded bug must be caught");
     assert!(
         matches!(&finding.kind, FindingKind::DataRace { object, .. } if object == "record[0]"),
         "wrong finding: {}",
         finding.kind
     );
-    // The profile exposes the R202 shape: Relaxed RMW writes paired
+    // The profile shows the R202 shape: Relaxed RMW writes paired
     // with Acquire reads on the publication flag.
     let site = report.profile.site("committed").expect("profiled");
     assert!(site.has_relaxed_rmw_write());

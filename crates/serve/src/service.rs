@@ -6,20 +6,22 @@
 //! backpressure, hazards, supervision all advance in virtual-time
 //! ticks, and every random decision is a stateless keyed draw — so a
 //! vshard's outcome is a pure function of the configuration and the
-//! [`FrameSource`]. OS threads pick up whole vshards (the same
-//! disjoint-ownership shape as the sweep runner's buckets), which
+//! [`FrameSource`]. Vshards run on the sweeps' work loop,
+//! [`opd_core::lpt::run_lpt`]: priced by their clients' frame counts
+//! and planned longest first, each runs whole on one OS thread. That
 //! makes the full service report **bit-identical across thread
-//! counts** and resumable: completed vshards persist to an OPDK
-//! checkpoint and a restarted run recomputes only the missing ones.
+//! counts** and resumable: each vshard appends to an OPDK checkpoint
+//! as it completes, and a restarted run recomputes only the missing
+//! ones.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use opd_analyze::ResourceCertificate;
+use opd_core::lpt::{default_threads, run_lpt};
 use opd_core::DetectorConfig;
 use opd_obs::{
     render_span_log, CounterId, DetectorEvent, HistogramId, MetricsRegistry, NullSpanRecorder,
@@ -489,7 +491,10 @@ impl ServiceTrace {
 ///
 /// Returns [`ServeError`] on an unusable configuration, a checkpoint
 /// that cannot be read or written (or any checkpoint, when `R`
-/// records), or a stalled shard.
+/// records), or a stalled shard. When vshards fail, the error is the
+/// one of the first failing worker in the work loop's plan order, so
+/// it does not depend on timing; a worker stops at its first error and
+/// the others finish their vshards first.
 pub fn run_service_traced<R: SpanRecorder + Default>(
     config: &ServeConfig,
     source: &dyn FrameSource,
@@ -520,11 +525,11 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         ));
     }
 
-    let mut restored: BTreeMap<u32, VshardTrace> = BTreeMap::new();
+    let mut done: BTreeMap<u32, VshardTrace> = BTreeMap::new();
     let writer = match &options.checkpoint {
         Some(path) if options.resume && path.exists() => {
             let (w, map) = ServeCheckpointWriter::resume(path, config.fingerprint(source))?;
-            restored = map
+            done = map
                 .into_iter()
                 .map(|(vshard, reports)| (vshard, (reports, Vec::new(), Vec::new())))
                 .collect();
@@ -536,61 +541,44 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         )?)),
         None => None,
     };
-    let restored_vshards = restored.len() as u32;
+    let restored_vshards = done.len() as u32;
 
     let pending: Vec<u32> = (0..config.vshards)
-        .filter(|v| !restored.contains_key(v))
+        .filter(|v| !done.contains_key(v))
         .collect();
-    let threads = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        options.threads
-    }
-    .min(pending.len().max(1));
+    let threads = match options.threads {
+        0 => default_threads(),
+        n => n,
+    };
+    run_lpt(
+        &pending,
+        threads,
+        || (),
+        |pending| {
+            pending
+                .iter()
+                .map(|&vshard| vshard_frames(vshard, config.vshards, source))
+                .collect()
+        },
+        |&vshard, ()| {
+            let result = run_vshard::<R>(vshard, config, source, subscriber, metrics, trace)?;
+            if let Some(w) = &writer {
+                w.lock()
+                    .expect("checkpoint writer lock")
+                    .append(vshard, &result.0)
+                    .map_err(|e| ServeError::Checkpoint(CheckpointError::Io(e)))?;
+            }
+            Ok::<_, ServeError>((vshard, result))
+        },
+        |_, (vshard, result)| {
+            done.insert(vshard, result);
+        },
+    )?;
 
-    let done: Mutex<BTreeMap<u32, VshardTrace>> = Mutex::new(restored);
-    let next = AtomicUsize::new(0);
-    let failure: Mutex<Option<ServeError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if failure.lock().expect("no panics in workers").is_some() {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&vshard) = pending.get(i) else { break };
-                match run_vshard::<R>(vshard, config, source, subscriber, metrics, trace) {
-                    Ok(result) => {
-                        if let Some(w) = &writer {
-                            let mut w = w.lock().expect("no panics in workers");
-                            if let Err(e) = w.append(vshard, &result.0) {
-                                *failure.lock().expect("no panics in workers") =
-                                    Some(ServeError::Checkpoint(CheckpointError::Io(e)));
-                                break;
-                            }
-                        }
-                        done.lock()
-                            .expect("no panics in workers")
-                            .insert(vshard, result);
-                    }
-                    Err(e) => {
-                        *failure.lock().expect("no panics in workers") = Some(e);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().expect("no panics in workers") {
-        return Err(e);
-    }
-    let map = done.into_inner().expect("no panics in workers");
     let mut sessions = Vec::new();
     let mut client_spans: Vec<(u32, Vec<Span>)> = Vec::new();
     let mut postmortems = Vec::new();
-    for (_, (reports, spans, pms)) in map {
+    for (_, (reports, spans, pms)) in done {
         sessions.extend(reports);
         client_spans.extend(spans);
         postmortems.extend(pms);
@@ -607,6 +595,14 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         },
         ServiceTrace { spans, postmortems },
     ))
+}
+
+/// The frames of every client of `vshard`: its price on the work loop.
+fn vshard_frames(vshard: u32, vshards: u32, source: &dyn FrameSource) -> u64 {
+    (vshard..source.clients())
+        .step_by(vshards as usize)
+        .map(|client| u64::from(source.frames(client)))
+        .sum()
 }
 
 /// One traced vshard's output: session reports, per-client span
@@ -831,39 +827,101 @@ impl FrameSource for MemorySource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn clean_service_completes_everyone_identically_across_threads() {
-        let source = MemorySource::synthetic(23, 7, 36);
+        let even = MemorySource::synthetic(23, 7, 36);
+        // Clients of 1 to 40 frames: the vshards' frame-count prices
+        // differ, so the plans above one thread reorder the vshards.
+        let mut ragged = MemorySource::synthetic(23, 40, 36);
+        for (c, (_, frames)) in ragged.streams.iter_mut().enumerate() {
+            frames.truncate(1 + c * 17 % 40);
+        }
+        let prices: Vec<u64> = (0..5).map(|v| vshard_frames(v, 5, &ragged)).collect();
+        assert_eq!(prices, [55, 140, 105, 78, 106]);
         let config = ServeConfig {
             vshards: 5,
             ..ServeConfig::default()
         };
-        let one = run_service(
-            &config,
-            &source,
-            &ServiceOptions {
-                threads: 1,
+        for source in [&even, &ragged] {
+            let run = |threads| {
+                let options = ServiceOptions {
+                    threads,
+                    ..ServiceOptions::default()
+                };
+                run_service(&config, source, &options).expect("clean run")
+            };
+            let one = run(1);
+            for threads in [2, 8] {
+                assert_eq!(one, run(threads), "outcome depends on {threads} threads");
+            }
+            assert_eq!(one.completed(), 23);
+            assert_eq!(one.verify_failures(), 0);
+            assert!(one.conservation_holds());
+            assert!(one.phases() > 0);
+            assert_ne!(one.aggregate_digest(), 0);
+        }
+    }
+
+    /// A source that records, at every frame fetch, the length of a
+    /// checkpoint file the run is writing.
+    struct WatchingSource<'a> {
+        inner: MemorySource,
+        checkpoint: &'a std::path::Path,
+        longest_seen: AtomicU64,
+    }
+
+    impl FrameSource for WatchingSource<'_> {
+        fn clients(&self) -> u32 {
+            self.inner.clients()
+        }
+        fn frames(&self, client: u32) -> u32 {
+            self.inner.frames(client)
+        }
+        fn frame(&self, client: u32, index: u32) -> Vec<u8> {
+            let len = std::fs::metadata(self.checkpoint).map_or(0, |m| m.len());
+            self.longest_seen.fetch_max(len, Ordering::Relaxed);
+            self.inner.frame(client, index)
+        }
+        fn detector_config(&self, client: u32) -> DetectorConfig {
+            self.inner.detector_config(client)
+        }
+        fn fingerprint(&self) -> u64 {
+            self.inner.fingerprint()
+        }
+    }
+
+    #[test]
+    fn checkpoint_records_land_while_the_run_goes_on() {
+        let dir = std::env::temp_dir().join(format!("opd_serve_landing_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let config = ServeConfig {
+            vshards: 8,
+            ..ServeConfig::default()
+        };
+        for threads in [1, 2] {
+            let path = dir.join(format!("t{threads}.opdk"));
+            let _ = std::fs::remove_file(&path);
+            let source = WatchingSource {
+                inner: MemorySource::synthetic(16, 4, 24),
+                checkpoint: &path,
+                longest_seen: AtomicU64::new(0),
+            };
+            let options = ServiceOptions {
+                threads,
+                checkpoint: Some(path.clone()),
                 ..ServiceOptions::default()
-            },
-        )
-        .expect("clean run");
-        let many = run_service(
-            &config,
-            &source,
-            &ServiceOptions {
-                threads: 8,
-                ..ServiceOptions::default()
-            },
-        )
-        .expect("clean run");
-        assert_eq!(one, many, "outcome must not depend on thread count");
-        assert_eq!(one.completed(), 23);
-        assert_eq!(one.verify_failures(), 0);
-        assert!(one.conservation_holds());
-        assert!(one.phases() > 0);
-        assert_ne!(one.aggregate_digest(), 0);
+            };
+            let report = run_service(&config, &source, &options).expect("checkpointed run");
+            assert_eq!(report.completed(), 16);
+            assert!(
+                source.longest_seen.into_inner() > opd_trace::record::HEADER_LEN as u64,
+                "at {threads} thread(s) no frame fetch saw a vshard record: \
+                 records must land as each vshard finishes"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! cargo run --release --example compare_policies
 //! ```
 
+use opd::core::lpt::default_threads;
 use opd::experiments::grid::{half_mpl_cw, policy_grid, TwKind};
 use opd::experiments::report::{fmt_mpl, fmt_score, Table};
-use opd::experiments::runner::{best_combined, default_threads, sweep, PreparedWorkload};
+use opd::experiments::runner::{best_combined, sweep, PreparedWorkload};
 use opd::microvm::workloads::Workload;
 
 /// A representative subset of the paper's MPL values, to keep the

@@ -7,11 +7,12 @@
 # the default grid, a two-thread profiled `opd sweep --stats` run
 # (the metered sweep planned from the plain sweep's LPT prices), the
 # fault-injection smoke pass (injector ledgers vs decoder reports), an
-# `opd trace` smoke run, an `opd audit` smoke run (DPOR exploration +
-# mutant suite + OPD-R lints), an
+# `opd trace` smoke run, an `opd audit` smoke run (DPOR exploration of
+# the metrics registry + its seeded mutant + OPD-R lints), an
 # `opd serve` smoke run (supervised multi-tenant streaming under
 # aggressive hazards), a release `opd serve` checkpoint round trip
-# (resume restores vshards and reprints the digest), an observability
+# (written on two threads, resumed on one: resume restores vshards and
+# reprints the digest), an observability
 # smoke pass (`opd top`,
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
@@ -64,14 +65,16 @@ cargo run --release -q --bin opd -- trace lexgen --limit 5 --fuel 20000 > /dev/n
 # (The BENCH_serve.json freshness test runs in the workspace suite
 # above.)
 cargo run --release -q --bin opd -- serve --smoke > /dev/null
-# Serve checkpoint round trip: a checkpointed soak, then the same
-# command resumed from its whole checkpoint, must print the same
-# digest and restore at least one vshard instead of recomputing it.
+# Serve checkpoint round trip: a checkpointed soak on two threads,
+# then the same command resumed on one thread from its whole
+# checkpoint, must print the same digest and restore at least one
+# vshard instead of recomputing it. Vshards run on the sweeps' LPT
+# work loop, so the two runs schedule them differently.
 ckpt_dir="$(mktemp -d)"
 serve_ckpt=(cargo run --release -q --bin opd -- serve --clients 2000
     --checkpoint "$ckpt_dir/serve.opdk" --json)
-written="$("${serve_ckpt[@]}")"
-resumed="$("${serve_ckpt[@]}" --resume)"
+written="$("${serve_ckpt[@]}" --threads 2)"
+resumed="$("${serve_ckpt[@]}" --threads 1 --resume)"
 rm -rf "$ckpt_dir"
 if [ "$(grep '"digest"' <<<"$written")" != "$(grep '"digest"' <<<"$resumed")" ]; then
     echo "check.sh: resumed serve digest differs: $resumed" >&2
@@ -96,9 +99,10 @@ cargo run --release -q --bin opd -- serve --smoke --postmortem-dir "$flight_dir"
 first_pm="$(find "$flight_dir" -name '*.pm' | sort | sed -n 1p)"
 cargo run --release -q --bin opd -- flight "$first_pm" > /dev/null
 rm -rf "$flight_dir"
-# Concurrency audit smoke: every modeled subsystem explores clean,
-# every seeded mutant is caught, and no OPD-R lint fires. (The
-# BENCH_sched.json freshness test runs in the workspace suite above.)
+# Concurrency audit smoke: the one modeled subsystem, the metrics
+# registry, explores clean through its real code, its seeded mutant is
+# caught, and no OPD-R lint fires. (The BENCH_sched.json freshness
+# test runs in the workspace suite above.)
 cargo run --release -q --bin opd -- audit --deny-warnings > /dev/null
 # Certificate smoke: every (config × workload) pair of the default
 # grid certifies without a single OPD-A30x finding at the full static

@@ -32,11 +32,10 @@
 //!   `--stats` runs the metered sweep and prints a per-bucket profile;
 //!   `--write` updates `BENCH_obs.json`.
 //! * `opd audit [--json] [--deny-warnings] [--write]` — the
-//!   concurrency audit: exhaustive DPOR exploration of the modeled
-//!   concurrent subsystems (metrics, runner, checkpoint), the
-//!   seeded-bug mutant suite, and the `OPD-R` race lints over the
-//!   observed synchronization profiles; `--write` updates
-//!   `BENCH_sched.json`.
+//!   concurrency audit: exhaustive DPOR exploration of the metrics
+//!   registry through its real code, its seeded-bug mutant, and the
+//!   `OPD-R` race lints over the observed synchronization profile;
+//!   `--write` updates `BENCH_sched.json`.
 //! * `opd certify [--json] [--deny-warnings] [--budget BYTES]
 //!   [--scale N] [--fuel N] [--write]` — abstract-interpretation
 //!   resource certificates for every (config × workload) pair of the

@@ -1,10 +1,10 @@
 //! Thread-count independence of the sweep: results and the
 //! deterministic BENCH-artifact fields must be bit-identical across
-//! `--threads 1`, `2`, and `8`. This is the regression test backing
-//! the claim the concurrency audit verifies in the model — workers own
-//! disjoint result buckets and every bucket's content depends only on
-//! its `(workload, unit)` inputs, so the thread plan cannot leak into
-//! the output.
+//! `--threads 1`, `2`, and `8`. The work loop (`opd_core::lpt`) hands
+//! every worker's outputs to the calling thread after the join, and
+//! every bucket's content depends only on its `(workload, unit)`
+//! inputs, so the thread plan cannot leak into the output; this test
+//! is what checks that claim.
 
 use opd_core::DetectorConfig;
 use opd_experiments::checkpoint::{run_fingerprint, sweep_many_checkpointed};

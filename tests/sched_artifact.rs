@@ -43,7 +43,7 @@ fn committed_artifact_is_structurally_valid() {
 
     let subsystems = doc.get("subsystems").arr();
     let names: Vec<&str> = subsystems.iter().map(|s| s.get("name").str()).collect();
-    assert_eq!(names, ["metrics", "runner", "checkpoint"]);
+    assert_eq!(names, ["metrics"]);
     for s in subsystems {
         assert_eq!(s.get("verdict").str(), "clean");
         let executions = s.get("executions").as_u64();
@@ -59,7 +59,7 @@ fn committed_artifact_is_structurally_valid() {
     }
 
     let mutants = doc.get("mutants").arr();
-    assert_eq!(mutants.len(), 4);
+    assert_eq!(mutants.len(), 1);
     for m in mutants {
         assert!(
             m.get("caught").boolean(),

@@ -3,10 +3,10 @@
 //! `NullSpanRecorder` must allocate exactly as often as the plain
 //! engine — the `R::ACTIVE` guards compile every span construction,
 //! flight-ring push, and post-mortem dump out of the disabled path.
-//! A counting global allocator wraps the system one. `run_service`
-//! starts worker threads even at `threads: 1`, so the count is
-//! process-wide, and the test holds the allocator's serialization lock
-//! so no other counting test of this binary runs meanwhile.
+//! A counting global allocator wraps the system one. The count is
+//! process-wide, so it would also see worker threads, and the test
+//! holds the allocator's serialization lock so no other counting test
+//! of this binary runs meanwhile.
 
 #[path = "common/alloc.rs"]
 mod alloc;
