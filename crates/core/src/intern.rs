@@ -281,8 +281,11 @@ impl IdLog {
     }
 
     /// Empties the log, its intern table and its memo, keeping their
-    /// allocations.
-    pub(crate) fn clear(&mut self) {
+    /// allocations and the table's keyed hasher. A cleared log assigns
+    /// the same ids to the same elements as [`IdLog::new`] would, so a
+    /// streaming consumer can reuse one log for stream after stream
+    /// without growing its tables again.
+    pub fn clear(&mut self) {
         self.trace.site_index.take();
         self.trace.ids.clear();
         self.trace.distinct = 0;

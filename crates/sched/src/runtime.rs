@@ -223,7 +223,10 @@ pub enum FindingKind {
         second: usize,
     },
     /// A store overwrote another thread's write that the storing
-    /// thread never observed — classic lost update.
+    /// thread never observed — classic lost update. The check asks
+    /// what the storing thread read, not what happens-before orders: a
+    /// blind store over an unobserved foreign write is flagged even
+    /// when a join orders the two writes.
     LostUpdate {
         /// The clobbered object's label.
         object: String,

@@ -151,6 +151,55 @@ fn load_store_increment() {
     }
 }
 
+/// A worker's blind store to `a`, then the main thread's blind store
+/// after joining it. The join orders the two stores, but the main
+/// thread never read `a`: the explorer flags its store as a lost
+/// update, since the check asks what the storing thread observed, not
+/// whether happens-before orders the stores.
+fn join_ordered_blind_store() {
+    let a = Arc::new(SyncAtomicU64::labeled(0, "a"));
+    let worker = {
+        let a = Arc::clone(&a);
+        thread::spawn(move || a.store(1, Ordering::Relaxed))
+    };
+    worker.join();
+    a.store(2, Ordering::Relaxed);
+}
+
+/// A writer fills `data` and publishes it with a `Release` store to
+/// `flag`; a second thread stores to `flag` with `Relaxed`; a reader
+/// reads `data` only when its `Acquire` load sees the relaxed value,
+/// which carries no edge to the write of `data`. The two blind stores
+/// to `flag` overwrite each other unobserved, and the explorer stops
+/// at that first finding: it reports a lost update on `flag`, not a
+/// race on `data`.
+fn relaxed_overwrite_of_a_release_store() {
+    let data = Arc::new(SyncCell::labeled(0u64, "data"));
+    let flag = Arc::new(SyncAtomicU64::labeled(0, "flag"));
+    let writer = {
+        let (data, flag) = (Arc::clone(&data), Arc::clone(&flag));
+        thread::spawn(move || {
+            data.write(1);
+            flag.store(1, Ordering::Release);
+        })
+    };
+    let overwriter = {
+        let flag = Arc::clone(&flag);
+        thread::spawn(move || flag.store(2, Ordering::Relaxed))
+    };
+    let reader = {
+        let (data, flag) = (Arc::clone(&data), Arc::clone(&flag));
+        thread::spawn(move || {
+            if flag.load(Ordering::Acquire) == 2 {
+                let _ = data.read();
+            }
+        })
+    };
+    writer.join();
+    overwriter.join();
+    reader.join();
+}
+
 /// The finding of an exhaustive exploration of `model`, which must
 /// have one.
 fn finding_of(model: fn()) -> opd_sched::Finding {
@@ -343,6 +392,26 @@ fn lost_update_is_caught() {
         finding.kind
     );
     assert!(!finding.witness.choices.is_empty());
+}
+
+#[test]
+fn join_ordered_blind_store_is_a_lost_update() {
+    let finding = finding_of(join_ordered_blind_store);
+    assert!(
+        matches!(&finding.kind, FindingKind::LostUpdate { object, .. } if object == "a"),
+        "wrong finding: {}",
+        finding.kind
+    );
+}
+
+#[test]
+fn relaxed_overwrite_of_a_release_store_is_a_lost_update_on_the_flag() {
+    let finding = finding_of(relaxed_overwrite_of_a_release_store);
+    assert!(
+        matches!(&finding.kind, FindingKind::LostUpdate { object, .. } if object == "flag"),
+        "wrong finding: {}",
+        finding.kind
+    );
 }
 
 #[test]

@@ -26,8 +26,13 @@
 //!   whose certified memory high-water mark exceeds the budget before
 //!   they consume anything.
 //! * **Dirty ingest** — every frame decodes through the panic-free
-//!   `decode_trace_resync` path: corrupt bytes degrade one session's
-//!   accuracy, never the process.
+//!   resync decoder (`opd_trace::decode_trace_resync_into`): corrupt
+//!   bytes degrade one session's accuracy, never the process.
+//! * **Recycled buffers** — each worker's sessions take their log,
+//!   detector and queue from the worker's
+//!   [`SessionScratch`](session::SessionScratch) and give them back
+//!   when they report, so a run allocates per frame and per vshard,
+//!   not per session.
 //!
 //! The engine ([`run_service`]) is a *deterministic simulation*:
 //! sessions are partitioned into virtual shards, each shard advances

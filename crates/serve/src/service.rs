@@ -32,8 +32,8 @@ use opd_trace::{encode_trace, ExecutionTrace, MethodId, ProfileElement, TraceSin
 use crate::checkpoint::{CheckpointError, ServeCheckpointWriter};
 use crate::flight::{Postmortem, SessionTracer, TraceConfig};
 use crate::ledger::ShedLedger;
-use crate::session::{Session, SessionReport, SessionStatus};
-use crate::supervisor::{keyed_hash, SeededHazards};
+use crate::session::{Session, SessionReport, SessionScratch, SessionStatus};
+use crate::supervisor::{keyed_hash, keyed_hash_iter, SeededHazards};
 use crate::{IngestPolicy, SupervisionPolicy};
 
 /// Where a session's frames come from.
@@ -384,15 +384,15 @@ impl ServiceReport {
     /// bit-identical phase streams for every session.
     #[must_use]
     pub fn aggregate_digest(&self) -> u64 {
-        let mut words = Vec::with_capacity(self.sessions.len() * 4 + 1);
-        words.push(self.sessions.len() as u64);
-        for r in &self.sessions {
-            words.push(u64::from(r.client));
-            words.push(u64::from(r.status.code()));
-            words.push(r.stats.phase_digest);
-            words.push(r.stats.phase_count);
-        }
-        keyed_hash(&words)
+        let quads = self.sessions.iter().flat_map(|r| {
+            [
+                u64::from(r.client),
+                u64::from(r.status.code()),
+                r.stats.phase_digest,
+                r.stats.phase_count,
+            ]
+        });
+        keyed_hash_iter(std::iter::once(self.sessions.len() as u64).chain(quads))
     }
 }
 
@@ -550,18 +550,21 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         0 => default_threads(),
         n => n,
     };
+    // Each worker's sessions reuse its scratch across the vshards it
+    // runs: the free list grows to the most sessions one of them had.
     run_lpt(
         &pending,
         threads,
-        || (),
+        SessionScratch::new,
         |pending| {
             pending
                 .iter()
                 .map(|&vshard| vshard_frames(vshard, config.vshards, source))
                 .collect()
         },
-        |&vshard, ()| {
-            let result = run_vshard::<R>(vshard, config, source, subscriber, metrics, trace)?;
+        |&vshard, scratch| {
+            let result =
+                run_vshard::<R>(vshard, config, source, subscriber, metrics, trace, scratch)?;
             if let Some(w) = &writer {
                 w.lock()
                     .expect("checkpoint writer lock")
@@ -610,7 +613,9 @@ fn vshard_frames(vshard: u32, vshards: u32, source: &dyn FrameSource) -> u64 {
 type VshardTrace = (Vec<SessionReport>, Vec<(u32, Vec<Span>)>, Vec<Postmortem>);
 
 /// Runs one vshard's sessions to completion, each under its own
-/// [`SessionTracer`] when `R` records.
+/// [`SessionTracer`] when `R` records, on buffers from the worker's
+/// `scratch`. All of one vshard's sessions are live together, and all
+/// hand their buffers back at the end.
 fn run_vshard<R: SpanRecorder + Default>(
     vshard: u32,
     config: &ServeConfig,
@@ -618,6 +623,7 @@ fn run_vshard<R: SpanRecorder + Default>(
     subscriber: &dyn Subscriber,
     metrics: Option<(&MetricsRegistry, &ServiceMetrics)>,
     trace: &TraceConfig,
+    scratch: &mut SessionScratch,
 ) -> Result<VshardTrace, ServeError> {
     let mut reports = Vec::new();
     // Sessions and their tracers live in parallel vectors: when `R`
@@ -645,6 +651,7 @@ fn run_vshard<R: SpanRecorder + Default>(
                 config.ingest,
                 config.supervision,
                 config.verify,
+                scratch,
             ));
         } else {
             reports.push(SessionReport::rejected(client, frames));
@@ -678,7 +685,7 @@ fn run_vshard<R: SpanRecorder + Default>(
             s.deliver(source, tick);
             let before = s.stats().frames_processed;
             let t0 = metrics.map(|_| Instant::now());
-            s.step(tick, &config.hazards, subscriber, tracer);
+            s.step(tick, &config.hazards, subscriber, tracer, scratch);
             if let (Some((registry, m)), Some(t0)) = (metrics, t0) {
                 if s.stats().frames_processed > before {
                     registry.record_tagged(
@@ -700,7 +707,7 @@ fn run_vshard<R: SpanRecorder + Default>(
     let mut spans = Vec::new();
     let mut postmortems = Vec::new();
     for (i, s) in sessions.into_iter().enumerate() {
-        let report = s.into_report();
+        let report = s.into_report(scratch);
         if let Some((registry, m)) = metrics {
             m.observe_session(registry, vshard, &report);
         }
@@ -861,6 +868,132 @@ mod tests {
             assert!(one.conservation_holds());
             assert!(one.phases() > 0);
             assert_ne!(one.aggregate_digest(), 0);
+        }
+    }
+
+    /// The four detector shapes `(cw, tw, skip)` that `opd serve`
+    /// rotates its clients through (`opd_experiments::serve`'s
+    /// `serve_configs`).
+    const SERVE_SHAPES: [(usize, usize, usize); 4] =
+        [(32, 32, 4), (24, 24, 6), (48, 48, 8), (16, 48, 4)];
+
+    /// `clients` clients over all four shapes, mixed within each of
+    /// `vshards` vshards. The clients of even vshards draw on 40 or
+    /// more distinct sites and those of odd vshards on 3, so on one
+    /// worker each 3-site vshard reuses the buffers of a wide one.
+    /// Frames carry method events, and every seventh has a corrupt
+    /// branch record.
+    fn mixed_source(clients: u32, vshards: u32) -> MemorySource {
+        let mut source = MemorySource::new();
+        for c in 0..clients {
+            let (cw, tw, skip) = SERVE_SHAPES[((c / vshards + c) % 4) as usize];
+            let config = DetectorConfig::builder()
+                .current_window(cw)
+                .trailing_window(tw)
+                .skip_factor(skip)
+                .build()
+                .expect("serve shapes are valid");
+            let wide = c % vshards % 2 == 0;
+            let frames = (0..6 + c % 5)
+                .map(|f| {
+                    let mut t = ExecutionTrace::new();
+                    t.record_method_enter(MethodId::new(1));
+                    for i in 0..64 {
+                        let (site, taken) = if wide {
+                            (f / 2 * 13 + i % 40, (i + c) % 3 == 0)
+                        } else {
+                            (
+                                [[0, 0, 1], [2, 2, 1]][(f / 2 % 2) as usize][(i % 3) as usize],
+                                true,
+                            )
+                        };
+                        t.record_branch(ProfileElement::new(MethodId::new(1), site, taken));
+                    }
+                    t.record_method_exit(MethodId::new(1));
+                    let mut bytes = Vec::from(encode_trace(&t));
+                    if (c + f) % 7 == 3 {
+                        bytes[opd_trace::HEADER_LEN + 5 * opd_trace::BRANCH_RECORD_LEN + 7] = 0xFF;
+                    }
+                    bytes
+                })
+                .collect();
+            source.push_client(config, frames);
+        }
+        source
+    }
+
+    /// `client`'s session run alone, on a fresh scratch, by the tick
+    /// loop of [`run_vshard`]. It keeps its client id, so it draws the
+    /// same hazards as in the full run.
+    fn run_alone(source: &MemorySource, config: &ServeConfig, client: u32) -> SessionReport {
+        let mut scratch = SessionScratch::new();
+        let mut tracer = SessionTracer::new(client, 0, &TraceConfig::default(), NullSpanRecorder);
+        let mut session = Session::new(
+            client,
+            source.detector_config(client),
+            source.frames(client),
+            config.ingest,
+            config.supervision,
+            config.verify,
+            &mut scratch,
+        );
+        let mut tick = 0;
+        while session.is_live() {
+            tick += 1;
+            session.deliver(source, tick);
+            session.step(
+                tick,
+                &config.hazards,
+                &NullSubscriber,
+                &mut tracer,
+                &mut scratch,
+            );
+        }
+        session.into_report(&mut scratch)
+    }
+
+    #[test]
+    fn reused_worker_buffers_match_fresh_sessions() {
+        let vshards = 12;
+        let source = mixed_source(48, vshards);
+        let config = ServeConfig {
+            vshards,
+            supervision: SupervisionPolicy {
+                max_poison_frames: 0,
+                ..SupervisionPolicy::default()
+            },
+            hazards: SeededHazards {
+                seed: 0x5EED,
+                kill_rate: 0.08,
+                wedge_rate: 0.03,
+                poison_rate: 0.03,
+            },
+            ..ServeConfig::default()
+        };
+        let run = |threads| {
+            let options = ServiceOptions {
+                threads,
+                ..ServiceOptions::default()
+            };
+            run_service(&config, &source, &options).expect("mixed run")
+        };
+        // One thread: one worker runs every vshard in order, so each
+        // vshard's sessions reuse the buffers of the one before.
+        let one = run(1);
+        assert!(one.completed() > 0 && one.quarantined() > 0, "{one:?}");
+        assert!(one.restarts() > 0 && one.corrupt_frames() > 0);
+        assert!(one.phases() > 0);
+        assert_eq!(one.verify_failures(), 0);
+        for report in &one.sessions {
+            assert_eq!(
+                report,
+                &run_alone(&source, &config, report.client),
+                "client {} differs from a fresh session",
+                report.client
+            );
+        }
+        for threads in [2, 8] {
+            assert_eq!(one, run(threads), "outcome depends on {threads} threads");
         }
     }
 

@@ -14,6 +14,15 @@
 //! session against the batch driver: one run from scratch over the
 //! log's interned view, independent of the streamed cursor.
 //!
+//! A session's storage comes from its worker's [`SessionScratch`]: the
+//! log, the streaming detector and the ingest queue are taken from a
+//! free list when the session starts and handed back when it reports,
+//! and the worker keeps one verifier detector and one decode buffer
+//! for all its sessions. Reuse resets each part to what a fresh one
+//! would be ([`IdLog::clear`], [`PhaseDetector::reconfigure`]), so a
+//! session's outcome does not depend on which sessions ran before it
+//! on the same worker.
+//!
 //! The lifecycle:
 //!
 //! ```text
@@ -32,12 +41,12 @@ use std::collections::VecDeque;
 
 use opd_core::{DetectedPhase, DetectorConfig, IdLog, PhaseDetector};
 use opd_obs::{DetectorEvent, SpanKind, SpanRecorder};
-use opd_trace::decode_trace_resync;
+use opd_trace::{decode_trace_resync_into, CallLoopEvent, ProfileElement, ResyncSink};
 
 use crate::flight::{PostmortemReason, SessionTracer};
 use crate::ledger::ShedLedger;
 use crate::service::{FrameSource, Subscriber};
-use crate::supervisor::{keyed_hash, HazardPolicy, SupervisionPolicy};
+use crate::supervisor::{keyed_hash_iter, HazardPolicy, SupervisionPolicy};
 
 /// What a session does when a frame arrives at a full queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -279,17 +288,72 @@ impl SessionReport {
 /// bit-identity checks without storing the streams themselves.
 #[must_use]
 pub fn phase_digest(phases: &[DetectedPhase]) -> u64 {
-    let mut words = Vec::with_capacity(phases.len() * 3 + 1);
-    words.push(phases.len() as u64);
-    for p in phases {
-        words.push(p.start);
-        words.push(p.anchored_start);
-        words.push(p.end.map_or(u64::MAX, |e| e));
+    let triples = phases
+        .iter()
+        .flat_map(|p| [p.start, p.anchored_start, p.end.map_or(u64::MAX, |e| e)]);
+    keyed_hash_iter(std::iter::once(phases.len() as u64).chain(triples))
+}
+
+/// A queued frame: `(frame index, enqueue tick, encoded bytes)` — the
+/// enqueue tick is the frame-latency baseline.
+type QueuedFrame = (u32, u64, Vec<u8>);
+
+/// One session's recyclable storage.
+#[derive(Debug)]
+struct SessionBuffers {
+    log: IdLog,
+    detector: PhaseDetector,
+    queue: VecDeque<QueuedFrame>,
+}
+
+/// The decode buffer: the branches of the frame being ingested. The
+/// decoder validates and counts a frame's event records, and this sink
+/// drops them, since a session's detector reads branches only.
+#[derive(Debug, Default)]
+struct DecodedBranches(Vec<ProfileElement>);
+
+impl ResyncSink for DecodedBranches {
+    fn reserve_branches(&mut self, records: usize) {
+        self.0.reserve(records);
     }
-    keyed_hash(&words)
+
+    fn branch(&mut self, element: ProfileElement) {
+        self.0.push(element);
+    }
+
+    fn event(&mut self, _: CallLoopEvent) {}
+}
+
+/// A serve worker's reusable session storage: a free list of session
+/// buffer sets (log, streaming detector, ingest queue), one verifier
+/// detector, and one decode buffer.
+///
+/// [`Session::new`] takes a buffer set from the free list, or makes
+/// one when the list is empty, and [`Session::into_report`] gives it
+/// back. The free list therefore never holds more sets than the most
+/// sessions that were live at once on this scratch. A worker's scratch
+/// lives for one run; nothing is shared between workers or runs.
+#[derive(Debug, Default)]
+pub struct SessionScratch {
+    free: Vec<SessionBuffers>,
+    verifier: Option<PhaseDetector>,
+    decoded: DecodedBranches,
+}
+
+impl SessionScratch {
+    /// An empty scratch: it allocates as its sessions need.
+    #[must_use]
+    pub fn new() -> SessionScratch {
+        SessionScratch::default()
+    }
 }
 
 /// One live detector session.
+///
+/// Its log, streaming detector and ingest queue are borrowed from a
+/// worker's [`SessionScratch`] for the session's life: [`Session::new`]
+/// resets a recycled set to the state a fresh one has, and
+/// [`Session::into_report`] returns it.
 #[derive(Debug)]
 pub struct Session {
     client: u32,
@@ -298,12 +362,11 @@ pub struct Session {
     supervision: SupervisionPolicy,
     verify: bool,
     detector: PhaseDetector,
-    /// Bounded ingest queue of `(frame index, enqueue tick, encoded
-    /// bytes)` — the enqueue tick is the frame-latency baseline.
-    queue: VecDeque<(u32, u64, Vec<u8>)>,
+    /// Bounded ingest queue.
+    queue: VecDeque<QueuedFrame>,
     /// The frame currently being processed (held by the "worker", not
     /// the queue — eviction never touches it, retries re-use it).
-    inflight: Option<(u32, u64, Vec<u8>)>,
+    inflight: Option<QueuedFrame>,
     /// Append-only interned log of every accepted element: what the
     /// detector streams over, the recovery source, and the
     /// verification input. The detector's `elements_consumed()` is
@@ -325,7 +388,10 @@ pub struct Session {
 
 impl Session {
     /// Creates a session for `client` with a `frames_total`-frame
-    /// stream ahead of it.
+    /// stream ahead of it, on a buffer set from `scratch`'s free list
+    /// (a new one if the list is empty). A recycled set is reset with
+    /// [`IdLog::clear`] and [`PhaseDetector::reconfigure`], so the
+    /// session behaves exactly as one on fresh buffers.
     #[must_use]
     pub fn new(
         client: u32,
@@ -334,17 +400,36 @@ impl Session {
         ingest: IngestPolicy,
         supervision: SupervisionPolicy,
         verify: bool,
+        scratch: &mut SessionScratch,
     ) -> Session {
+        let SessionBuffers {
+            log,
+            detector,
+            queue,
+        } = match scratch.free.pop() {
+            Some(mut buffers) => {
+                buffers.log.clear();
+                buffers.detector.reconfigure(config);
+                buffers.queue.clear();
+                buffers.queue.reserve(ingest.queue_capacity);
+                buffers
+            }
+            None => SessionBuffers {
+                log: IdLog::new(),
+                detector: PhaseDetector::new(config),
+                queue: VecDeque::with_capacity(ingest.queue_capacity),
+            },
+        };
         Session {
             client,
             config,
             ingest,
             supervision,
             verify,
-            detector: PhaseDetector::new(config),
-            queue: VecDeque::with_capacity(ingest.queue_capacity),
+            detector,
+            queue,
             inflight: None,
-            log: IdLog::new(),
+            log,
             next_frame: 0,
             frames_total,
             lifecycle: Lifecycle::Running { attempt: 0 },
@@ -443,13 +528,15 @@ impl Session {
     ///
     /// Spans go to `tracer`; every span construction is guarded by
     /// `R::ACTIVE`, so with a `NullSpanRecorder` tracer this is the
-    /// untraced step.
+    /// untraced step. Frames decode into `scratch`'s decode buffer,
+    /// and verification runs `scratch`'s verifier.
     pub fn step<R: SpanRecorder>(
         &mut self,
         tick: u64,
         hazards: &dyn HazardPolicy,
         subscriber: &dyn Subscriber,
         tracer: &mut SessionTracer<R>,
+        scratch: &mut SessionScratch,
     ) {
         match self.lifecycle {
             Lifecycle::BackingOff { until, attempt } => {
@@ -528,27 +615,36 @@ impl Session {
                             until: tick + self.supervision.deadline_ticks.max(1),
                             attempt,
                         };
-                    } else if let Some((frame, enqueued, bytes)) = self.inflight.take() {
-                        self.ingest_frame(frame, enqueued, &bytes, tick, subscriber, tracer);
+                    } else if let Some(queued) = self.inflight.take() {
+                        self.ingest_frame(queued, tick, subscriber, tracer, &mut scratch.decoded);
                         self.lifecycle = Lifecycle::Running { attempt: 0 };
                     }
                 } else if self.next_frame >= self.frames_total {
-                    self.finish(tick, subscriber, tracer);
+                    let verifier = scratch
+                        .verifier
+                        .get_or_insert_with(|| PhaseDetector::new(self.config));
+                    self.finish(tick, subscriber, tracer, verifier);
                 }
             }
             Lifecycle::Completed | Lifecycle::Quarantined => {}
         }
     }
 
-    /// Consumes the session into its terminal report. Only meaningful
-    /// once [`is_live`](Session::is_live) is `false`.
+    /// Consumes the session into its terminal report, handing its
+    /// buffer set back to `scratch`'s free list. Only meaningful once
+    /// [`is_live`](Session::is_live) is `false`.
     #[must_use]
-    pub fn into_report(self) -> SessionReport {
+    pub fn into_report(self, scratch: &mut SessionScratch) -> SessionReport {
         debug_assert!(!self.is_live(), "reporting a live session");
         let status = match self.lifecycle {
             Lifecycle::Completed => SessionStatus::Completed,
             _ => SessionStatus::Quarantined,
         };
+        scratch.free.push(SessionBuffers {
+            log: self.log,
+            detector: self.detector,
+            queue: self.queue,
+        });
         SessionReport {
             client: self.client,
             status,
@@ -556,23 +652,23 @@ impl Session {
         }
     }
 
-    /// Decodes one frame through the resync path and feeds every full
-    /// `skip_factor` step to the detector, tracing the causal chain
-    /// `frame_ingest → decode → detect → phase_event`.
+    /// Decodes one frame through the resync path into `decoded` and
+    /// feeds every full `skip_factor` step to the detector, tracing the
+    /// causal chain `frame_ingest → decode → detect → phase_event`.
     /// The ingest span's id is allocated up front so its children can
     /// name it as parent; the span itself is recorded last, once its
     /// end tick is known.
     fn ingest_frame<R: SpanRecorder>(
         &mut self,
-        frame: u32,
-        enqueued: u64,
-        bytes: &[u8],
+        (frame, enqueued, bytes): QueuedFrame,
         tick: u64,
         subscriber: &dyn Subscriber,
         tracer: &mut SessionTracer<R>,
+        decoded: &mut DecodedBranches,
     ) {
         let ingest_id = if R::ACTIVE { tracer.alloc_id() } else { 0 };
-        let (trace, report) = decode_trace_resync(bytes);
+        decoded.0.clear();
+        let report = decode_trace_resync_into(&bytes, decoded);
         if !report.is_clean() {
             self.stats.corrupt_frames += 1;
             self.stats.corrupt_records_lost += report.records_lost();
@@ -586,7 +682,7 @@ impl Session {
                 report.records_lost(),
             );
         }
-        self.log.extend(trace.branches().iter().copied());
+        self.log.extend(decoded.0.iter().copied());
         self.stats.elements_accepted = self.log.len() as u64;
         let steps_before = self.stats.steps;
         let skip = self.config.skip_factor();
@@ -693,13 +789,15 @@ impl Session {
 
     /// Clean completion: judge the residual partial step, close the
     /// open phase, and (optionally) verify against a batch run
-    /// over the log. The residual step gets its own `detect` span, and
-    /// the closing phase boundaries are emitted under it.
+    /// over the log on `verifier`. The residual step gets its own
+    /// `detect` span, and the closing phase boundaries are emitted
+    /// under it.
     fn finish<R: SpanRecorder>(
         &mut self,
         tick: u64,
         subscriber: &dyn Subscriber,
         tracer: &mut SessionTracer<R>,
+        verifier: &mut PhaseDetector,
     ) {
         let mut residual_steps = 0u64;
         let residual = self.unprocessed();
@@ -715,7 +813,7 @@ impl Session {
             0
         };
         self.notify(subscriber, detect_id, tick, tracer);
-        self.stats.verified = !self.verify || self.offline_matches();
+        self.stats.verified = !self.verify || self.offline_matches(verifier);
         self.seal_phases();
         self.lifecycle = Lifecycle::Completed;
         self.stats.ticks = tick;
@@ -726,12 +824,12 @@ impl Session {
         self.log.len() - self.detector.elements_consumed() as usize
     }
 
-    /// Event-sourced recovery: rebuild a fresh detector by replaying
-    /// the log's full-step prefix — everything a live session has
-    /// processed, since ingest consumes every full step at once — in
-    /// the same steps.
+    /// Event-sourced recovery: reset the detector to a fresh one
+    /// ([`PhaseDetector::reconfigure`]) and replay the log's full-step
+    /// prefix — everything a live session has processed, since ingest
+    /// consumes every full step at once — in the same steps.
     fn replay(&mut self) {
-        self.detector = PhaseDetector::new(self.config);
+        self.detector.reconfigure(self.config);
         let skip = self.config.skip_factor();
         let steps = self.log.len() / skip;
         for _ in 0..steps {
@@ -806,11 +904,11 @@ impl Session {
     /// produce the same phase stream the incremental path did. The
     /// batch driver runs the kernel from scratch over the log's
     /// zero-copy interned view, not the resumed cursor the stream
-    /// kept, so a lost, repeated or misplaced step shows up.
-    fn offline_matches(&self) -> bool {
-        let mut reference = PhaseDetector::new(self.config);
-        reference.run_interned_phases_only(self.log.as_interned())
-            == self.detector.detected_phases()
+    /// kept, so a lost, repeated or misplaced step shows up. The run
+    /// goes on `verifier`, reset to a fresh detector first.
+    fn offline_matches(&self, verifier: &mut PhaseDetector) -> bool {
+        verifier.reconfigure(self.config);
+        verifier.run_interned_phases_only(self.log.as_interned()) == self.detector.detected_phases()
     }
 }
 
@@ -824,12 +922,13 @@ mod tests {
 
     fn drive(session: &mut Session, source: &MemorySource, hazards: &dyn HazardPolicy) -> u64 {
         let mut tracer = SessionTracer::new(0, 0, &TraceConfig::default(), NullSpanRecorder);
+        let mut scratch = SessionScratch::new();
         let mut tick = 0;
         while session.is_live() {
             tick += 1;
             assert!(tick < 1_000_000, "session stalled");
             session.deliver(source, tick);
-            session.step(tick, hazards, &NullSubscriber, &mut tracer);
+            session.step(tick, hazards, &NullSubscriber, &mut tracer, &mut scratch);
         }
         tick
     }
@@ -848,9 +947,10 @@ mod tests {
             IngestPolicy::default(),
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &NoHazards);
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert!(r.stats.verified);
         assert!(r.stats.conservation_holds(), "{:?}", r.stats);
@@ -858,6 +958,46 @@ mod tests {
         assert_eq!(r.stats.restarts, 0);
         assert!(r.stats.elements_accepted > 0);
         assert_ne!(r.stats.phase_digest, 0);
+    }
+
+    #[test]
+    fn the_free_list_holds_the_peak_of_live_sessions() {
+        let source = small_source(3);
+        let mut scratch = SessionScratch::new();
+        let mut fresh = Vec::new();
+        let mut peak = 0;
+        for live in [2, 1, 3, 2] {
+            let mut sessions: Vec<Session> = (0..live)
+                .map(|c| {
+                    Session::new(
+                        c,
+                        source.config_of(c),
+                        source.frames(c),
+                        IngestPolicy::default(),
+                        SupervisionPolicy::default(),
+                        true,
+                        &mut scratch,
+                    )
+                })
+                .collect();
+            for s in &mut sessions {
+                drive(s, &source, &NoHazards);
+            }
+            let reports: Vec<SessionReport> = sessions
+                .into_iter()
+                .map(|s| s.into_report(&mut scratch))
+                .collect();
+            peak = peak.max(live as usize);
+            assert_eq!(scratch.free.len(), peak);
+            // Whatever buffers a session got, it reports as the first
+            // session of its client did.
+            for r in reports {
+                match fresh.get(r.client as usize) {
+                    Some(first) => assert_eq!(&r, first),
+                    None => fresh.push(r),
+                }
+            }
+        }
     }
 
     #[test]
@@ -870,6 +1010,7 @@ mod tests {
             IngestPolicy::default(),
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &NoHazards);
         assert!(s.stats().verified);
@@ -893,7 +1034,7 @@ mod tests {
         detector.close_open_phase();
         s.detector = detector;
         assert!(
-            !s.offline_matches(),
+            !s.offline_matches(&mut PhaseDetector::new(s.config)),
             "verification must compare against an independent run of the log"
         );
     }
@@ -913,9 +1054,10 @@ mod tests {
             ingest,
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &NoHazards);
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert!(r.stats.shed.rejected_frames > 0);
         assert!(
@@ -940,9 +1082,10 @@ mod tests {
             ingest,
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &NoHazards);
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert!(r.stats.shed.shed_oldest_frames > 0);
         assert!(r.stats.verified);
@@ -964,9 +1107,10 @@ mod tests {
             ingest,
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &NoHazards);
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert!(r.stats.shed.blocked_ticks > 0);
         assert_eq!(r.stats.shed.lost_frames(), 0);
@@ -1003,9 +1147,10 @@ mod tests {
             IngestPolicy::default(),
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &CrashOn { frame: 3, kills: 2 });
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert_eq!(r.stats.crashes, 2);
         assert_eq!(r.stats.restarts, 2);
@@ -1043,9 +1188,10 @@ mod tests {
             IngestPolicy::default(),
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &PoisonFrame(2));
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert_eq!(r.stats.shed.quarantined_frames, 1);
         assert_eq!(r.stats.frames_processed, 7);
@@ -1082,9 +1228,10 @@ mod tests {
             IngestPolicy::default(),
             policy,
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &AllPoison);
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Quarantined);
         assert_eq!(r.stats.shed.quarantined_frames, 3, "{:?}", r.stats.shed);
         assert_eq!(r.stats.frames_processed, 0);
@@ -1116,9 +1263,10 @@ mod tests {
             IngestPolicy::default(),
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &WedgeOn(4));
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert_eq!(r.stats.timeouts, 1);
         assert_eq!(r.stats.restarts, 1);
@@ -1136,9 +1284,10 @@ mod tests {
             IngestPolicy::default(),
             SupervisionPolicy::default(),
             true,
+            &mut SessionScratch::new(),
         );
         drive(&mut s, &source, &NoHazards);
-        let r = s.into_report();
+        let r = s.into_report(&mut SessionScratch::new());
         assert_eq!(r.status, SessionStatus::Completed);
         assert_eq!(r.stats.phase_count, 0);
         assert!(r.stats.verified);

@@ -149,8 +149,14 @@ impl HazardPolicy for SeededHazards {
 /// seeded draw in this crate.
 #[must_use]
 pub fn keyed_hash(words: &[u64]) -> u64 {
+    keyed_hash_iter(words.iter().copied())
+}
+
+/// [`keyed_hash`] over words as an iterator yields them, for callers
+/// that would otherwise collect the words only to hash them.
+pub(crate) fn keyed_hash_iter(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = words
-        .iter()
+        .into_iter()
         .fold(fnv64(&[]), |h, w| fnv64_extend(h, &w.to_le_bytes()));
     // splitmix64 finalizer: FNV alone is too linear for rate draws.
     h ^= h >> 30;

@@ -61,7 +61,7 @@ pub use phase::{
     PhaseState, StateSeq,
 };
 pub use record::{fnv64, fnv64_extend};
-pub use resync::{decode_trace_resync, CorruptionReport};
+pub use resync::{decode_trace_resync, decode_trace_resync_into, CorruptionReport, ResyncSink};
 pub use sample::{subsample, upsample_intervals};
 pub use stats::{StatsSink, TraceStats};
 pub use threaded::{

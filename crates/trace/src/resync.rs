@@ -18,6 +18,11 @@
 //! ledger exactly (see the `opd-faults` crate): on a seeded corruption
 //! run, `bad_elements` equals the number of detectable element flips,
 //! `out_of_order_events` the number of order-breaking swaps, and so on.
+//!
+//! There is one decoder body, [`decode_trace_resync_into`], which hands
+//! each accepted record to a [`ResyncSink`]. [`decode_trace_resync`]
+//! collects into an [`ExecutionTrace`]; a streaming consumer such as a
+//! serve session decodes into a buffer it reuses frame after frame.
 
 use crate::codec::{
     decode_event_kind, read_header, CodecError, Reader, BRANCH_RECORD_LEN, EVENT_RECORD_LEN,
@@ -109,11 +114,35 @@ impl core::fmt::Display for CorruptionReport {
     }
 }
 
+/// Where [`decode_trace_resync_into`] puts what it accepts from a
+/// buffer: every branch in record order, then every event in record
+/// order.
+///
+/// A sink only stores; validation and counting stay in the decoder, so
+/// every sink sees the same accepted records and the decode reports
+/// the same [`CorruptionReport`] whatever the sink keeps. A sink that
+/// needs only the branches may ignore the events.
+pub trait ResyncSink {
+    /// Called once, before the first branch, with the number of whole
+    /// branch records the buffer holds: a bound on the branches to
+    /// come, for sizing.
+    fn reserve_branches(&mut self, _records: usize) {}
+
+    /// An accepted branch element.
+    fn branch(&mut self, element: ProfileElement);
+
+    /// An accepted event. Its offset is clamped to the number of
+    /// branches accepted, and offsets never decrease from one event to
+    /// the next.
+    fn event(&mut self, event: CallLoopEvent);
+}
+
 /// Decodes as much of a (possibly corrupted) trace buffer as possible.
 ///
 /// Never fails and never panics: malformed records are skipped and
 /// counted in the returned [`CorruptionReport`]. Unrecoverable header
-/// damage yields an empty trace with `bad_header` set.
+/// damage yields an empty trace with `bad_header` set. This collects
+/// [`decode_trace_resync_into`]'s output into an [`ExecutionTrace`].
 ///
 /// # Examples
 ///
@@ -132,6 +161,48 @@ impl core::fmt::Display for CorruptionReport {
 /// ```
 #[must_use]
 pub fn decode_trace_resync(buf: &[u8]) -> (ExecutionTrace, CorruptionReport) {
+    let mut collected = Collect::default();
+    let report = decode_trace_resync_into(buf, &mut collected);
+    (collected.finish(), report)
+}
+
+/// The resync decoder: hands every record it accepts to `sink` and
+/// returns the count of everything it skipped. Never fails and never
+/// panics; on unrecoverable header damage the sink receives nothing
+/// and `bad_header` is set.
+///
+/// [`decode_trace_resync`] is this decoder collecting into an
+/// [`ExecutionTrace`]. A streaming consumer can decode each buffer
+/// into storage it reuses instead.
+///
+/// # Examples
+///
+/// ```
+/// use opd_trace::{decode_trace_resync_into, encode_trace, CallLoopEvent, ExecutionTrace,
+///                 MethodId, ProfileElement, ResyncSink, TraceSink};
+///
+/// /// Keeps the branches, drops the events.
+/// struct Branches(Vec<ProfileElement>);
+///
+/// impl ResyncSink for Branches {
+///     fn branch(&mut self, element: ProfileElement) {
+///         self.0.push(element);
+///     }
+///     fn event(&mut self, _: CallLoopEvent) {}
+/// }
+///
+/// let mut t = ExecutionTrace::new();
+/// t.record_method_enter(MethodId::new(1));
+/// t.record_branch(ProfileElement::new(MethodId::new(1), 2, true));
+/// let mut sink = Branches(Vec::new());
+/// let report = decode_trace_resync_into(&encode_trace(&t), &mut sink);
+/// assert!(report.is_clean());
+/// assert_eq!(sink.0, t.branches().as_slice());
+/// ```
+pub fn decode_trace_resync_into<S: ResyncSink + ?Sized>(
+    buf: &[u8],
+    sink: &mut S,
+) -> CorruptionReport {
     let mut report = CorruptionReport::default();
     let mut r = Reader::new(buf);
 
@@ -139,7 +210,7 @@ pub fn decode_trace_resync(buf: &[u8]) -> (ExecutionTrace, CorruptionReport) {
         Ok(n) => n,
         Err(e) => {
             report.bad_header = Some(e);
-            return (ExecutionTrace::new(), report);
+            return report;
         }
     };
 
@@ -147,13 +218,17 @@ pub fn decode_trace_resync(buf: &[u8]) -> (ExecutionTrace, CorruptionReport) {
     // record and the next read is still aligned.
     let whole_branch_records =
         ((r.remaining() / BRANCH_RECORD_LEN) as u64).min(n_branches) as usize;
-    let mut branches = BranchTrace::with_capacity(whole_branch_records);
+    sink.reserve_branches(whole_branch_records);
+    let mut branch_len = 0u64;
     for _ in 0..whole_branch_records {
         // Invariant: `whole_branch_records` was computed from
         // `remaining()`, so this read cannot hit the end of the buffer.
         let Ok(raw) = r.u64_le() else { break };
         match ProfileElement::try_from(raw) {
-            Ok(elem) => branches.push(elem),
+            Ok(elem) => {
+                sink.branch(elem);
+                branch_len += 1;
+            }
             Err(_) => report.bad_elements += 1,
         }
     }
@@ -162,8 +237,7 @@ pub fn decode_trace_resync(buf: &[u8]) -> (ExecutionTrace, CorruptionReport) {
         // it (including the event region) is gone.
         report.missing_branches = n_branches - whole_branch_records as u64;
         report.truncated_tail_bytes = r.remaining() as u64;
-        let trace = finish(branches, CallLoopTrace::new());
-        return (trace, report);
+        return report;
     }
 
     let n_events = match r.u64_le() {
@@ -171,8 +245,7 @@ pub fn decode_trace_resync(buf: &[u8]) -> (ExecutionTrace, CorruptionReport) {
         Err(_) => {
             report.missing_event_count = true;
             report.truncated_tail_bytes = r.remaining() as u64;
-            let trace = finish(branches, CallLoopTrace::new());
-            return (trace, report);
+            return report;
         }
     };
 
@@ -182,8 +255,6 @@ pub fn decode_trace_resync(buf: &[u8]) -> (ExecutionTrace, CorruptionReport) {
     // were dropped, so it is clamped to the decoded length rather than
     // discarded (one lost record must not cascade into lost events).
     let whole_event_records = ((r.remaining() / EVENT_RECORD_LEN) as u64).min(n_events) as usize;
-    let branch_len = branches.len() as u64;
-    let mut events = CallLoopTrace::new();
     let mut last_offset = 0u64;
     for _ in 0..whole_event_records {
         let (Ok(tag), Ok(id), Ok(offset)) = (r.u8(), r.u32_le(), r.u64_le()) else {
@@ -208,26 +279,50 @@ pub fn decode_trace_resync(buf: &[u8]) -> (ExecutionTrace, CorruptionReport) {
             continue;
         };
         last_offset = offset;
-        // Invariant: offsets were checked non-decreasing above (and
-        // clamping by a constant preserves that), so this push cannot
-        // fail.
-        let _ = events.try_push(CallLoopEvent::new(kind, offset.min(branch_len)));
+        // Offsets were checked non-decreasing above, and clamping by a
+        // constant preserves that.
+        sink.event(CallLoopEvent::new(kind, offset.min(branch_len)));
     }
     if (whole_event_records as u64) < n_events {
         report.missing_events = n_events - whole_event_records as u64;
         report.truncated_tail_bytes = r.remaining() as u64;
     }
-
-    (finish(branches, events), report)
+    report
 }
 
-/// Assembles the decoded streams; all offsets were validated against
-/// the decoded branch length, so this cannot fail.
-fn finish(branches: BranchTrace, events: CallLoopTrace) -> ExecutionTrace {
-    ExecutionTrace::try_from_parts(branches, events).unwrap_or_else(|_| {
-        debug_assert!(false, "resync produced an inconsistent trace");
-        ExecutionTrace::new()
-    })
+/// The sink behind [`decode_trace_resync`]: collects both streams.
+#[derive(Default)]
+struct Collect {
+    branches: Vec<ProfileElement>,
+    events: CallLoopTrace,
+}
+
+impl ResyncSink for Collect {
+    fn reserve_branches(&mut self, records: usize) {
+        self.branches.reserve_exact(records);
+    }
+
+    fn branch(&mut self, element: ProfileElement) {
+        self.branches.push(element);
+    }
+
+    fn event(&mut self, event: CallLoopEvent) {
+        // Invariant: the decoder hands over non-decreasing offsets, so
+        // this push cannot fail.
+        let _ = self.events.try_push(event);
+    }
+}
+
+impl Collect {
+    /// Assembles the decoded streams; all offsets were validated
+    /// against the decoded branch length, so this cannot fail.
+    fn finish(self) -> ExecutionTrace {
+        ExecutionTrace::try_from_parts(BranchTrace::from(self.branches), self.events)
+            .unwrap_or_else(|_| {
+                debug_assert!(false, "resync produced an inconsistent trace");
+                ExecutionTrace::new()
+            })
+    }
 }
 
 const _: () = {
@@ -329,6 +424,40 @@ mod tests {
             let (_, report) = decode_trace_resync(&bytes[..cut]);
             // Something must always be reported for a strict prefix.
             assert!(!report.is_clean(), "cut {cut}");
+        }
+    }
+
+    /// Records both streams as the sink decoder hands them over.
+    #[derive(Default)]
+    struct Recorder {
+        branches: Vec<ProfileElement>,
+        events: Vec<CallLoopEvent>,
+    }
+
+    impl ResyncSink for Recorder {
+        fn branch(&mut self, element: ProfileElement) {
+            self.branches.push(element);
+        }
+        fn event(&mut self, event: CallLoopEvent) {
+            self.events.push(event);
+        }
+    }
+
+    #[test]
+    fn sink_decoder_hands_over_exactly_the_collected_trace() {
+        let clean = encode_trace(&sample()).to_vec();
+        let mut bad_records = clean.clone();
+        bad_records[HEADER_LEN + 5 * BRANCH_RECORD_LEN + 7] = 0xAB;
+        let events_at = HEADER_LEN + 32 * BRANCH_RECORD_LEN + EVENT_COUNT_LEN;
+        bad_records[events_at] = 0x77;
+        let mut buffers = vec![clean.clone(), bad_records];
+        buffers.extend((0..clean.len()).map(|cut| clean[..cut].to_vec()));
+        for buf in &buffers {
+            let (trace, report) = decode_trace_resync(buf);
+            let mut sink = Recorder::default();
+            assert_eq!(decode_trace_resync_into(buf, &mut sink), report);
+            assert_eq!(sink.branches, trace.branches().as_slice());
+            assert_eq!(sink.events, trace.events().as_slice());
         }
     }
 

@@ -12,7 +12,9 @@
 # `opd serve` smoke run (supervised multi-tenant streaming under
 # aggressive hazards), a release `opd serve` checkpoint round trip
 # (written on two threads, resumed on one: resume restores vshards and
-# reprints the digest), an observability
+# reprints the digest), a 10,000-client `opd serve` digest compared at
+# one and three threads (sessions recycle their worker's buffers, so
+# state leaking between sessions would change it), an observability
 # smoke pass (`opd top`,
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
@@ -83,6 +85,19 @@ fi
 restored="$(sed -n 's/.*"restored_vshards": \([0-9]*\).*/\1/p' <<<"$resumed")"
 if [ "${restored:-0}" -eq 0 ]; then
     echo "check.sh: serve --resume restored no vshard: $resumed" >&2
+    exit 1
+fi
+# Serve thread-count check: the 10,000-client soak must print the same
+# digest at one thread, where one worker runs every vshard and each
+# vshard's sessions reuse the buffers of the ones before, and at three,
+# where the workers recycle along different vshard sequences. The round
+# trip above cannot catch state leaking between sessions: its resumed
+# run restores every vshard and runs no session.
+serve_soak=(cargo run --release -q --bin opd -- serve --clients 10000 --json)
+one_thread="$("${serve_soak[@]}" --threads 1 | grep '"digest"')"
+three_threads="$("${serve_soak[@]}" --threads 3 | grep '"digest"')"
+if [ "$one_thread" != "$three_threads" ]; then
+    echo "check.sh: serve digest differs at 1 and 3 threads: $one_thread vs $three_threads" >&2
     exit 1
 fi
 # Observability smoke: the dashboard renders one service view with

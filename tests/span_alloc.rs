@@ -3,8 +3,12 @@
 //! `NullSpanRecorder` must allocate exactly as often as the plain
 //! engine — the `R::ACTIVE` guards compile every span construction,
 //! flight-ring push, and post-mortem dump out of the disabled path.
+//! A second pin bounds what a one-thread run allocates at all: per
+//! delivered frame and per vshard, never per session, since sessions
+//! run on their worker's recycled buffers.
+//!
 //! A counting global allocator wraps the system one. The count is
-//! process-wide, so it would also see worker threads, and the test
+//! process-wide, so it would also see worker threads, and each test
 //! holds the allocator's serialization lock so no other counting test
 //! of this binary runs meanwhile.
 
@@ -62,5 +66,49 @@ fn null_span_traced_service_allocates_exactly_like_plain() {
         instrumented <= plain,
         "the NullSpanRecorder path must not allocate beyond the plain engine \
          (plain {plain}, traced-null {instrumented})"
+    );
+}
+
+/// Allocations a one-thread run may make per delivered frame, in
+/// quarters. The dashboard source builds each frame on demand, at
+/// about 2.08 allocations a frame (1,200 for the run's 576 frames);
+/// the session layer adds none per frame.
+const QUARTER_ALLOCATIONS_PER_FRAME: u64 = 10;
+
+/// Allocations a one-thread run may make per vshard on top: the
+/// vshard's session, tracer and report lists, and the growth of the
+/// worker's recycled session buffers.
+const ALLOCATIONS_PER_VSHARD: u64 = 4;
+
+/// Session buffers come from the worker's scratch, so a one-thread run
+/// allocates per frame and per vshard, not per session. On this
+/// 96-client, 48-vshard run that is 1,376 allocations against a bound
+/// of 1,632; building each session's log and detectors afresh, as the
+/// engine once did, took 4,598. A change that brings back per-session
+/// allocation of three or more fails here.
+#[test]
+fn one_thread_service_allocates_per_frame_and_vshard() {
+    let serialized = alloc::serialize();
+    let source = dash_source(1, 96);
+    let config = dash_config();
+    let options = ServiceOptions {
+        threads: 1,
+        ..ServiceOptions::default()
+    };
+    let run = || run_service(&config, &source, &options).expect("soak runs");
+    let _ = run();
+    let (report, allocations) = alloc::process_allocations_during(&serialized, run);
+    let frames: u64 = report
+        .sessions
+        .iter()
+        .map(|r| r.stats.frames_delivered)
+        .sum();
+    let bound = QUARTER_ALLOCATIONS_PER_FRAME * frames / 4
+        + ALLOCATIONS_PER_VSHARD * u64::from(report.vshards);
+    assert!(
+        allocations < bound,
+        "{allocations} allocations for {frames} delivered frames over {} vshards \
+         (bound {bound}): something allocates per session again",
+        report.vshards
     );
 }
