@@ -42,13 +42,12 @@
 //! [`ResourceCertificate::admits`] is the admission-control entry
 //! point a streaming service checks before accepting a session.
 
-use opd_core::{swar_footprint_bytes, DetectorConfig, ModelPolicy, TwPolicy};
+use opd_core::{swar_footprint_bytes, AnalyzerPolicy, DetectorConfig, ModelPolicy, TwPolicy};
 use opd_microvm::Program;
 
 use crate::absint::AbsInt;
 use crate::cost::{self, ConfigCost};
 use crate::diag::{Code, Diagnostic};
-use crate::equiv::always_fires;
 use crate::flow::FlowInfo;
 
 /// A closed interval `[lo, hi]` of `u64` resource counts. `hi ==
@@ -138,6 +137,29 @@ fn dense_min_ops(model: ModelPolicy, sites_lo: u64) -> u64 {
         ModelPolicy::UnweightedSet => lanes.saturating_add(2),
         ModelPolicy::WeightedSet => d.saturating_add(2),
         ModelPolicy::Pearson => d.saturating_add(lanes).saturating_add(2),
+    }
+}
+
+/// Whether `config`'s analyzer provably judges *Phase* at every warm
+/// step, on every trace.
+///
+/// `Threshold(t ≤ 0)` always fires because every similarity model
+/// returns values ≥ 0. `Average { delta: 1.0 }` always fires when
+/// similarities provably never exceed `1.0` — true for the unweighted
+/// model (exact quotients `k/n ≤ 1`), Pearson (clamped), and the
+/// weighted model under a constant TW (integer fast path `m/(cw·tw)`
+/// with `m ≤ cw·tw`). The weighted model under an *adaptive* TW is
+/// excluded: its over-capacity slow path sums rounded per-site
+/// quotients, which can exceed `1.0` by an ulp and leave the running
+/// average above `1.0`.
+fn always_fires(config: &DetectorConfig) -> bool {
+    match config.analyzer() {
+        AnalyzerPolicy::Threshold(t) => t <= 0.0,
+        AnalyzerPolicy::Average { delta } => {
+            delta >= 1.0
+                && (config.model() != ModelPolicy::WeightedSet
+                    || config.tw_policy() == TwPolicy::Constant)
+        }
     }
 }
 
@@ -594,7 +616,6 @@ mod tests {
 
     #[test]
     fn an_always_firing_analyzer_certifies_exactly_one_phase() {
-        use opd_core::AnalyzerPolicy;
         let config = DetectorConfig::builder()
             .current_window(500)
             .trailing_window(500)
@@ -603,6 +624,41 @@ mod tests {
             .unwrap();
         let cert = ResourceCertificate::of(&small_program(5_000), &config, u64::MAX);
         assert_eq!((cert.phases().lo(), cert.phases().hi()), (1, 1));
+    }
+
+    #[test]
+    fn always_fire_classification() {
+        let af = |model, analyzer, tw_policy| {
+            always_fires(
+                &DetectorConfig::builder()
+                    .current_window(8)
+                    .trailing_window(8)
+                    .model(model)
+                    .analyzer(analyzer)
+                    .tw_policy(tw_policy)
+                    .build()
+                    .unwrap(),
+            )
+        };
+        let thr0 = AnalyzerPolicy::Threshold(0.0);
+        let avg1 = AnalyzerPolicy::Average { delta: 1.0 };
+        assert!(af(ModelPolicy::UnweightedSet, thr0, TwPolicy::Constant));
+        assert!(af(ModelPolicy::WeightedSet, thr0, TwPolicy::Adaptive));
+        assert!(af(ModelPolicy::UnweightedSet, avg1, TwPolicy::Adaptive));
+        assert!(af(ModelPolicy::WeightedSet, avg1, TwPolicy::Constant));
+        // Weighted + adaptive sums rounded quotients: avg may exceed
+        // 1.0 by an ulp, so the rule conservatively refuses.
+        assert!(!af(ModelPolicy::WeightedSet, avg1, TwPolicy::Adaptive));
+        assert!(!af(
+            ModelPolicy::UnweightedSet,
+            AnalyzerPolicy::Threshold(0.1),
+            TwPolicy::Constant
+        ));
+        assert!(!af(
+            ModelPolicy::UnweightedSet,
+            AnalyzerPolicy::Average { delta: 0.4 },
+            TwPolicy::Constant
+        ));
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!   policy among window-sharing configs — Constant groups share
 //!   directly, Adaptive groups through the forking scan — and one per
 //!   private config) and therefore
-//!   matches [`opd_core::SweepEngine::total_scans`] exactly; the
-//!   `opd plan` CLI asserts this agreement on every run.
+//!   matches [`opd_core::SweepEngine::total_scans`] exactly;
+//!   `tests/cert_bounds.rs` checks this agreement on the default and
+//!   full grids.
 //! * **Comparison-op upper bounds** — per config × workload, from the
 //!   static element and alphabet bounds, with checked arithmetic
-//!   (overflow surfaces as `OPD-C105`, never as a wrapped number).
+//!   (overflow surfaces as `None`, never as a wrapped number).
 //! * **Schedulable unit costs** — [`unit_cost`] prices one
 //!   [`SweepUnit`] for LPT distribution, replacing the old heuristic
 //!   `SweepUnit::cost()` (a fixed 8:1 scan-to-member weighting that
@@ -100,7 +101,7 @@ impl ConfigCost {
     }
 
     /// Upper bound on comparison ops across all judged steps; `None`
-    /// when the checked product overflowed `u64` (lint `OPD-C105`).
+    /// when the checked product overflowed `u64`.
     #[must_use]
     pub fn compare_ops(&self) -> Option<u64> {
         self.compare_ops

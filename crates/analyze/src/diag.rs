@@ -36,28 +36,6 @@ pub enum Code {
     /// interpreter's default limit — the program is well-formed but
     /// would abort with `CallDepthExceeded` when run.
     CallDepthBound,
-    /// `OPD-C101`: two sweep-grid entries are textually identical
-    /// configurations — the second contributes nothing.
-    DuplicateConfig,
-    /// `OPD-C102`: a detector is provably silent on a workload — the
-    /// static branch bound is below `cw + tw`, so its windows can
-    /// never warm up and it reports zero phases.
-    ProvablySilent,
-    /// `OPD-C103`: the skip factor exceeds the current window, so a
-    /// phase-end flush over-fills the CW and the config is excluded
-    /// from shared-window scanning.
-    SkipSwallowsWindow,
-    /// `OPD-C104`: a sweep axis is redundant — every pair of grid
-    /// entries differing only in that axis is provably equivalent.
-    RedundantSweepAxis,
-    /// `OPD-C105`: a comparison-op cost bound overflowed `u64`; the
-    /// static cost model cannot rank this config and scheduling falls
-    /// back to the saturated maximum.
-    CostBoundOverflow,
-    /// `OPD-C106`: a config is provably equivalent to an earlier grid
-    /// entry (its class representative) on every trace, beyond exact
-    /// duplication — it is shadowed and can be pruned.
-    ShadowedRepresentative,
     /// `OPD-R201`: a declared shared atomic was never touched by any
     /// schedule exploration — its concurrency behavior is unverified.
     UnexploredAtomic,
@@ -106,7 +84,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in numeric order.
-    pub const ALL: [Code; 25] = [
+    pub const ALL: [Code; 19] = [
         Code::UnreachableFunction,
         Code::UnguardedRecursion,
         Code::DegenerateDistribution,
@@ -114,12 +92,6 @@ impl Code {
         Code::InvalidStructure,
         Code::DeadCode,
         Code::CallDepthBound,
-        Code::DuplicateConfig,
-        Code::ProvablySilent,
-        Code::SkipSwallowsWindow,
-        Code::RedundantSweepAxis,
-        Code::CostBoundOverflow,
-        Code::ShadowedRepresentative,
         Code::UnexploredAtomic,
         Code::RelaxedReleaseFlag,
         Code::TornSnapshot,
@@ -145,12 +117,6 @@ impl Code {
             Code::InvalidStructure => "OPD-E005",
             Code::DeadCode => "OPD-W006",
             Code::CallDepthBound => "OPD-W007",
-            Code::DuplicateConfig => "OPD-C101",
-            Code::ProvablySilent => "OPD-C102",
-            Code::SkipSwallowsWindow => "OPD-C103",
-            Code::RedundantSweepAxis => "OPD-C104",
-            Code::CostBoundOverflow => "OPD-C105",
-            Code::ShadowedRepresentative => "OPD-C106",
             Code::UnexploredAtomic => "OPD-R201",
             Code::RelaxedReleaseFlag => "OPD-R202",
             Code::TornSnapshot => "OPD-R203",
@@ -166,11 +132,10 @@ impl Code {
         }
     }
 
-    /// The severity this code is reported at. (`OPD-C*` plan codes,
-    /// `OPD-R*` race-audit codes, `OPD-A*` certificate codes, and
-    /// `OPD-O*` observability/SLO codes carry their own letter at
-    /// either severity; program codes use `W`/`E` matching their
-    /// severity.)
+    /// The severity this code is reported at. (`OPD-R*` race-audit
+    /// codes, `OPD-A*` certificate codes, and `OPD-O*`
+    /// observability/SLO codes carry their own letter at either
+    /// severity; program codes use `W`/`E` matching their severity.)
     #[must_use]
     pub fn severity(self) -> Severity {
         match self {
@@ -178,11 +143,6 @@ impl Code {
             | Code::DegenerateDistribution
             | Code::DeadCode
             | Code::CallDepthBound
-            | Code::DuplicateConfig
-            | Code::ProvablySilent
-            | Code::SkipSwallowsWindow
-            | Code::RedundantSweepAxis
-            | Code::ShadowedRepresentative
             | Code::UnexploredAtomic
             | Code::RelaxedReleaseFlag
             | Code::TornSnapshot
@@ -193,7 +153,6 @@ impl Code {
             Code::UnguardedRecursion
             | Code::BoundOverflow
             | Code::InvalidStructure
-            | Code::CostBoundOverflow
             | Code::CertBudgetExceeded
             | Code::SloLatencyBurn
             | Code::SloShedBudget
@@ -213,12 +172,6 @@ impl Code {
             Code::InvalidStructure => "invalid program structure",
             Code::DeadCode => "statically dead code",
             Code::CallDepthBound => "static call depth exceeds the interpreter limit",
-            Code::DuplicateConfig => "duplicate sweep-grid configuration",
-            Code::ProvablySilent => "detector provably never warms on this workload",
-            Code::SkipSwallowsWindow => "skip factor exceeds the current window",
-            Code::RedundantSweepAxis => "sweep axis is provably redundant",
-            Code::CostBoundOverflow => "comparison-op cost bound overflows u64",
-            Code::ShadowedRepresentative => "config shadowed by an equivalent representative",
             Code::UnexploredAtomic => "shared atomic never covered by schedule exploration",
             Code::RelaxedReleaseFlag => "relaxed RMW flag read with acquire ordering",
             Code::TornSnapshot => "snapshot torn across metric shards",
@@ -355,11 +308,10 @@ mod tests {
     fn severity_matches_code_letter() {
         for code in Code::ALL {
             let letter = code.as_str().as_bytes()[4];
-            // Plan-lint (`C`), race-audit (`R`), certificate (`A`),
-            // and SLO (`O`) codes use their own letter at either
-            // severity; program codes encode their severity in the
-            // letter.
-            if letter == b'C' || letter == b'R' || letter == b'A' || letter == b'O' {
+            // Race-audit (`R`), certificate (`A`), and SLO (`O`) codes
+            // use their own letter at either severity; program codes
+            // encode their severity in the letter.
+            if letter == b'R' || letter == b'A' || letter == b'O' {
                 continue;
             }
             match code.severity() {
@@ -368,22 +320,6 @@ mod tests {
             }
         }
         assert!(Severity::Warning < Severity::Error);
-    }
-
-    #[test]
-    fn plan_codes_use_the_c_prefix_and_100_range() {
-        let plan: Vec<Code> = Code::ALL
-            .iter()
-            .copied()
-            .filter(|c| c.as_str().as_bytes()[4] == b'C')
-            .collect();
-        assert_eq!(plan.len(), 6);
-        for code in plan {
-            let n: u32 = code.as_str()[5..].parse().unwrap();
-            assert!((101..=106).contains(&n), "{code}");
-        }
-        assert_eq!(Code::CostBoundOverflow.severity(), Severity::Error);
-        assert_eq!(Code::ShadowedRepresentative.severity(), Severity::Warning);
     }
 
     #[test]

@@ -24,12 +24,10 @@
 //! the sweep engine allocate to the alphabet bound up front), and the
 //! supergraph property is what the differential soundness tests check.
 //!
-//! A second analysis family targets the *sweep plan* rather than the
-//! program: [`PlanAnalysis`] proves detector-config equivalences
-//! ([`EquivClass`], [`canonicalize`]), prices each config with a
-//! static cost model ([`ConfigCost`], [`unit_cost`]), predicts the
-//! sweep engine's exact scan count ([`predicted_scans`]), and lints
-//! the grid with codes `OPD-C101` … `OPD-C106`.
+//! A second family prices *sweeps*: a static cost model prices each
+//! config ([`ConfigCost`]) and each schedulable sweep unit
+//! ([`unit_cost`]), and [`predicted_scans`] predicts the sweep
+//! engine's exact scan count.
 //!
 //! A third family certifies *resources*: [`ResourceCertificate`]
 //! composes the abstract interpreter's per-site visit intervals with
@@ -59,11 +57,9 @@ mod callgraph;
 mod cert;
 mod cost;
 mod diag;
-mod equiv;
 mod flow;
 mod lint;
 mod nesting;
-mod plan;
 mod sched;
 
 pub use absint::{AbsInt, SiteVisits, StrideInterval};
@@ -72,13 +68,8 @@ pub use callgraph::{CallEdge, CallGraph, RecursionCycle};
 pub use cert::{CertInterval, ResourceCertificate};
 pub use cost::{predicted_scans, unit_cost, unit_cost_parts, ConfigCost};
 pub use diag::{Code, Diagnostic, Severity};
-pub use equiv::{
-    always_fires, canonicalize, equivalence_classes, snap_threshold, snap_threshold_fixed,
-    EquivClass, EquivRule,
-};
 pub use flow::{DeadKind, DeadSite, FlowInfo};
 pub use nesting::NestingTree;
-pub use plan::{AxisPairOutcome, AxisWitnesses, PlanAnalysis, PlanWorkload, SweepAxis};
 pub use sched::{race_lints, SubsystemSyncProfile, SyncSite};
 
 use opd_microvm::Program;

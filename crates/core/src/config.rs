@@ -39,7 +39,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// This is the grouping key of the sweep engine ([`crate::SweepEngine`]
 /// shares one trace scan among all shareable configs of equal shape)
-/// and of the static sweep planner in `opd-analyze`, which predicts
+/// and of the static sweep cost model in `opd-analyze`, which predicts
 /// scan counts from shapes alone without running a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]

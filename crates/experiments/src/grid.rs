@@ -213,11 +213,11 @@ pub fn full_grid() -> Vec<DetectorConfig> {
 /// top of [`paper_analyzers`].
 pub const EXTRA_THRESHOLDS: [f64; 8] = [0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.9, 0.95];
 
-/// The default plan/benchmark grid: 28 same-shape Constant-TW configs
-/// at CW 500 — the 20-config [`policy_grid`] plus eight extra
-/// unweighted thresholds ([`EXTRA_THRESHOLDS`]). Every member shares
-/// one trace scan in the sweep engine, and `opd plan` analyzes this
-/// grid by default.
+/// The default benchmark grid: 28 same-shape Constant-TW configs at
+/// CW 500 — the 20-config [`policy_grid`] plus eight extra unweighted
+/// thresholds ([`EXTRA_THRESHOLDS`]). Every member shares one trace
+/// scan in the sweep engine, and `opd sweep` and `opd certify` run
+/// this grid by default.
 #[must_use]
 pub fn default_plan_grid() -> Vec<DetectorConfig> {
     let mut configs = policy_grid(TwKind::Constant, 500);

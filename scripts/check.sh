@@ -3,12 +3,12 @@
 # shuffled Tier-1 run under a clock-derived seed, a one-thread run of
 # the suites that share process-wide state, warning-free clippy across
 # the whole workspace, formatting, warning-free rustdoc, a deny-warnings
-# static lint of every built-in workload, an `opd plan` smoke run on
-# the default grid, a two-thread profiled `opd sweep --stats` run
-# (the metered sweep planned from the plain sweep's LPT prices), the
-# fault-injection smoke pass (injector ledgers vs decoder reports), an
-# `opd trace` smoke run, an `opd audit` smoke run (DPOR exploration of
-# the metrics registry + its seeded mutant + OPD-R lints), an
+# static lint of every built-in workload, a two-thread profiled
+# `opd sweep --stats` run (the metered sweep planned from the plain
+# sweep's LPT prices), the fault-injection smoke pass (injector
+# ledgers vs decoder reports), an `opd trace` smoke run, an
+# `opd audit` smoke run (DPOR exploration of the metrics registry +
+# its seeded mutant + OPD-R lints), an
 # `opd serve` smoke run (supervised multi-tenant streaming under
 # aggressive hazards), a release `opd serve` checkpoint round trip
 # (written on two threads, resumed on one: resume restores vshards and
@@ -53,7 +53,6 @@ cargo fmt --check
 # code fences fail the gate, not just clutter the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 cargo run --release -q --bin opd -- lint --deny-warnings
-cargo run --release -q --bin opd -- plan --json > /dev/null
 # The profiled sweep above one thread: it plans its buckets from the
 # same certificate-priced LPT prices as `sweep_many`, and no other step
 # of the gate runs it on more than one thread in release.

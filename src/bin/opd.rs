@@ -1,6 +1,6 @@
 //! The `opd` command-line tool.
 //!
-//! Thirteen subcommands: the static analyzer (`lint`, `bounds`, `plan`,
+//! Twelve subcommands: the static analyzer (`lint`, `bounds`,
 //! `certify`), sweeps and fault studies (`sweep`, `faults`), the
 //! concurrency audit (`audit`), the streaming service (`serve`,
 //! `loadgen`), and observability (`trace`, `top`, `flight`,
@@ -12,12 +12,6 @@
 //! * `opd bounds [--write]` — render the per-workload static-bounds
 //!   artifact; `--write` updates `BENCH_static_bounds.json` at the
 //!   repository root.
-//! * `opd plan [--json] [--prune] [--scale N] [--write]` — statically
-//!   analyze the default sweep grid: equivalence classes, plan lints
-//!   (`OPD-C101..C106`), and predicted-vs-actual scan counts;
-//!   `--prune` prints the pruned grid and, when the grid is proven
-//!   irredundant, per-axis distinctness witnesses; `--write` updates
-//!   `BENCH_plan.json`.
 //! * `opd faults [--smoke] [--scale N] [--write]` — the
 //!   fault-injection degradation study: accuracy of the default sweep
 //!   grid on corrupted traces vs the clean-trace oracle, per fault
@@ -101,8 +95,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use opd_analyze::{Analysis, PlanAnalysis, Severity};
-use opd_core::SweepEngine;
+use opd_analyze::{Analysis, Severity};
 use opd_experiments::cli::{CliError, Reporter};
 use opd_microvm::workloads::Workload;
 use opd_microvm::{parse_program, Program};
@@ -110,7 +103,6 @@ use opd_microvm::{parse_program, Program};
 const USAGE: &str = "\
 usage: opd lint [--json] [--deny-warnings] [--scale N] [TARGET...]
        opd bounds [--write]
-       opd plan [--json] [--prune] [--scale N] [--write]
        opd faults [--smoke] [--scale N] [--write]
        opd sweep [--scale N] [--fuel N] [--threads N]
                  [--checkpoint PATH] [--resume]
@@ -168,10 +160,6 @@ fn main() -> ExitCode {
             }
             [ref flag] if flag == "--write" => write_bounds_artifact(),
             _ => fail(CliError::usage("bounds accepts only --write")),
-        },
-        Some("plan") => match parse_plan_args(&args[1..]) {
-            Ok(opts) => plan(&opts),
-            Err(e) => fail(e),
         },
         Some("faults") => match parse_faults_args(&args[1..]) {
             Ok(opts) => faults(&opts),
@@ -641,155 +629,6 @@ fn render_certify(
         per_workload.len(),
         configs.len(),
     );
-    out
-}
-
-struct PlanOpts {
-    json: bool,
-    prune: bool,
-    write: bool,
-    scale: u32,
-}
-
-fn parse_plan_args(args: &[String]) -> Result<PlanOpts, CliError> {
-    let mut opts = PlanOpts {
-        json: false,
-        prune: false,
-        write: false,
-        scale: 1,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--json" => opts.json = true,
-            "--prune" => opts.prune = true,
-            "--write" => opts.write = true,
-            "--scale" => {
-                let value = iter.next().ok_or(CliError::missing_value("--scale"))?;
-                opts.scale = value
-                    .parse()
-                    .map_err(|e| CliError::invalid(format!("--scale `{value}`"), e))?;
-            }
-            flag if flag.starts_with("--") => return Err(CliError::unknown_flag(flag)),
-            other => {
-                return Err(CliError::usage(format!(
-                    "unexpected plan argument `{other}`"
-                )))
-            }
-        }
-    }
-    Ok(opts)
-}
-
-fn plan(opts: &PlanOpts) -> ExitCode {
-    let configs = opd_experiments::grid::default_plan_grid();
-    let analysis = PlanAnalysis::of(
-        &configs,
-        &opd_experiments::analysis::plan_workloads(opts.scale),
-    );
-
-    // The cost model's scan prediction must agree with the engine's
-    // actual plan — a mismatch is a bug in one of them.
-    let actual_scans = SweepEngine::new(&configs).total_scans();
-    if analysis.predicted_scans_full() != actual_scans {
-        eprintln!(
-            "error: predicted {} scan(s) but the sweep engine plans {actual_scans}",
-            analysis.predicted_scans_full()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let reporter = Reporter::new(opts.json);
-    if opts.write {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_plan.json");
-        if let Err(e) = std::fs::write(path, opd_experiments::analysis::plan_json(opts.scale)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        // Through the reporter: with --json this lands on stderr, so
-        // `--json --write` stdout stays one parseable document.
-        reporter.human(format_args!("wrote {path}"));
-    }
-
-    if opts.json {
-        reporter.payload(opd_experiments::analysis::plan_json(opts.scale).trim_end());
-    } else {
-        reporter.human(render_plan(&analysis, actual_scans, opts.prune).trim_end());
-    }
-    if analysis.error_count() > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Renders the plan analysis for humans: class summary, diagnostics,
-/// scan counts, and (with `prune`) the pruned grid plus per-axis
-/// evidence when the grid is proven irredundant.
-fn render_plan(analysis: &PlanAnalysis, actual_scans: usize, prune: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "plan: {} config(s), {} equivalence class(es) ({} nontrivial)",
-        analysis.configs().len(),
-        analysis.classes().len(),
-        analysis.nontrivial_classes(),
-    );
-    let _ = writeln!(
-        out,
-        "scans: predicted full={} pruned={}, engine={actual_scans} (exact match)",
-        analysis.predicted_scans_full(),
-        analysis.predicted_scans_pruned(),
-    );
-    for class in analysis.classes().iter().filter(|c| c.is_nontrivial()) {
-        let _ = writeln!(
-            out,
-            "class: representative #{} covers {:?}\n  {}",
-            class.representative(),
-            class.members(),
-            class.proof(),
-        );
-    }
-    for d in analysis.diagnostics() {
-        let _ = writeln!(out, "{}", d.render());
-    }
-    if prune {
-        let reps = analysis.representatives();
-        let _ = writeln!(out, "pruned grid ({} config(s)):", reps.len());
-        for &r in &reps {
-            let _ = writeln!(out, "  #{r}: {}", analysis.configs()[r]);
-        }
-        if analysis.nontrivial_classes() == 0 {
-            let _ = writeln!(
-                out,
-                "the grid is irredundant under the prover's rules; probing axes for \
-                 dynamic distinctness witnesses..."
-            );
-            let witnesses = analysis.axis_witnesses();
-            for (axis, hit, total) in witnesses.per_axis() {
-                let _ = writeln!(
-                    out,
-                    "  axis {axis}: {hit}/{total} single-axis pair(s) separated by a probe trace"
-                );
-            }
-            for pair in witnesses.pairs.iter().filter(|p| p.witness.is_some()) {
-                let _ = writeln!(
-                    out,
-                    "  witness: #{} vs #{} ({}) diverge on probe `{}`",
-                    pair.a,
-                    pair.b,
-                    pair.axis,
-                    pair.witness.as_deref().unwrap_or(""),
-                );
-            }
-            let _ = writeln!(
-                out,
-                "  {} pair(s) witnessed, {} undecided",
-                witnesses.witnessed(),
-                witnesses.undecided(),
-            );
-        }
-    }
     out
 }
 

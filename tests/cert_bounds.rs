@@ -11,7 +11,7 @@
 use opd_analyze::{predicted_scans, AbsInt, FlowInfo, ResourceCertificate};
 use opd_core::{InternedTrace, PhaseDetector, SweepEngine};
 use opd_experiments::cert::CERT_FUEL;
-use opd_experiments::grid::default_plan_grid;
+use opd_experiments::grid::{default_plan_grid, full_grid};
 use opd_microvm::workloads::Workload;
 use opd_microvm::Interpreter;
 use opd_obs::MeterObserver;
@@ -151,6 +151,13 @@ fn certified_scan_counts_match_the_engine_plan() {
     let configs = default_plan_grid();
     let engine = SweepEngine::new(&configs);
     assert_eq!(engine.total_scans(), predicted_scans(&configs));
+    // The full grid mixes shapes, both TW policies and private
+    // configs, so every branch of the grouping rule is exercised.
+    let full = full_grid();
+    assert_eq!(
+        SweepEngine::new(&full).total_scans(),
+        predicted_scans(&full)
+    );
     for c in certify_all() {
         for config in &configs {
             let cert = ResourceCertificate::from_parts(&c.absint, &c.flow, config, CERT_FUEL);

@@ -35,7 +35,6 @@ fn unknown_subcommand_exits_2_with_usage() {
 fn unknown_flags_exit_2_on_every_subcommand() {
     for sub in [
         "lint",
-        "plan",
         "faults",
         "sweep",
         "audit",
@@ -61,7 +60,6 @@ fn unknown_flags_exit_2_on_every_subcommand() {
 fn missing_values_exit_2() {
     for args in [
         &["lint", "--scale"][..],
-        &["plan", "--scale"],
         &["sweep", "--fuel"],
         &["sweep", "--checkpoint"],
         &["certify", "--budget"],

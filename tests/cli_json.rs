@@ -22,19 +22,14 @@ fn bounds_stdout_is_one_json_document() {
 }
 
 #[test]
-fn plan_json_stdout_is_one_json_document() {
-    let doc = stdout_json(&opd(&["plan", "--json"]));
-    assert!(matches!(doc, Json::Obj(_)));
-}
-
-#[test]
-fn plan_json_write_keeps_stdout_clean() {
+fn certify_json_write_keeps_stdout_clean() {
     // `--write` regenerates the committed (deterministic)
-    // BENCH_plan.json in place; the "wrote ..." confirmation must not
+    // BENCH_cert.json in place; the "wrote ..." confirmation must not
     // pollute the JSON payload on stdout.
-    let out = opd(&["plan", "--json", "--write"]);
+    let out = opd(&["certify", "--json", "--write"]);
+    assert_eq!(out.status.code(), Some(0));
     let doc = stdout_json(&out);
-    assert!(matches!(doc, Json::Obj(_)));
+    assert_eq!(doc.get("grid_configs").as_u64(), 28);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("wrote "),

@@ -1,5 +1,6 @@
-//! End-to-end checks of the `opd` binary: lint output, exit codes,
-//! JSON mode, and freshness of the committed static-bounds artifact.
+//! End-to-end checks of the `opd` binary: lint output, exit codes
+//! (also under `--json`), JSON mode, and freshness of the committed
+//! static-bounds artifact.
 
 use std::process::Command;
 
@@ -50,6 +51,27 @@ fn spin (f0) // entry {
     assert!(stdout.contains("error[OPD-E002]"), "{stdout}");
     assert!(stdout.contains("warning[OPD-W003]"), "{stdout}");
     assert!(stdout.contains("FAIL"), "{stdout}");
+}
+
+#[test]
+fn lint_json_still_fails_on_error_diagnostics() {
+    // `--json` changes the output format, not the exit-code contract:
+    // any OPD-E* diagnostic must fail the process.
+    let path = std::env::temp_dir().join(format!("opd-lint-json-test-{}.opd", std::process::id()));
+    std::fs::write(
+        &path,
+        "fn main (f0) // entry {\n  branch @0 p=1.0\n  call f0(5)\n}\n",
+    )
+    .expect("write temp listing");
+    let out = opd(&["lint", "--json", path.to_str().expect("utf8 path")]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("OPD-E002"), "{stdout}");
+    assert!(stdout.contains("\"severity\":\"error\""), "{stdout}");
+    // A clean program under --json still exits 0.
+    let out = opd(&["lint", "--json", "lexgen"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The allocation half of the zero-overhead-when-off claim for
-//! causal spans: the traced service engine monomorphized over
-//! `NullSpanRecorder` must allocate exactly as often as the plain
-//! engine — the `R::ACTIVE` guards compile every span construction,
-//! flight-ring push, and post-mortem dump out of the disabled path.
+//! causal spans. The plain engine is the traced engine monomorphized
+//! over `NullSpanRecorder`, whose `R::ACTIVE` guards compile every span
+//! construction, flight-ring push, and post-mortem dump out. The same
+//! soak recorded into a `SpanLog` must report bit-identically and
+//! allocate strictly more, which shows the counter sees the span layer.
 //! A second pin bounds what a one-thread run allocates at all: per
 //! delivered frame and per vshard, never per session, since sessions
 //! run on their worker's recycled buffers.
@@ -16,11 +17,11 @@
 mod alloc;
 
 use opd_experiments::dash::{dash_config, dash_source};
-use opd_obs::NullSpanRecorder;
+use opd_obs::SpanLog;
 use opd_serve::{run_service, run_service_traced, NullSubscriber, ServiceOptions, TraceConfig};
 
 #[test]
-fn null_span_traced_service_allocates_exactly_like_plain() {
+fn span_log_service_allocates_beyond_the_null_recorder() {
     let serialized = alloc::serialize();
     let source = dash_source(1, 96);
     let config = dash_config();
@@ -28,8 +29,9 @@ fn null_span_traced_service_allocates_exactly_like_plain() {
         threads: 1,
         ..ServiceOptions::default()
     };
-    let traced = || {
-        run_service_traced::<NullSpanRecorder>(
+    let null_run = || run_service(&config, &source, &options).expect("plain soak runs");
+    let span_run = || {
+        run_service_traced::<SpanLog>(
             &config,
             &source,
             &options,
@@ -38,34 +40,29 @@ fn null_span_traced_service_allocates_exactly_like_plain() {
             &TraceConfig::default(),
         )
         .expect("traced soak runs")
-        .0
     };
 
-    // Warm both arms, then pin the plain engine's run-to-run
-    // allocation determinism before comparing against it.
-    let _ = run_service(&config, &source, &options).expect("plain soak runs");
-    let _ = traced();
-    let plain_run = || run_service(&config, &source, &options).expect("plain soak runs");
-    let (plain_report, plain) = alloc::process_allocations_during(&serialized, plain_run);
-    let (_, plain_again) = alloc::process_allocations_during(&serialized, plain_run);
+    // Warm both arms, then pin the null path's run-to-run allocation
+    // determinism before comparing against it.
+    let _ = null_run();
+    let _ = span_run();
+    let (null_report, null) = alloc::process_allocations_during(&serialized, null_run);
+    let (_, null_again) = alloc::process_allocations_during(&serialized, null_run);
     assert_eq!(
-        plain, plain_again,
-        "the plain engine must allocate deterministically for this gate to mean anything"
+        null, null_again,
+        "the null-recorder engine must allocate deterministically for this gate to mean anything"
     );
 
-    let (traced_report, instrumented) = alloc::process_allocations_during(&serialized, traced);
+    let ((span_report, trace), recorded) = alloc::process_allocations_during(&serialized, span_run);
     assert_eq!(
-        plain_report, traced_report,
-        "traced-null and plain runs must be bit-identical"
+        null_report, span_report,
+        "recording spans must not change the report"
     );
-    // `<=`, not `==`: the traced driver sizes its work list exactly
-    // (no checkpoint-resume filter), so it may allocate slightly
-    // *fewer* times — what the gate forbids is any span-layer
-    // allocation on top of the plain engine.
+    assert!(!trace.spans.is_empty(), "the SpanLog run records spans");
     assert!(
-        instrumented <= plain,
-        "the NullSpanRecorder path must not allocate beyond the plain engine \
-         (plain {plain}, traced-null {instrumented})"
+        recorded > null,
+        "recording spans must allocate beyond the null recorder \
+         (null {null}, SpanLog {recorded})"
     );
 }
 
