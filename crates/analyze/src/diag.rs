@@ -36,18 +36,6 @@ pub enum Code {
     /// interpreter's default limit — the program is well-formed but
     /// would abort with `CallDepthExceeded` when run.
     CallDepthBound,
-    /// `OPD-R201`: a declared shared atomic was never touched by any
-    /// schedule exploration — its concurrency behavior is unverified.
-    UnexploredAtomic,
-    /// `OPD-R202`: an atomic written with `Relaxed` read-modify-writes
-    /// is read with `Acquire` (or stronger) — the reader expects a
-    /// happens-before edge the writer never publishes, the classic
-    /// "relaxed RMW used as a release flag" bug.
-    RelaxedReleaseFlag,
-    /// `OPD-R203`: a multi-shard metric family had a snapshot read
-    /// race one of its shard updates — the summed snapshot is torn
-    /// across shards and must not be treated as a point-in-time value.
-    TornSnapshot,
     /// `OPD-A301`: the certified phase-transition upper bound is zero —
     /// the detector provably never fires on this workload.
     CertNeverFires,
@@ -84,7 +72,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in numeric order.
-    pub const ALL: [Code; 19] = [
+    pub const ALL: [Code; 16] = [
         Code::UnreachableFunction,
         Code::UnguardedRecursion,
         Code::DegenerateDistribution,
@@ -92,9 +80,6 @@ impl Code {
         Code::InvalidStructure,
         Code::DeadCode,
         Code::CallDepthBound,
-        Code::UnexploredAtomic,
-        Code::RelaxedReleaseFlag,
-        Code::TornSnapshot,
         Code::CertNeverFires,
         Code::CertNotTighter,
         Code::CertBudgetExceeded,
@@ -117,9 +102,6 @@ impl Code {
             Code::InvalidStructure => "OPD-E005",
             Code::DeadCode => "OPD-W006",
             Code::CallDepthBound => "OPD-W007",
-            Code::UnexploredAtomic => "OPD-R201",
-            Code::RelaxedReleaseFlag => "OPD-R202",
-            Code::TornSnapshot => "OPD-R203",
             Code::CertNeverFires => "OPD-A301",
             Code::CertNotTighter => "OPD-A302",
             Code::CertBudgetExceeded => "OPD-A303",
@@ -132,10 +114,10 @@ impl Code {
         }
     }
 
-    /// The severity this code is reported at. (`OPD-R*` race-audit
-    /// codes, `OPD-A*` certificate codes, and `OPD-O*`
-    /// observability/SLO codes carry their own letter at either
-    /// severity; program codes use `W`/`E` matching their severity.)
+    /// The severity this code is reported at. (`OPD-A*` certificate
+    /// codes and `OPD-O*` observability/SLO codes carry their own
+    /// letter at either severity; program codes use `W`/`E` matching
+    /// their severity.)
     #[must_use]
     pub fn severity(self) -> Severity {
         match self {
@@ -143,9 +125,6 @@ impl Code {
             | Code::DegenerateDistribution
             | Code::DeadCode
             | Code::CallDepthBound
-            | Code::UnexploredAtomic
-            | Code::RelaxedReleaseFlag
-            | Code::TornSnapshot
             | Code::CertNeverFires
             | Code::CertNotTighter
             | Code::CertTruncated
@@ -172,9 +151,6 @@ impl Code {
             Code::InvalidStructure => "invalid program structure",
             Code::DeadCode => "statically dead code",
             Code::CallDepthBound => "static call depth exceeds the interpreter limit",
-            Code::UnexploredAtomic => "shared atomic never covered by schedule exploration",
-            Code::RelaxedReleaseFlag => "relaxed RMW flag read with acquire ordering",
-            Code::TornSnapshot => "snapshot torn across metric shards",
             Code::CertNeverFires => "certified phase-count upper bound is zero",
             Code::CertNotTighter => "skip swallows the warm-up; certificate adds no tightness",
             Code::CertBudgetExceeded => "certified memory high-water mark exceeds the budget",
@@ -308,10 +284,10 @@ mod tests {
     fn severity_matches_code_letter() {
         for code in Code::ALL {
             let letter = code.as_str().as_bytes()[4];
-            // Race-audit (`R`), certificate (`A`), and SLO (`O`) codes
-            // use their own letter at either severity; program codes
-            // encode their severity in the letter.
-            if letter == b'R' || letter == b'A' || letter == b'O' {
+            // Certificate (`A`) and SLO (`O`) codes use their own
+            // letter at either severity; program codes encode their
+            // severity in the letter.
+            if letter == b'A' || letter == b'O' {
                 continue;
             }
             match code.severity() {
@@ -320,21 +296,6 @@ mod tests {
             }
         }
         assert!(Severity::Warning < Severity::Error);
-    }
-
-    #[test]
-    fn race_codes_use_the_r_prefix_and_200_range() {
-        let race: Vec<Code> = Code::ALL
-            .iter()
-            .copied()
-            .filter(|c| c.as_str().as_bytes()[4] == b'R')
-            .collect();
-        assert_eq!(race.len(), 3);
-        for code in race {
-            let n: u32 = code.as_str()[5..].parse().unwrap();
-            assert!((201..=203).contains(&n), "{code}");
-            assert_eq!(code.severity(), Severity::Warning, "{code}");
-        }
     }
 
     #[test]

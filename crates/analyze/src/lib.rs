@@ -60,7 +60,6 @@ mod diag;
 mod flow;
 mod lint;
 mod nesting;
-mod sched;
 
 pub use absint::{AbsInt, SiteVisits, StrideInterval};
 pub use bounds::StaticBounds;
@@ -70,7 +69,6 @@ pub use cost::{predicted_scans, unit_cost, unit_cost_parts, ConfigCost};
 pub use diag::{Code, Diagnostic, Severity};
 pub use flow::{DeadKind, DeadSite, FlowInfo};
 pub use nesting::NestingTree;
-pub use sched::{race_lints, SubsystemSyncProfile, SyncSite};
 
 use opd_microvm::Program;
 

@@ -5,10 +5,9 @@
 //! Everything here is static — certificates come from the abstract
 //! interpretation alone, no trace is ever executed — so the artifact
 //! is bit-identical across runs and hosts and freshness-tested by
-//! exact comparison (`tests/cert_artifact.rs`), like
-//! `BENCH_sched.json`. The dynamic half of the claim (every metered
-//! counter inside its certified interval) lives in
-//! `tests/cert_bounds.rs`.
+//! exact comparison (`tests/cert_artifact.rs`). The dynamic half of
+//! the claim (every metered counter inside its certified interval)
+//! lives in `tests/cert_bounds.rs`.
 
 use opd_analyze::{predicted_scans, AbsInt, Diagnostic, FlowInfo, ResourceCertificate};
 use opd_core::DetectorConfig;

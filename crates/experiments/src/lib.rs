@@ -48,5 +48,4 @@ pub mod grid;
 pub mod obs;
 pub mod report;
 pub mod runner;
-pub mod sched;
 pub mod serve;

@@ -13,12 +13,16 @@
 //! [`DetectorEvent`] is the event vocabulary (window slides/moves,
 //! similarity scores, analyzer decisions, phase transitions);
 //! [`MetricsRegistry`] is the sharded counter/histogram registry the
-//! sweep paths record into; [`UnitMetrics`] is the plain per-unit
-//! accumulator cross-checked against the static cost model. [`Span`]
-//! and [`SpanRecorder`] extend the same discipline to *causal*
-//! tracing — virtual-time spans with parent ids, recorded through the
-//! identical `const ACTIVE` guard — and [`FlightRing`] is the
-//! fixed-capacity recent-span buffer behind per-session post-mortems.
+//! sweep paths and serve record into: its cells are plain `std`
+//! `AtomicU64`s that change only by `Relaxed` `fetch_add`, so no update
+//! is lost, and a snapshot is exact once the caller has joined its
+//! writers (a live one may be torn across shards). [`UnitMetrics`] is
+//! the plain per-unit accumulator cross-checked against the static
+//! cost model. [`Span`] and [`SpanRecorder`] extend the same
+//! discipline to *causal* tracing — virtual-time spans with parent
+//! ids, recorded through the identical `const ACTIVE` guard — and
+//! [`FlightRing`] is the fixed-capacity recent-span buffer behind
+//! per-session post-mortems.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -26,8 +30,6 @@
 mod event;
 mod metrics;
 mod observer;
-#[cfg(feature = "sched")]
-pub mod sched_model;
 mod span;
 
 pub use event::{DetectorEvent, ResizeKind};

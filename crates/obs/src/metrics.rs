@@ -26,26 +26,13 @@
 //!   exact.
 //!
 //! Both halves of the contract — quiesced exactness and live
-//! monotonicity — are explored exhaustively by the schedule explorer
-//! over the real registry code (see [`sched_model`], `sched` feature)
-//! and stress-tested under the OS scheduler.
-//!
-//! Under the `sched` feature the shard cells become instrumented
-//! [`opd_sched::SyncAtomicU64`]s and the thread tag is derived from
-//! the deterministic model-thread index whenever a schedule
-//! exploration is active, so shard selection (and with it the whole
-//! registry) replays identically across runs.
+//! monotonicity — are checked under the OS scheduler by this module's
+//! threaded tests (exact totals after a scoped join, including four
+//! writers contending on one shard, and monotone live snapshots), and
+//! `scripts/check.sh` reruns them under ThreadSanitizer when a nightly
+//! toolchain is available.
 
-use std::sync::atomic::Ordering;
-
-#[cfg(not(feature = "sched"))]
-use std::sync::atomic::AtomicU64 as AtomicCell;
-
-#[cfg(feature = "sched")]
-use opd_sched::SyncAtomicU64 as AtomicCell;
-
-#[cfg(not(feature = "sched"))]
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets: bucket 0 holds zero values and bucket
 /// `1 + floor(log2(v))` holds value `v`, so all of `u64` is covered.
@@ -54,7 +41,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// A cache-line-padded atomic cell: one shard of one metric.
 #[repr(align(64))]
 #[derive(Debug, Default)]
-struct PaddedU64(AtomicCell);
+struct PaddedU64(AtomicU64);
 
 /// SplitMix64's finalizer: mixes a per-thread tag into a uniformly
 /// distributed shard selector.
@@ -66,7 +53,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-#[cfg(not(feature = "sched"))]
 thread_local! {
     static THREAD_TAG: u64 = {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -74,32 +60,11 @@ thread_local! {
     };
 }
 
-/// The calling thread's shard tag. On ordinary threads this is a
-/// SplitMix64-mixed process-wide counter (assigned once per thread,
-/// `Relaxed` is sufficient: the counter is only ever incremented and
-/// uniqueness, not ordering, is what shard spread needs). Inside an
-/// active schedule exploration it is the mixed model-thread index, so
-/// shard selection is deterministic and replays exactly.
-#[cfg(not(feature = "sched"))]
+/// The calling thread's shard tag: a SplitMix64-mixed process-wide
+/// counter, assigned once per thread. `Relaxed` is sufficient: the
+/// counter is only ever incremented and uniqueness, not ordering, is
+/// what shard spread needs.
 fn thread_tag() -> u64 {
-    THREAD_TAG.with(|&tag| tag)
-}
-
-/// See the non-`sched` variant. Under the explorer the tag comes from
-/// the deterministic model-thread index; the thread-local counter
-/// fallback covers ordinary threads when the feature is compiled in
-/// but no exploration is active.
-#[cfg(feature = "sched")]
-fn thread_tag() -> u64 {
-    if let Some(t) = opd_sched::current_thread_index() {
-        return splitmix64(t as u64);
-    }
-    thread_local! {
-        static THREAD_TAG: u64 = {
-            static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            splitmix64(NEXT.fetch_add(1, Ordering::Relaxed))
-        };
-    }
     THREAD_TAG.with(|&tag| tag)
 }
 
@@ -161,10 +126,6 @@ impl MetricsRegistry {
     /// Registers a counter and returns its handle.
     pub fn counter(&mut self, name: &'static str) -> CounterId {
         let shards: Box<[PaddedU64]> = (0..self.shards).map(|_| PaddedU64::default()).collect();
-        #[cfg(feature = "sched")]
-        for (i, cell) in shards.iter().enumerate() {
-            cell.0.set_label(format!("{name}[{i}]"));
-        }
         self.counters.push(CounterFamily { name, shards });
         CounterId(self.counters.len() - 1)
     }
@@ -174,10 +135,6 @@ impl MetricsRegistry {
         let buckets: Box<[PaddedU64]> = (0..self.shards * HISTOGRAM_BUCKETS)
             .map(|_| PaddedU64::default())
             .collect();
-        #[cfg(feature = "sched")]
-        for (i, cell) in buckets.iter().enumerate() {
-            cell.0.set_label(format!("{name}[{i}]"));
-        }
         self.histograms.push(HistogramFamily { name, buckets });
         HistogramId(self.histograms.len() - 1)
     }
@@ -187,10 +144,11 @@ impl MetricsRegistry {
         self.add_tagged(id, thread_tag(), n);
     }
 
-    /// [`add`](Self::add) with an explicit shard tag — the injectable
-    /// seam the explorer models use to pin updates to known shards.
-    /// `Relaxed` suffices: increments are RMWs (nothing is lost) and
-    /// snapshot exactness comes from the caller's join edge.
+    /// [`add`](Self::add) with an explicit shard tag, for callers that
+    /// shard by their own key rather than by thread: serve tags each
+    /// update with its virtual shard's index. `Relaxed` suffices:
+    /// increments are RMWs (nothing is lost) and snapshot exactness
+    /// comes from the caller's join edge.
     pub fn add_tagged(&self, id: CounterId, tag: u64, n: u64) {
         let shard = shard_for_tag(tag, self.shards);
         self.counters[id.0].shards[shard]
@@ -519,10 +477,8 @@ mod tests {
 
     #[test]
     fn live_snapshots_are_monotone_under_stress() {
-        // The OS-scheduler half of the snapshot-consistency story
-        // (the exhaustive half runs under the explorer, see
-        // `sched_model`): concurrent writers + a snapshotter never
-        // observe a non-monotone or overshooting total.
+        // Concurrent writers + a snapshotter never observe a
+        // non-monotone or overshooting total.
         let mut r = MetricsRegistry::new(4);
         let c = r.counter("ops");
         let r = &r;
@@ -544,6 +500,33 @@ mod tests {
             }
         });
         assert_eq!(r.snapshot().counter("ops"), Some(4 * PER_THREAD));
+    }
+
+    #[test]
+    fn contended_shard_loses_no_update() {
+        // Four writers pin every update to shard 0, so each increment
+        // races the other three on one cell; `fetch_add` keeps every
+        // one, and the scoped join makes the snapshot exact.
+        const PER_THREAD: u64 = 100_000;
+        let mut r = MetricsRegistry::new(4);
+        let c = r.counter("ops");
+        let h = r.histogram("lat");
+        let r = &r;
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(move || {
+                    for _ in 0..PER_THREAD {
+                        r.add_tagged(c, 0, 1);
+                        r.record_tagged(h, 0, 1);
+                    }
+                });
+            }
+        });
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("ops"), Some(4 * PER_THREAD));
+        let hist = snap.histogram("lat").unwrap();
+        assert_eq!(hist.buckets[1], 4 * PER_THREAD);
+        assert_eq!(hist.count(), 4 * PER_THREAD);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 # `opd sweep --stats` run (the metered sweep planned from the plain
 # sweep's LPT prices), the fault-injection smoke pass (injector
 # ledgers vs decoder reports), an `opd trace` smoke run, an
-# `opd audit` smoke run (DPOR exploration of the metrics registry +
-# its seeded mutant + OPD-R lints), an
 # `opd serve` smoke run (supervised multi-tenant streaming under
 # aggressive hazards), a release `opd serve` checkpoint round trip
 # (written on two threads, resumed on one: resume restores vshards and
@@ -25,9 +23,9 @@
 # release-mode paper-table digest and thread-count check, a
 # release-mode smoke of all three benchmark workloads checked against
 # their reference outputs, a guard that every committed BENCH_*.json
-# artifact is read by some test, the feature-gate guard keeping
-# opd-obs free of opd-sched when `sched` is off, plus an optional
-# ThreadSanitizer pass when a nightly toolchain is available.
+# artifact is read by some test, plus an optional ThreadSanitizer pass
+# over the metrics registry's threaded tests when a nightly toolchain
+# is available.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,11 +111,6 @@ cargo run --release -q --bin opd -- serve --smoke --postmortem-dir "$flight_dir"
 first_pm="$(find "$flight_dir" -name '*.pm' | sort | sed -n 1p)"
 cargo run --release -q --bin opd -- flight "$first_pm" > /dev/null
 rm -rf "$flight_dir"
-# Concurrency audit smoke: the one modeled subsystem, the metrics
-# registry, explores clean through its real code, its seeded mutant is
-# caught, and no OPD-R lint fires. (The BENCH_sched.json freshness
-# test runs in the workspace suite above.)
-cargo run --release -q --bin opd -- audit --deny-warnings > /dev/null
 # Certificate smoke: every (config × workload) pair of the default
 # grid certifies without a single OPD-A30x finding at the full static
 # bound. (The BENCH_cert.json byte-for-byte freshness test and the
@@ -169,17 +162,10 @@ for artifact in BENCH_*.json; do
         exit 1
     fi
 done
-# opd-obs without its `sched` feature must not pull in opd-sched, so
-# release binaries carry plain std atomics and zero model-checking
-# code.
-if (cd crates/obs && cargo tree -e features) | grep -q "opd-sched"; then
-    echo "check.sh: opd-obs depends on opd-sched without the sched feature" >&2
-    exit 1
-fi
-# Optional: cross-check the model-level audit with ThreadSanitizer on
-# the real std-atomics build. Needs a nightly toolchain with -Z
-# sanitizer support; skip gracefully when it (or the network) is
-# absent.
+# Optional: run the metrics registry's threaded tests (exact totals
+# after a join, four writers on one shard, monotone live snapshots)
+# under ThreadSanitizer. Needs a nightly toolchain with -Z sanitizer
+# support; skip gracefully when it (or the network) is absent.
 if rustup toolchain list 2>/dev/null | grep -q nightly; then
     if RUSTFLAGS="-Zsanitizer=thread" RUST_TEST_THREADS=1 \
         cargo +nightly test -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" \

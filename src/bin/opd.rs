@@ -1,10 +1,9 @@
 //! The `opd` command-line tool.
 //!
-//! Twelve subcommands: the static analyzer (`lint`, `bounds`,
+//! Eleven subcommands: the static analyzer (`lint`, `bounds`,
 //! `certify`), sweeps and fault studies (`sweep`, `faults`), the
-//! concurrency audit (`audit`), the streaming service (`serve`,
-//! `loadgen`), and observability (`trace`, `top`, `flight`,
-//! `metrics-dump`):
+//! streaming service (`serve`, `loadgen`), and observability
+//! (`trace`, `top`, `flight`, `metrics-dump`):
 //!
 //! * `opd lint [--json] [--deny-warnings] [--scale N] [TARGET...]` —
 //!   lint the built-in workloads (default: all eight) or a dumped
@@ -25,11 +24,6 @@
 //!   restores them after an interrupted run instead of recomputing.
 //!   `--stats` runs the metered sweep and prints a per-bucket profile;
 //!   `--write` updates `BENCH_obs.json`.
-//! * `opd audit [--json] [--deny-warnings] [--write]` — the
-//!   concurrency audit: exhaustive DPOR exploration of the metrics
-//!   registry through its real code, its seeded-bug mutant, and the
-//!   `OPD-R` race lints over the observed synchronization profile;
-//!   `--write` updates `BENCH_sched.json`.
 //! * `opd certify [--json] [--deny-warnings] [--budget BYTES]
 //!   [--scale N] [--fuel N] [--write]` — abstract-interpretation
 //!   resource certificates for every (config × workload) pair of the
@@ -107,7 +101,6 @@ usage: opd lint [--json] [--deny-warnings] [--scale N] [TARGET...]
        opd sweep [--scale N] [--fuel N] [--threads N]
                  [--checkpoint PATH] [--resume]
                  [--stats [--json] [--write]]
-       opd audit [--json] [--deny-warnings] [--write]
        opd certify [--json] [--deny-warnings] [--budget BYTES]
                  [--scale N] [--fuel N] [--write]
        opd serve [--smoke] [--clients N] [--mode MODE] [--capacity N]
@@ -167,10 +160,6 @@ fn main() -> ExitCode {
         },
         Some("sweep") => match parse_sweep_args(&args[1..]) {
             Ok(opts) => sweep(&opts),
-            Err(e) => fail(e),
-        },
-        Some("audit") => match parse_audit_args(&args[1..]) {
-            Ok(opts) => audit(&opts),
             Err(e) => fail(e),
         },
         Some("certify") => match parse_certify_args(&args[1..]) {
@@ -327,139 +316,6 @@ fn render_target(name: &str, analysis: &Analysis) -> String {
         show(bounds.events(), bounds.overflowed()),
         show(bounds.call_depth(), false),
         show(bounds.nest_depth(), false),
-    );
-    out
-}
-
-struct AuditOpts {
-    json: bool,
-    deny_warnings: bool,
-    write: bool,
-}
-
-fn parse_audit_args(args: &[String]) -> Result<AuditOpts, CliError> {
-    let mut opts = AuditOpts {
-        json: false,
-        deny_warnings: false,
-        write: false,
-    };
-    for arg in args {
-        match arg.as_str() {
-            "--json" => opts.json = true,
-            "--deny-warnings" => opts.deny_warnings = true,
-            "--write" => opts.write = true,
-            flag if flag.starts_with("--") => return Err(CliError::unknown_flag(flag)),
-            other => {
-                return Err(CliError::usage(format!(
-                    "unexpected audit argument `{other}`"
-                )))
-            }
-        }
-    }
-    Ok(opts)
-}
-
-fn audit(opts: &AuditOpts) -> ExitCode {
-    use opd_experiments::sched;
-
-    let audits = sched::audit_subsystems();
-    let mutants = sched::mutant_audits();
-    let lints = sched::audit_lints(&audits);
-
-    let reporter = Reporter::new(opts.json);
-    if opts.write {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_sched.json");
-        if let Err(e) = std::fs::write(path, sched::sched_json(&audits, &mutants, &lints)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        reporter.human(format_args!("wrote {path}"));
-    }
-
-    if opts.json {
-        reporter.payload(sched::sched_json(&audits, &mutants, &lints).trim_end());
-    } else {
-        reporter.human(render_audit(&audits, &mutants, &lints, opts.deny_warnings).trim_end());
-    }
-
-    // Findings in a clean subsystem or an escaped mutant are always
-    // errors; `OPD-R` lints fail only under --deny-warnings.
-    let findings = audits.iter().filter(|a| a.finding.is_some()).count();
-    let escaped = mutants.iter().filter(|m| !m.caught).count();
-    if findings > 0 || escaped > 0 || (opts.deny_warnings && !lints.is_empty()) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Renders the concurrency audit for humans: per-subsystem
-/// exploration verdicts, mutant detection records, race lints, and a
-/// one-line summary.
-fn render_audit(
-    audits: &[opd_experiments::sched::SubsystemAudit],
-    mutants: &[opd_experiments::sched::MutantAudit],
-    lints: &[opd_analyze::Diagnostic],
-    deny_warnings: bool,
-) -> String {
-    let mut out = String::new();
-    for a in audits {
-        let _ = writeln!(
-            out,
-            "{}: {} — {} schedule(s) (naive {}, pruning {:.1}x), {} transition(s), max depth {}",
-            a.name,
-            a.verdict(),
-            a.executions,
-            a.naive_executions,
-            a.pruning_ratio(),
-            a.transitions,
-            a.max_depth,
-        );
-        if let Some(finding) = &a.finding {
-            for line in finding.lines() {
-                let _ = writeln!(out, "  {line}");
-            }
-        }
-    }
-    for m in mutants {
-        if m.caught {
-            let schedule = m
-                .schedule
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" ");
-            let _ = writeln!(
-                out,
-                "mutant {}: caught {} on `{}` after {} schedule(s); replay witness: [{schedule}]",
-                m.name, m.expected, m.object, m.executions,
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "mutant {}: ESCAPED — expected {} on `{}` was not reported",
-                m.name, m.expected, m.object,
-            );
-        }
-    }
-    for d in lints {
-        let _ = writeln!(out, "{}", d.render());
-    }
-    let findings = audits.iter().filter(|a| a.finding.is_some()).count();
-    let escaped = mutants.iter().filter(|m| !m.caught).count();
-    let verdict = if findings > 0 || escaped > 0 || (deny_warnings && !lints.is_empty()) {
-        "FAIL"
-    } else {
-        "ok"
-    };
-    let _ = writeln!(
-        out,
-        "audit: {} subsystem(s), {} finding(s), {}/{} mutant(s) caught, {} lint warning(s): {verdict}",
-        audits.len(),
-        findings,
-        mutants.len() - escaped,
-        mutants.len(),
-        lints.len(),
     );
     out
 }

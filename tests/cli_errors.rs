@@ -1,7 +1,7 @@
 //! The `opd` CLI error and exit-code contract, end to end:
 //!
 //! * 0 — clean run;
-//! * 1 — findings at the failing severity (lint/audit/certify);
+//! * 1 — findings at the failing severity (lint/certify);
 //! * 2 — malformed command line (every `CliError` variant) or
 //!   unreadable input.
 //!
@@ -24,11 +24,17 @@ fn stderr_of(out: &std::process::Output) -> String {
 
 #[test]
 fn unknown_subcommand_exits_2_with_usage() {
-    let out = opd(&["explode"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr_of(&out);
-    assert!(err.contains("unknown subcommand `explode`"), "{err}");
-    assert!(err.contains("usage: opd"), "{err}");
+    // Removed subcommands are rejected like any other unknown name.
+    for sub in ["explode", "audit", "plan"] {
+        let out = opd(&[sub]);
+        assert_eq!(out.status.code(), Some(2), "{sub}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(&format!("unknown subcommand `{sub}`")),
+            "{err}"
+        );
+        assert!(err.contains("usage: opd"), "{err}");
+    }
 }
 
 #[test]
@@ -37,7 +43,6 @@ fn unknown_flags_exit_2_on_every_subcommand() {
         "lint",
         "faults",
         "sweep",
-        "audit",
         "certify",
         "trace",
         "serve",
@@ -183,14 +188,6 @@ fn bad_positionals_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(
         stderr_of(&out).contains("unexpected trace argument `extra`"),
-        "{}",
-        stderr_of(&out)
-    );
-
-    let out = opd(&["audit", "extra"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr_of(&out).contains("unexpected audit argument `extra`"),
         "{}",
         stderr_of(&out)
     );
